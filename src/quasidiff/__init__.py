@@ -42,7 +42,6 @@ from .perturb import (
     BoundaryRecord,
     BoundaryReport,
     NoiseModel,
-    PerturbationRecord,
     RecoveryReport,
     RecoveryRow,
     boundary_crossings,
@@ -89,7 +88,6 @@ from .spectral import (
     amplitude_spectrum,
     analyze_peaks,
     exp_sum,
-    periodogram,
     singularity_diagnostic,
 )
 from .svg import Table, plot_emit

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-``quasidiff <subcommand>`` with global flags ``--seed``, ``--out``,
-``--threads`` (reserved; execution is single-threaded and deterministic),
-and ``--config`` (JSON file for the scenario runner).
+``quasidiff <subcommand>`` with global flags ``--seed``, ``--out`` and
+``--config`` (JSON file for the scenario runner), accepted before or after
+the subcommand.
 
 Exit codes: 0 on success / all criteria passing, 1 when a scenario criterion
 fails, 2 on usage, format, or configuration errors.
@@ -248,12 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
     parser.add_argument("--out", default=None, help="output file or directory")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; execution is single-threaded and schedule-independent",
-    )
     parser.add_argument("--config", default=None, help="JSON config file (scenario)")
 
     # The same flags are accepted after the subcommand; suppressed defaults
@@ -261,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     common.add_argument("--config", default=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -345,10 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except QuasidiffError as exc:

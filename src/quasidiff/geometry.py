@@ -7,9 +7,13 @@ Conventions used everywhere in this package:
 * balls are closed and centred at the origin unless stated otherwise, and
   membership tests compare squared norms so integer-valued coordinates are
   classified exactly;
-* nearest-neighbour queries return exact Euclidean distances.  The 1-d path
-  is a vectorised binary search over the sorted coordinate array; higher
-  dimensions go through scipy's cKDTree.
+* windows are cut with :func:`window_mask` and guarded by
+  :func:`require_extent`, so every module agrees on which boundary points
+  belong to a window and on how far a declared extent may be stretched;
+* :func:`nearest` is the one nearest-neighbour primitive: exact Euclidean
+  distances plus the index of the target attaining them.  The 1-d path is
+  one vectorised binary search over the sorted target coordinates; higher
+  dimensions make one scipy cKDTree query.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import InvalidArgumentError
+from .errors import InsufficientExtentError, InvalidArgumentError
 
 __all__ = [
     "as_points",
@@ -25,8 +29,9 @@ __all__ = [
     "lex_sorted_strictly",
     "sq_norms",
     "window_mask",
+    "require_extent",
     "min_pairwise_gap",
-    "nearest_distances",
+    "nearest",
     "ball_volume",
 ]
 
@@ -75,7 +80,15 @@ def sq_norms(points: np.ndarray) -> np.ndarray:
 
 def window_mask(points: np.ndarray, radius: float) -> np.ndarray:
     """Boolean mask of points inside the closed origin ball of given radius."""
-    return sq_norms(points) <= float(radius) ** 2
+    return sq_norms(points) <= radius * radius
+
+
+def require_extent(radius: float, extent: float, what: str) -> None:
+    """Refuse a window radius beyond the extent the data covers (1e-12 relative slack)."""
+    if radius > extent * (1.0 + 1e-12):
+        raise InsufficientExtentError(
+            f"{what} {radius!r} exceeds the available extent {extent!r}"
+        )
 
 
 def min_pairwise_gap(points: np.ndarray) -> float:
@@ -92,26 +105,32 @@ def min_pairwise_gap(points: np.ndarray) -> float:
     return float(np.min(dist[:, 1]))
 
 
-def nearest_distances(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Distance from each query point to the nearest target (+inf if none)."""
+def nearest(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each query point to its nearest target, and that target's index.
+
+    With no targets every distance is +inf and every index is ``len(targets)``
+    (scipy's marker for a missing neighbour).  In 1-d an exact tie between the
+    left and right neighbours resolves to the right one.
+    """
     q = as_points(queries)
     t = as_points(targets)
     if len(q) == 0:
-        return np.empty(0, dtype=np.float64)
+        return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.intp)
     if len(t) == 0:
-        return np.full(len(q), np.inf)
+        return np.full(len(q), np.inf), np.full(len(q), len(t), dtype=np.intp)
     if q.shape[1] != t.shape[1]:
-        raise InvalidArgumentError("dimension mismatch in nearest_distances")
+        raise InvalidArgumentError("dimension mismatch in nearest")
     if q.shape[1] == 1:
-        ts = np.sort(t[:, 0])
+        order = np.argsort(t[:, 0], kind="stable")
+        ts = t[order, 0]
         x = q[:, 0]
         idx = np.searchsorted(ts, x)
         left = np.clip(idx - 1, 0, len(ts) - 1)
         right = np.clip(idx, 0, len(ts) - 1)
-        return np.minimum(np.abs(x - ts[left]), np.abs(x - ts[right]))
-    tree = cKDTree(t)
-    dist, _ = tree.query(q, k=1)
-    return np.asarray(dist, dtype=np.float64)
+        d_left, d_right = np.abs(x - ts[left]), np.abs(x - ts[right])
+        return np.minimum(d_left, d_right), order[np.where(d_right <= d_left, right, left)]
+    dist, index = cKDTree(t).query(q, k=1)
+    return np.asarray(dist, dtype=np.float64), np.asarray(index, dtype=np.intp)
 
 
 _UNIT_BALL_VOL = {0: 1.0}

@@ -91,9 +91,12 @@ def read_points(path: str) -> PointSet:
         if len(parts) != dim:
             raise FormatError(f"{path}:{lineno}: expected {dim} coordinates, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
+        if not np.isfinite(row).all():
+            raise FormatError(f"{path}:{lineno}: non-finite coordinate in {line!r}")
+        rows.append(row)
     pts = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
     for i in range(1, len(pts)):
         a, b = pts[i - 1], pts[i]

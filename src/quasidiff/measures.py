@@ -22,8 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientExtentError, InvalidArgumentError
-from .geometry import as_points, lex_sorted_strictly, min_pairwise_gap, sq_norms
+from .errors import InvalidArgumentError
+from .geometry import (
+    as_points,
+    lex_sorted_strictly,
+    min_pairwise_gap,
+    require_extent,
+    sq_norms,
+    window_mask,
+)
 from .pointset import PointSet
 
 _PAIR_BUDGET = 4_000_000       # difference vectors materialized per chunk
@@ -288,11 +295,10 @@ def autocorrelation(
     r0 = x.require_separation()
     if not (0 <= bucket_tol <= r0 / 4):
         raise InvalidArgumentError(f"bucket_tol must lie in [0, sep_radius/4] = [0, {r0 / 4!r}]")
-    if radius > x.extent * (1.0 + 1e-12):
-        raise InsufficientExtentError("autocorrelation window exceeds the set's extent")
+    require_extent(radius, x.extent, "autocorrelation window")
     if max_range is not None and not (max_range > 0):
         raise InvalidArgumentError("max_range must be positive")
-    pts = x.points[sq_norms(x.points) <= radius * radius]
+    pts = x.points[window_mask(x.points, radius)]
     n = len(pts)
     acc = _Accumulator(x.dim, bucket_tol)
     if n:

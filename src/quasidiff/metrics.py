@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientExtentError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .pointset import PointSet
-from .geometry import sq_norms
+from .geometry import as_points, nearest, require_extent, sq_norms, window_mask
 
 __all__ = [
     "LGrid",
@@ -75,11 +75,7 @@ class LGrid:
         return cls(tuple(vals), l_min=float(lo))
 
     def require_within(self, *sets: PointSet) -> None:
-        cap = min(s.extent for s in sets)
-        if self.values[-1] > cap * (1.0 + 1e-12):
-            raise InsufficientExtentError(
-                f"grid radius {self.values[-1]!r} exceeds available extent {cap!r}"
-            )
+        require_extent(self.values[-1], min(s.extent for s in sets), "grid radius")
 
     def array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.float64)
@@ -186,12 +182,11 @@ def mismatch_sets(x: PointSet, y: PointSet, radius: float, eps: float):
     _check_pair(x, y)
     if not (eps > 0):
         raise InvalidArgumentError("eps must be positive")
-    if radius > min(x.extent, y.extent) * (1.0 + 1e-12):
-        raise InsufficientExtentError("window radius exceeds an operand's extent")
+    require_extent(radius, min(x.extent, y.extent), "window radius")
 
     def side(a: PointSet, b: PointSet) -> np.ndarray:
-        pa = a.points[sq_norms(a.points) <= radius * radius]
-        pb = b.points[sq_norms(b.points) <= radius * radius]
+        pa = a.points[window_mask(a.points, radius)]
+        pb = b.points[window_mask(b.points, radius)]
         # matched points have a finite nearest-in-window norm; the rest sit
         # at distance >= eps from the whole window (possibly an empty one)
         return pa[np.isinf(_nearest_center_dist(pa, pb, eps))]
@@ -275,20 +270,7 @@ def rho_stat(
 def _directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     if len(a) == 0:
         return 0.0
-    if len(b) == 0:
-        return math.inf
-    if a.shape[1] == 1:
-        t = b[:, 0]
-        q = a[:, 0]
-        idx = np.searchsorted(t, q)
-        left = np.clip(idx - 1, 0, len(t) - 1)
-        right = np.clip(idx, 0, len(t) - 1)
-        d = np.minimum(np.abs(q - t[left]), np.abs(q - t[right]))
-        return float(d.max())
-    from scipy.spatial import cKDTree
-
-    d, _ = cKDTree(b).query(a, k=1)
-    return float(np.max(d))
+    return float(nearest(a, b)[0].max())
 
 
 def hausdorff_distance(a, b) -> float:
@@ -297,21 +279,7 @@ def hausdorff_distance(a, b) -> float:
     Both empty -> 0; exactly one empty -> +inf.  Inputs may be PointSets or
     bare (n, d) arrays.
     """
-    def coerce(v) -> np.ndarray:
-        if isinstance(v, PointSet):
-            return v.points
-        arr = np.asarray(v, dtype=np.float64)
-        if arr.size == 0:
-            return arr.reshape(0, 1)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        return arr
-
-    pa, pb = coerce(a), coerce(b)
-    if len(pa) == 0 and len(pb) == 0:
-        return 0.0
-    if len(pa) and len(pb) and pa.shape[1] != pb.shape[1]:
-        raise InvalidArgumentError("operands must share a dimension")
+    pa, pb = (v.points if isinstance(v, PointSet) else as_points(v) for v in (a, b))
     return max(_directed_hausdorff(pa, pb), _directed_hausdorff(pb, pa))
 
 
@@ -329,11 +297,7 @@ def rho_gh(x: PointSet, y: PointSet, eps_tol: float = 1e-4) -> MetricResult:
         raise InvalidArgumentError("eps_tol must be positive")
     if x == y:
         return MetricResult(0.0)
-    if 1.0 / eps_tol > min(x.extent, y.extent) * (1.0 + 1e-12):
-        raise InsufficientExtentError(
-            f"scan start needs windows of radius {1.0 / eps_tol!r}; extents are "
-            f"{x.extent!r} and {y.extent!r}"
-        )
+    require_extent(1.0 / eps_tol, min(x.extent, y.extent), "scan start radius 1/eps_tol")
     if x.dim == 1:
         # 1-d windows are contiguous slices of the canonical value order
         vx, vy = x.points[:, 0], y.points[:, 0]

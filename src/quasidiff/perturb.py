@@ -24,12 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import (
-    DegenerateTrialError,
-    InsufficientExtentError,
-    InvalidArgumentError,
-)
-from .geometry import lex_sort, min_pairwise_gap, sq_norms
+from .errors import DegenerateTrialError, InvalidArgumentError
+from .geometry import lex_sort, min_pairwise_gap, require_extent, sq_norms, window_mask
 from .pointset import PointSet
 from .spectral import FrequencyGrid, Spectrum, _exp_sums
 
@@ -38,7 +34,6 @@ _MARGIN_PERCENTILE = 99.9
 
 __all__ = [
     "NoiseModel",
-    "PerturbationRecord",
     "BoundaryRecord",
     "BoundaryReport",
     "RecoveryRow",
@@ -152,15 +147,6 @@ class NoiseModel:
             dim=dim, kind="pareto_radial", alpha=float(alpha), scale=float(scale),
             moment_eps=float(moment_eps),
         )
-
-
-@dataclass(frozen=True)
-class PerturbationRecord:
-    """Provenance triple that fully determines a perturbed set."""
-
-    base_label: str
-    seed: int
-    model: NoiseModel
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +334,7 @@ def boundary_crossings(x: PointSet, model: NoiseModel, seed: int, l_list) -> Bou
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0:
         raise InvalidArgumentError("l_list must be positive and strictly increasing")
     margin = displacement_margin(model)
-    if max(radii) + margin > x.extent * (1.0 + 1e-12):
-        raise InsufficientExtentError(
-            f"need extent >= max radius + margin = {max(radii) + margin!r}, have {x.extent!r}"
-        )
+    require_extent(max(radii) + margin, x.extent, "max radius + displacement margin")
     key = rng.stream_key(seed, x.label)
     xi = _displacements(model, key, np.arange(len(x.points), dtype=np.uint64))
     before = np.sqrt(sq_norms(x.points))
@@ -408,12 +391,9 @@ def recovery_trial(
     if len(lams) == 0:
         raise InvalidArgumentError("need at least one frequency")
     margin = displacement_margin(model)
-    if radius > (x.extent - margin) * (1.0 + 1e-12):
-        raise InsufficientExtentError(
-            f"window radius {radius!r} exceeds extent minus margin {x.extent - margin!r}"
-        )
+    require_extent(radius, x.extent - margin, "window radius")
     scale = radius**x.dim
-    base = x.points[sq_norms(x.points) <= radius * radius]
+    base = x.points[window_mask(x.points, radius)]
     truth = _exp_sums(base, lams) / scale
     psi = char_fn_grid(model, lams)
     usable = np.abs(psi) >= guard
@@ -422,7 +402,7 @@ def recovery_trial(
     per_seed = []
     for seed in seeds:
         moved = perturb(x, model, seed)
-        pts = moved.points[sq_norms(moved.points) <= radius * radius]
+        pts = moved.points[window_mask(moved.points, radius)]
         per_seed.append(_exp_sums(pts, lams) / scale)
     rows = []
     for i, lam in enumerate(lams):

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import (
     AmbiguousRemovalError,
     DuplicatePointError,
-    InsufficientExtentError,
     InvalidArgumentError,
     NotUniformlyDiscreteError,
     SeamViolationError,
@@ -41,8 +40,10 @@ from .geometry import (
     lex_sort,
     lex_sorted_strictly,
     min_pairwise_gap,
-    nearest_distances,
+    nearest,
+    require_extent,
     sq_norms,
+    window_mask,
 )
 
 logger = logging.getLogger(__name__)
@@ -406,11 +407,8 @@ def window(x: PointSet, radius: float) -> PointSet:
     """Restrict to the closed ball of the given radius (must be <= extent)."""
     if not (radius > 0):
         raise InvalidArgumentError("window radius must be positive")
-    if radius > x.extent * (1.0 + 1e-12):
-        raise InsufficientExtentError(
-            f"window radius {radius!r} exceeds extent {x.extent!r} of {x.label or 'set'}"
-        )
-    pts = x.points[sq_norms(x.points) <= radius * radius]
+    require_extent(radius, x.extent, f"{x.label or 'set'} window radius")
+    pts = x.points[window_mask(x.points, radius)]
     return PointSet(x.dim, x.sep_radius, radius, pts, x.label)
 
 
@@ -418,10 +416,9 @@ def splice(inner: PointSet, outer: PointSet, radius: float, allow_smaller: bool 
     """Take ``inner`` on the closed radius ball and ``outer`` strictly outside it."""
     if inner.dim != outer.dim:
         raise InvalidArgumentError("splice requires equal dimensions")
-    if radius > min(inner.extent, outer.extent) * (1.0 + 1e-12):
-        raise InsufficientExtentError("splice radius exceeds an operand's extent")
-    inside = inner.points[sq_norms(inner.points) <= radius * radius]
-    outside = outer.points[sq_norms(outer.points) > radius * radius]
+    require_extent(radius, min(inner.extent, outer.extent), "splice radius")
+    inside = inner.points[window_mask(inner.points, radius)]
+    outside = outer.points[~window_mask(outer.points, radius)]
     pts = lex_sort(np.concatenate([inside, outside]))
     measured = min_pairwise_gap(pts)
     declared = min(inner.sep_radius, outer.sep_radius)
@@ -443,8 +440,8 @@ def sparse_union(x: PointSet, extra: PointSet) -> PointSet:
     if x.dim != extra.dim:
         raise InvalidArgumentError("sparse_union requires equal dimensions")
     extent = min(x.extent, extra.extent)
-    a = x.points[sq_norms(x.points) <= extent * extent]
-    b = extra.points[sq_norms(extra.points) <= extent * extent]
+    a = x.points[window_mask(x.points, extent)]
+    b = extra.points[window_mask(extra.points, extent)]
     pts = lex_sort(np.concatenate([a, b]))
     ordered, dup = lex_sorted_strictly(pts)
     assert ordered
@@ -469,23 +466,11 @@ def remove_near(x: PointSet, targets, tol: float) -> PointSet:
     tg = as_points(targets, x.dim)
     if len(tg) == 0 or len(x.points) == 0:
         return x
-    dist = nearest_distances(tg, x.points)
+    dist, index = nearest(tg, x.points)
     hit = dist <= tol
     if not hit.any():
         return x
-    if x.dim == 1:
-        idx = np.searchsorted(x.points[:, 0], tg[hit, 0])
-        left = np.clip(idx - 1, 0, len(x.points) - 1)
-        right = np.clip(idx, 0, len(x.points) - 1)
-        pick_right = np.abs(x.points[right, 0] - tg[hit, 0]) <= np.abs(
-            x.points[left, 0] - tg[hit, 0]
-        )
-        matches = np.where(pick_right, right, left)
-    else:
-        from scipy.spatial import cKDTree
-
-        _, matches = cKDTree(x.points).query(tg[hit], k=1)
-        matches = np.atleast_1d(matches)
+    matches = index[hit]
     if len(np.unique(matches)) != len(matches):
         raise AmbiguousRemovalError("two removal targets matched the same point")
     mask = np.ones(len(x.points), dtype=bool)
@@ -501,8 +486,7 @@ def set_stats(x: PointSet, l_values) -> SetStats:
         raise InvalidArgumentError("l_values must be a nonempty 1-d sequence")
     if (ls <= 0).any() or (np.diff(ls) <= 0).any():
         raise InvalidArgumentError("l_values must be positive and strictly increasing")
-    if ls[-1] > x.extent * (1.0 + 1e-12):
-        raise InsufficientExtentError("stats window exceeds the set's extent")
+    require_extent(ls[-1], x.extent, "stats window")
     sq = np.sort(sq_norms(x.points))
     counts = np.searchsorted(sq, ls * ls, side="right")
     gap = min_pairwise_gap(x.points)

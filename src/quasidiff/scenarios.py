@@ -45,7 +45,6 @@ from .errors import (
     InvalidArgumentError,
     UnknownScenarioError,
 )
-from .geometry import sq_norms
 from .measures import (
     TestFamily,
     TestFunction,
@@ -125,28 +124,38 @@ class ScenarioConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "scenario" not in doc:
             raise ConfigError("config needs a 'scenario' key")
+
+        def value(key: str, convert):
+            try:
+                return convert(doc[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"config key {key!r} has a malformed value {doc[key]!r}: {exc}"
+                ) from exc
+
         kwargs: dict = {"scenario": str(doc["scenario"])}
         if "seed" in doc:
-            kwargs["seed"] = int(doc["seed"])
+            kwargs["seed"] = value("seed", int)
         if "out_dir" in doc:
             kwargs["out_dir"] = str(doc["out_dir"])
         if "extent" in doc and doc["extent"] is not None:
-            kwargs["extent"] = float(doc["extent"])
+            kwargs["extent"] = value("extent", float)
         if "l_values" in doc and doc["l_values"] is not None:
-            kwargs["l_values"] = tuple(float(v) for v in doc["l_values"])
+            kwargs["l_values"] = value("l_values", lambda vs: tuple(float(v) for v in vs))
         if "grid_axes" in doc and doc["grid_axes"] is not None:
-            kwargs["grid_axes"] = tuple(
-                tuple(float(v) for v in axis) for axis in doc["grid_axes"]
+            kwargs["grid_axes"] = value(
+                "grid_axes", lambda axes: tuple(tuple(float(v) for v in axis) for axis in axes)
             )
         if "noise_kind" in doc and doc["noise_kind"] is not None:
             kwargs["noise_kind"] = str(doc["noise_kind"])
         if "noise_scale" in doc and doc["noise_scale"] is not None:
-            kwargs["noise_scale"] = float(doc["noise_scale"])
+            kwargs["noise_scale"] = value("noise_scale", float)
         if "tolerances" in doc and doc["tolerances"] is not None:
-            tols = doc["tolerances"]
-            if not isinstance(tols, dict):
+            if not isinstance(doc["tolerances"], dict):
                 raise ConfigError("'tolerances' must be an object of named numbers")
-            kwargs["tolerances"] = {str(k): float(v) for k, v in tols.items()}
+            kwargs["tolerances"] = value(
+                "tolerances", lambda tols: {str(k): float(v) for k, v in tols.items()}
+            )
         return cls(**kwargs)
 
     def canonical(self) -> dict:
@@ -241,6 +250,32 @@ def _lattice_with_sparse_displacements(n: int, extent: float) -> PointSet:
     return PointSet(1, 1.0 - 1.0 / step, base.extent, pts, f"near-lattice-{n}")
 
 
+def random_lattice_variant(rng: np.random.Generator, base: PointSet, tag: int) -> PointSet:
+    """A defective and/or sparsely shifted copy of the unit lattice ``base``.
+
+    One draw picks the kind: 0 keeps the lattice, 1 drops 1-8 random points,
+    2 also pushes every point p with |p - 1| a multiple of a random stride
+    right by a random shift (so the separation falls to 1 - shift).  The
+    draws consume ``rng`` in a fixed order, so a seeded generator gives the
+    same variants every run.
+    """
+    pts = base.points.copy()
+    kind = int(rng.integers(0, 3))
+    if kind >= 1:
+        k = int(rng.integers(1, 9))
+        idx = rng.choice(len(pts), size=k, replace=False)
+        pts = np.delete(pts, idx, axis=0)
+    sep = 1.0
+    if kind == 2:
+        shift = float(rng.uniform(0.02, 0.2))
+        stride = int(rng.integers(8, 40))
+        mask = np.mod(np.abs(pts[:, 0] - 1.0), stride) == 0
+        pts[mask, 0] += shift
+        sep = 1.0 - shift
+    order = np.lexsort(pts.T[::-1])
+    return PointSet(1, sep, base.extent, pts[order], f"variant-{tag}")
+
+
 def _fibonacci_autocorr_family(radius: float = 0.15) -> TestFamily:
     centers = (0.0, 1.0, TAU)
     funcs = tuple(TestFunction((c,), radius) for c in centers)
@@ -264,33 +299,13 @@ def _scenario_metric_axioms(cfg: ScenarioConfig):
     grid = LGrid.integers(int(min(extent, 200.0)))
     rng = np.random.default_rng(cfg.seed)
     base = gen_lattice(1, 1.0, extent, label="int-lattice")
-
-    def variant(tag: int) -> PointSet:
-        pts = base.points.copy()
-        kind = rng.integers(0, 3)
-        if kind >= 1:  # drop a random sparse defect set
-            k = int(rng.integers(1, 9))
-            idx = rng.choice(len(pts), size=k, replace=False)
-            pts = np.delete(pts, idx, axis=0)
-        sep = 1.0
-        if kind == 2:  # push a sparse arithmetic family slightly right
-            shift = float(rng.uniform(0.02, 0.2))
-            stride = int(rng.integers(8, 40))
-            p = pts[:, 0]
-            mask = np.mod(np.abs(p - 1.0), stride) == 0
-            pts = pts.copy()
-            pts[mask, 0] += shift
-            sep = 1.0 - shift
-        order = np.lexsort(pts.T[::-1])
-        return PointSet(1, sep, base.extent, pts[order], f"variant-{tag}")
-
     id_bad = 0
     sym_bad = 0
     tri_bad = 0
     worst_excess = 0.0
     rows = []
     for t in range(triples):
-        xs = [variant(3 * t + j) for j in range(3)]
+        xs = [random_lattice_variant(rng, base, 3 * t + j) for j in range(3)]
         for x in xs:
             if rho_stat(x, x, grid, eps_tol=eps_tol).value != 0.0:
                 id_bad += 1

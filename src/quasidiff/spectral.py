@@ -22,12 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptySpectrumError,
-    InsufficientExtentError,
-    InvalidArgumentError,
-)
-from .geometry import sq_norms
+from .errors import EmptySpectrumError, InvalidArgumentError
+from .geometry import require_extent, window_mask
 from .pointset import PointSet
 
 _ENTRY_BUDGET = 4_000_000  # phase-matrix entries materialized per chunk
@@ -41,7 +37,6 @@ __all__ = [
     "SingularityReport",
     "exp_sum",
     "amplitude_spectrum",
-    "periodogram",
     "analyze_peaks",
     "singularity_diagnostic",
 ]
@@ -190,26 +185,13 @@ def exp_sum(x: PointSet, lam) -> complex:
     return complex(_exp_sums(x.points, lam)[0])
 
 
-def _windowed(x: PointSet, radius: float) -> np.ndarray:
-    if radius > x.extent * (1.0 + 1e-12):
-        raise InsufficientExtentError(
-            f"window radius {radius!r} exceeds extent {x.extent!r} of {x.label or 'set'}"
-        )
-    return x.points[sq_norms(x.points) <= radius * radius]
-
-
 def amplitude_spectrum(x: PointSet, radius: float, grid: FrequencyGrid) -> Spectrum:
     """Normalized transform on the window: exp-sum / radius^dim per node."""
     if grid.dim != x.dim:
         raise InvalidArgumentError("grid and point set dimensions differ")
-    pts = _windowed(x, radius)
-    sums = _exp_sums(pts, grid.nodes())
+    require_extent(radius, x.extent, "window radius")
+    sums = _exp_sums(x.points[window_mask(x.points, radius)], grid.nodes())
     return Spectrum.from_amplitude(grid, radius, x.label, sums / radius**x.dim)
-
-
-def periodogram(x: PointSet, radius: float, grid: FrequencyGrid) -> Spectrum:
-    """Same data with the power normalization |exp-sum|^2 / radius^dim."""
-    return amplitude_spectrum(x, radius, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +232,6 @@ class PeakReport:
 
 def analyze_peaks(
     spec: Spectrum,
-    x: PointSet | None = None,
     peak_window_width: float | None = None,
     threshold_ratio: float = 0.5,
 ) -> PeakReport:
@@ -263,9 +244,6 @@ def analyze_peaks(
     integral of power over the width-wide interval centered there, and the
     background is the median (the mean is also reported) of power outside
     all peak intervals.  The intervals double as estimated support boxes.
-
-    The optional point set is accepted for signature symmetry with the
-    window-based operations and is not consulted.
     """
     if spec.grid.dim != 1:
         raise InvalidArgumentError("peak analysis is defined for 1-d spectra")
@@ -402,12 +380,11 @@ def singularity_diagnostic(
     radii = [float(v) for v in l_list]
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise InvalidArgumentError("need at least three strictly increasing window radii")
-    if radii[-1] > x.extent * (1.0 + 1e-12):
-        raise InsufficientExtentError("largest window radius exceeds the set's extent")
+    require_extent(radii[-1], x.extent, "largest window radius")
 
     reports = []
     for radius in radii:
-        spec = periodogram(x, radius, grid)
+        spec = amplitude_spectrum(x, radius, grid)
         reports.append(
             analyze_peaks(
                 spec,

@@ -34,11 +34,11 @@ from quasidiff.pointset import (
     splice,
     window,
 )
+from quasidiff.scenarios import random_lattice_variant
 from quasidiff.spectral import (
     FrequencyGrid,
     amplitude_spectrum,
     analyze_peaks,
-    periodogram,
     singularity_diagnostic,
 )
 
@@ -57,25 +57,6 @@ def int_lattice(extent: float) -> PointSet:
 # 01: the statistical window distance is a metric on seeded random windows
 
 
-def random_window_variant(rng: np.random.Generator, base: PointSet, tag: int) -> PointSet:
-    """A defective and/or sparsely shifted copy of the integer lattice."""
-    pts = base.points.copy()
-    kind = int(rng.integers(0, 3))
-    if kind >= 1:
-        k = int(rng.integers(1, 9))
-        idx = rng.choice(len(pts), size=k, replace=False)
-        pts = np.delete(pts, idx, axis=0)
-    sep = 1.0
-    if kind == 2:
-        shift = float(rng.uniform(0.02, 0.2))
-        stride = int(rng.integers(8, 40))
-        mask = np.mod(np.abs(pts[:, 0] - 1.0), stride) == 0
-        pts[mask, 0] += shift
-        sep = 1.0 - shift
-    order = np.lexsort(pts.T[::-1])
-    return PointSet(1, sep, base.extent, pts[order], f"variant-{tag}")
-
-
 def test_01_statistical_distance_is_a_metric():
     eps_tol = 1e-6
     triples = 500
@@ -87,7 +68,7 @@ def test_01_statistical_distance_is_a_metric():
     id_bad = sym_bad = tri_bad = 0
     worst_excess = 0.0
     for t in range(triples):
-        xs = [random_window_variant(rng, base, 3 * t + j) for j in range(3)]
+        xs = [random_lattice_variant(rng, base, 3 * t + j) for j in range(3)]
         for x in xs:
             if rho_stat(x, x, grid, eps_tol=eps_tol).value != 0.0:
                 id_bad += 1
@@ -248,7 +229,7 @@ def test_05_periodogram_matches_autocorrelation_transform():
         x = PointSet(1, 0.25, 100.0, pts.reshape(-1, 1), f"random-quarter-{i}")
 
         gamma = autocorrelation(x, 50.0)
-        ps = periodogram(x, 50.0, grid)
+        ps = amplitude_spectrum(x, 50.0, grid)
         phases = np.exp(-2j * np.pi * np.outer(freqs, gamma.locations[:, 0]))
         fourier = phases @ gamma.weights
         rel = np.abs(ps.power - fourier.real) / np.maximum(np.abs(ps.power), 1.0)

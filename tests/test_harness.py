@@ -18,7 +18,7 @@ from quasidiff.errors import (
 from quasidiff.io import read_points, read_spectrum, sidecar_path, write_points, write_spectrum
 from quasidiff.perturb import NoiseModel, recover
 from quasidiff.pointset import gen_fibonacci, gen_lattice, window
-from quasidiff.scenarios import ScenarioConfig, run_scenario
+from quasidiff.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 from quasidiff.spectral import FrequencyGrid, amplitude_spectrum
 from quasidiff.svg import Table, plot_emit
 
@@ -83,6 +83,13 @@ class TestPointsIO:
         path = tmp_path / "ragged.pts"
         path.write_text("# d=2 r0=1.0 extent=5.0\n0.0,0.0\n1.0\n")
         with pytest.raises(FormatError, match="coordinates"):
+            read_points(str(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coordinate_rejected(self, tmp_path, value):
+        path = tmp_path / "nonfinite.pts"
+        path.write_text(f"# d=2 r0=1.0 extent=5.0\n0.0,0.0\n1.0,{value}\n")
+        with pytest.raises(FormatError, match=":3: non-finite coordinate"):
             read_points(str(path))
 
     def test_empty_file_rejected(self, tmp_path):
@@ -282,14 +289,20 @@ class TestRunScenario:
         for path in result.manifest:
             assert os.path.exists(path)
 
-    def test_artifacts_reproduce_byte_for_byte_across_out_dirs(self, tmp_path):
+    # diffraction-catalog is left out: its dense exponential sums take ~18 s
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in SCENARIOS if n != "diffraction-catalog")
+    )
+    def test_artifacts_reproduce_byte_for_byte_across_out_dirs(self, tmp_path, name):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
-            run_scenario(ScenarioConfig(scenario="gh-counterexample", out_dir=str(out)))
+            result = run_scenario(ScenarioConfig(scenario=name, out_dir=str(out)))
+            assert result.passed, [c for c in result.criteria if not c.passed]
+        assert (out_a / f"{name}-result.json").exists()
         names_a = sorted(os.listdir(out_a))
         assert names_a == sorted(os.listdir(out_b))
-        for name in names_a:
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        for fname in names_a:
+            assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes(), fname
 
 
 def noise_free_lattice(tmp_path, extent=60.0):
@@ -447,7 +460,12 @@ class TestCli:
         assert main(["scenario", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_thread_count_must_be_positive(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--threads", "0", "scenario", "--name", "completeness"])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize(
+        "fields",
+        [{"seed": "x"}, {"extent": [1]}, {"l_values": 5}, {"tolerances": {"a": "b"}}],
+    )
+    def test_scenario_config_value_of_wrong_type_exits_two(self, tmp_path, capsys, fields):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"scenario": "completeness", **fields}))
+        assert main(["scenario", "--config", str(cfg)]) == 2
+        assert f"config key {next(iter(fields))!r}" in capsys.readouterr().err

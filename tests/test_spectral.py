@@ -16,7 +16,6 @@ from quasidiff.spectral import (
     amplitude_spectrum,
     analyze_peaks,
     exp_sum,
-    periodogram,
     singularity_diagnostic,
 )
 
@@ -105,13 +104,13 @@ class TestPeriodogram:
     GRID = FrequencyGrid(axes=((-1.0, 1.0, 0.125),))
 
     def test_lattice_window_five_power(self, lattice_220):
-        spec = periodogram(lattice_220, 5.0, self.GRID)
+        spec = amplitude_spectrum(lattice_220, 5.0, self.GRID)
         assert spec.power[node_index(self.GRID, 0.0)] == pytest.approx(24.2, abs=1e-12)
         assert spec.power[node_index(self.GRID, 0.5)] == pytest.approx(0.2, abs=1e-12)
 
     def test_wiener_identity_at_zero(self, lattice_220):
         # 25 ordered pairs of the 5-point window over L = 2 on either side
-        spec = periodogram(lattice_220, 2.0, self.GRID)
+        spec = amplitude_spectrum(lattice_220, 2.0, self.GRID)
         assert spec.power[node_index(self.GRID, 0.0)] == pytest.approx(12.5, abs=1e-12)
         gamma = autocorrelation(lattice_220, 2.0)
         assert gamma.total_mass.real == pytest.approx(12.5, abs=1e-12)
@@ -126,7 +125,7 @@ class TestPeriodogram:
             size = int(rng.integers(50, 500))
             coords = rng.choice(np.arange(-240, 241), size=size, replace=False) * 0.25
             x = PointSet(1, 0.25, 60.0, np.sort(coords).reshape(-1, 1), f"rand{trial}")
-            spec = periodogram(x, 50.0, grid)
+            spec = amplitude_spectrum(x, 50.0, grid)
             gamma = autocorrelation(x, 50.0)
             phases = np.exp(-2j * np.pi * np.outer(lam, gamma.locations[:, 0]))
             fourier = (phases * gamma.weights[None, :]).sum(axis=1)
@@ -139,13 +138,13 @@ class TestPeriodogram:
         coords = np.sort(rng.choice(np.arange(-10, 11), size=12, replace=False) * 0.5)
         x = PointSet(1, 0.5, 20.0, coords.reshape(-1, 1), "base")
         y = PointSet(1, 0.5, 20.0, coords.reshape(-1, 1) + 3.25, "moved")
-        px = periodogram(x, 10.0, self.GRID).power
-        py = periodogram(y, 10.0, self.GRID).power
+        px = amplitude_spectrum(x, 10.0, self.GRID).power
+        py = amplitude_spectrum(y, 10.0, self.GRID).power
         assert np.allclose(px, py, rtol=1e-9, atol=1e-9)
 
     def test_power_nonnegative_and_even(self):
         fib = gen_fibonacci(40.0)
-        spec = periodogram(fib, 30.0, self.GRID)
+        spec = amplitude_spectrum(fib, 30.0, self.GRID)
         assert (spec.power >= 0).all()
         scale = max(1.0, float(spec.power.max()))
         assert np.allclose(spec.power, spec.power[::-1], rtol=0, atol=1e-9 * scale)
@@ -182,7 +181,7 @@ class TestAnalyzePeaks:
         grid = FrequencyGrid(axes=((-0.1, 0.5, 1e-3),))
         for seed in range(5):
             x = gen_poisson(1.0, 1, 2100.0, seed=seed)
-            spec = periodogram(x, 2000.0, grid)
+            spec = amplitude_spectrum(x, 2000.0, grid)
             report = analyze_peaks(spec, threshold_ratio=0.5)
             assert all(abs(p.location) <= 0.01 for p in report.peaks)
 
