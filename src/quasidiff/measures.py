@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import InvalidArgumentError
 from .geometry import (
@@ -33,7 +34,7 @@ from .geometry import (
 )
 from .pointset import PointSet
 
-_PAIR_BUDGET = 4_000_000       # difference vectors materialized per chunk
+_PAIR_BUDGET = 4_000_000       # difference vectors materialized per block
 _ATOM_BUDGET = 20_000_000      # distinct atoms an accumulation may reach
 
 __all__ = [
@@ -224,57 +225,33 @@ def _quantize(vals: np.ndarray, tol: float) -> np.ndarray:
     return scaled.astype(np.int64)
 
 
-class _Accumulator:
-    """Streaming merge of difference vectors into buckets of width tol.
+def _bucket(vecs: np.ndarray, tol: float, counts=None, mixed=None):
+    """Merge vectors whose keys agree (quantized to width ``tol``; exact
+    equality when ``tol`` is 0).
 
-    Keeps, per bucket: an integer multiplicity, the first-seen representative
-    location, and coordinatewise min/max (to report how many buckets merged
-    distinct raw values).
+    Returns, per bucket in key order: the first-seen vector, the summed
+    count, and whether two distinct raw vectors met in it.  ``counts`` and
+    ``mixed`` carry those of an earlier bucketing, so bucketing the
+    concatenated results of blocks, in enumeration order, gives the result
+    of their union with the same first-seen representatives.
     """
-
-    def __init__(self, dim: int, tol: float):
-        self.dim = dim
-        self.tol = tol
-        key_dtype = np.int64 if tol > 0 else np.float64
-        self.keys = np.zeros((0, dim), dtype=key_dtype)
-        self.reps = np.zeros((0, dim), dtype=np.float64)
-        self.counts = np.zeros(0, dtype=np.int64)
-        self.lo = np.zeros((0, dim), dtype=np.float64)
-        self.hi = np.zeros((0, dim), dtype=np.float64)
-
-    def add(self, vecs: np.ndarray) -> None:
-        if len(vecs) == 0:
-            return
-        keys = _quantize(vecs, self.tol) if self.tol > 0 else vecs
-        cat_keys = np.concatenate([self.keys, keys])
-        # np.unique(axis=0) sorts rows lexicographically and reports, for each
-        # distinct row, the index of its first occurrence in the input
-        uniq, first, inverse = np.unique(cat_keys, axis=0, return_index=True, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        if len(uniq) > _ATOM_BUDGET:
-            raise InvalidArgumentError("autocorrelation atom budget exceeded")
-        cat_reps = np.concatenate([self.reps, vecs])
-        cat_counts = np.concatenate([self.counts, np.ones(len(vecs), dtype=np.int64)])
-        cat_lo = np.concatenate([self.lo, vecs])
-        cat_hi = np.concatenate([self.hi, vecs])
-        counts = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(counts, inverse, cat_counts)
-        lo = np.full((len(uniq), self.dim), np.inf)
-        hi = np.full((len(uniq), self.dim), -np.inf)
-        np.minimum.at(lo, inverse, cat_lo)
-        np.maximum.at(hi, inverse, cat_hi)
-        self.keys = uniq
-        self.reps = cat_reps[first]
-        self.counts = counts
-        self.lo = lo
-        self.hi = hi
-
-    def finish(self, scale: float):
-        order = np.lexsort(self.reps.T[::-1])
-        reps = self.reps[order]
-        weights = (self.counts[order] / scale).astype(np.complex128)
-        merged = int((self.hi > self.lo).any(axis=1).sum())
-        return reps, weights, merged
+    keys = _quantize(vecs, tol) if tol > 0 else vecs
+    order = np.lexsort(keys.T[::-1])  # stable: equal keys stay in input order
+    keys = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    first = np.flatnonzero(starts)
+    if len(first) > _ATOM_BUDGET:
+        raise InvalidArgumentError("autocorrelation atom budget exceeded")
+    reps = vecs[order[first]]
+    bucket = np.cumsum(starts) - 1
+    differs = (vecs[order] != reps[bucket]).any(axis=1)
+    if mixed is not None:
+        differs |= mixed[order]
+    if counts is None:
+        counts = np.ones(len(vecs), dtype=np.int64)
+    merged = np.bincount(bucket, weights=differs, minlength=len(first)) > 0
+    return reps, np.add.reduceat(counts[order], first), merged
 
 
 def autocorrelation(
@@ -300,44 +277,27 @@ def autocorrelation(
         raise InvalidArgumentError("max_range must be positive")
     pts = x.points[window_mask(x.points, radius)]
     n = len(pts)
-    acc = _Accumulator(x.dim, bucket_tol)
-    if n:
-        if max_range is None:
-            chunk = max(1, _PAIR_BUDGET // n)
-            for start in range(0, n, chunk):
-                block = pts[start : start + chunk]
-                diffs = (block[:, None, :] - pts[None, :, :]).reshape(-1, x.dim)
-                acc.add(diffs)
-        elif x.dim == 1:
-            v = pts[:, 0]
-            lo = np.searchsorted(v, v - max_range, side="left")
-            hi = np.searchsorted(v, v + max_range, side="right")
-            spans = hi - lo
-            # ragged neighbor ranges, flattened in manageable chunks of rows
-            start = 0
-            while start < n:
-                stop = start
-                total = 0
-                while stop < n and total + spans[stop] <= _PAIR_BUDGET:
-                    total += spans[stop]
-                    stop += 1
-                stop = max(stop, start + 1)
-                rows = np.repeat(np.arange(start, stop), spans[start:stop])
-                offsets = np.concatenate([np.arange(lo[i], hi[i]) for i in range(start, stop)])
-                acc.add((v[offsets] - v[rows]).reshape(-1, 1))
-                start = stop
-        else:
-            from scipy.spatial import cKDTree
-
-            tree = cKDTree(pts)
-            pairs = tree.query_pairs(r=max_range, output_type="ndarray")
-            acc.add(np.zeros((n, x.dim)))  # p = q diagonal
-            if len(pairs):
-                d = pts[pairs[:, 0]] - pts[pairs[:, 1]]
-                acc.add(d)
-                acc.add(-d)
-    reps, weights, merged = acc.finish(scale=float(radius) ** x.dim)
-    return AtomicMeasure(x.dim, reps, weights, bucket_tol, merged)
+    if max_range is None:
+        # row blocks of at most _PAIR_BUDGET differences; an empty window
+        # still makes one (empty) block
+        chunk = max(1, _PAIR_BUDGET // max(n, 1))
+        blocks = [
+            _bucket((pts[s : s + chunk, None, :] - pts[None, :, :]).reshape(-1, x.dim), bucket_tol)
+            for s in range(0, max(n, 1), chunk)
+        ]
+        vecs, counts, mixed = map(np.concatenate, zip(*blocks))
+        reps, counts, mixed = _bucket(vecs, bucket_tol, counts, mixed)
+    else:
+        # ordered pairs (diagonal and both orientations) by (row, col)
+        pairs = cKDTree(pts).query_pairs(r=max_range, output_type="ndarray")
+        diag = np.arange(n)
+        rows = np.concatenate([diag, pairs[:, 0], pairs[:, 1]])
+        cols = np.concatenate([diag, pairs[:, 1], pairs[:, 0]])
+        order = np.lexsort((cols, rows))
+        reps, counts, mixed = _bucket(pts[cols[order]] - pts[rows[order]], bucket_tol)
+    order = np.lexsort(reps.T[::-1])
+    weights = (counts[order] / float(radius) ** x.dim).astype(np.complex128)
+    return AtomicMeasure(x.dim, reps[order], weights, bucket_tol, int(mixed.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -298,33 +298,17 @@ def rho_gh(x: PointSet, y: PointSet, eps_tol: float = 1e-4) -> MetricResult:
     if x == y:
         return MetricResult(0.0)
     require_extent(1.0 / eps_tol, min(x.extent, y.extent), "scan start radius 1/eps_tol")
-    if x.dim == 1:
-        # 1-d windows are contiguous slices of the canonical value order
-        vx, vy = x.points[:, 0], y.points[:, 0]
-
-        def win(v: np.ndarray, radius: float) -> np.ndarray:
-            lo = np.searchsorted(v, -radius, side="left")
-            hi = np.searchsorted(v, radius, side="right")
-            return v[lo:hi].reshape(-1, 1)
-
-        windows = lambda r: (win(vx, r), win(vy, r))
-    else:
-        nx, ny = _norms(x.points), _norms(y.points)
-        ox, oy = np.argsort(nx, kind="stable"), np.argsort(ny, kind="stable")
-        px, sx = x.points[ox], nx[ox]
-        py, sy = y.points[oy], ny[oy]
-
-        def windows(radius: float):
-            return (
-                px[: np.searchsorted(sx, radius, side="right")],
-                py[: np.searchsorted(sy, radius, side="right")],
-            )
-
+    # each window is a prefix of the points in order of norm
+    nx, ny = _norms(x.points), _norms(y.points)
+    ox, oy = np.argsort(nx, kind="stable"), np.argsort(ny, kind="stable")
+    px, sx = x.points[ox], nx[ox]
+    py, sy = y.points[oy], ny[oy]
     steps = int(math.floor(0.25 / eps_tol + 1e-9))
     for k in range(1, steps + 1):
         eps = k * eps_tol
         radius = 1.0 / eps
-        wa, wb = windows(radius)
+        wa = px[: np.searchsorted(sx, radius, side="right")]
+        wb = py[: np.searchsorted(sy, radius, side="right")]
         if hausdorff_distance(wa, wb) <= eps:
             return MetricResult(eps, attained_L=radius, attained_eps=eps)
     return MetricResult(0.25, capped=True)

@@ -99,6 +99,12 @@ class PointSet:
             raise InvalidArgumentError("sep_radius must be >= 0")
         pts = as_points(self.points, self.dim)
         object.__setattr__(self, "points", pts)
+        if not np.isfinite(pts).all():
+            i, j = np.argwhere(~np.isfinite(pts))[0]
+            raise InvalidArgumentError(
+                f"{self.label or 'point set'}: non-finite coordinate {float(pts[i, j])!r} "
+                f"in point {i}"
+            )
         ordered, dup = lex_sorted_strictly(pts)
         if dup:
             raise DuplicatePointError(f"{self.label or 'point set'}: coincident points")

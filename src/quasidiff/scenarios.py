@@ -90,7 +90,6 @@ _ALLOWED_KEYS = {
     "out_dir",
     "extent",
     "l_values",
-    "grid_axes",
     "noise_kind",
     "noise_scale",
     "tolerances",
@@ -106,7 +105,6 @@ class ScenarioConfig:
     out_dir: str = "."
     extent: float | None = None
     l_values: tuple[float, ...] | None = None
-    grid_axes: tuple[tuple[float, float, float], ...] | None = None
     noise_kind: str | None = None
     noise_scale: float | None = None
     tolerances: dict = field(default_factory=dict)
@@ -142,10 +140,6 @@ class ScenarioConfig:
             kwargs["extent"] = value("extent", float)
         if "l_values" in doc and doc["l_values"] is not None:
             kwargs["l_values"] = value("l_values", lambda vs: tuple(float(v) for v in vs))
-        if "grid_axes" in doc and doc["grid_axes"] is not None:
-            kwargs["grid_axes"] = value(
-                "grid_axes", lambda axes: tuple(tuple(float(v) for v in axis) for axis in axes)
-            )
         if "noise_kind" in doc and doc["noise_kind"] is not None:
             kwargs["noise_kind"] = str(doc["noise_kind"])
         if "noise_scale" in doc and doc["noise_scale"] is not None:
@@ -167,9 +161,6 @@ class ScenarioConfig:
             "seed": self.seed,
             "extent": self.extent,
             "l_values": list(self.l_values) if self.l_values is not None else None,
-            "grid_axes": [list(a) for a in self.grid_axes]
-            if self.grid_axes is not None
-            else None,
             "noise_kind": self.noise_kind,
             "noise_scale": self.noise_scale,
             "tolerances": dict(sorted(self.tolerances.items())),

@@ -456,9 +456,10 @@ class TestCli:
 
     def test_scenario_config_with_unknown_key_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
-        cfg.write_text('{"scenario": "completeness", "frobnicate": 1}')
-        assert main(["scenario", "--config", str(cfg)]) == 2
-        assert "error:" in capsys.readouterr().err
+        for key, val in (("frobnicate", 1), ("grid_axes", [[1, 2]])):
+            cfg.write_text(json.dumps({"scenario": "completeness", key: val}))
+            assert main(["scenario", "--config", str(cfg)]) == 2
+            assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "fields",

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from quasidiff import measures
 from quasidiff.errors import InvalidArgumentError
+from quasidiff.geometry import nearest, sq_norms
 from quasidiff.measures import (
     AtomicMeasure,
     TestFamily,
@@ -16,7 +18,14 @@ from quasidiff.measures import (
     vague_gap,
 )
 from quasidiff.metrics import LGrid, rho_stat
-from quasidiff.pointset import PointSet, gen_fibonacci, gen_lattice, window
+from quasidiff.pointset import (
+    PointSet,
+    ammann_beenker_config,
+    gen_cut_project,
+    gen_fibonacci,
+    gen_lattice,
+    window,
+)
 
 
 def delta(coord: float) -> AtomicMeasure:
@@ -102,6 +111,32 @@ class TestAutocorrelation:
         keep = np.abs(full.locations[:, 0]) <= 3.0
         assert np.array_equal(near.locations, full.locations[keep])
         assert np.array_equal(near.weights, full.weights[keep])
+        # 2-d: the two enumerations may pick different first-seen
+        # representatives, so atoms are matched by position, not by index
+        x = gen_cut_project(ammann_beenker_config(22.0))
+        full = autocorrelation(x, 20.0)
+        near = autocorrelation(x, 20.0, max_range=3.0)
+        keep = np.sqrt(sq_norms(full.locations)) <= 3.0
+        dist, idx = nearest(near.locations, full.locations[keep])
+        assert len(near) == keep.sum() > 1
+        assert dist.max() <= 1e-12
+        assert len(np.unique(idx)) == len(idx)
+        assert np.array_equal(near.weights, full.weights[keep][idx])
+
+    @pytest.mark.parametrize("bucket_tol", [1e-9, 0.0])
+    @pytest.mark.parametrize(
+        "x, radius",
+        [(gen_fibonacci(120.0), 100.0), (gen_cut_project(ammann_beenker_config(8.0)), 6.0)],
+        ids=["fibonacci", "ammann-beenker"],
+    )
+    def test_row_blocks_match_single_block(self, monkeypatch, x, radius, bucket_tol):
+        whole = autocorrelation(x, radius, bucket_tol=bucket_tol)
+        monkeypatch.setattr(measures, "_PAIR_BUDGET", 1000)
+        blocks = autocorrelation(x, radius, bucket_tol=bucket_tol)
+        assert len(window(x, radius).points) ** 2 > 2 * 1000  # several blocks
+        assert whole.locations.tobytes() == blocks.locations.tobytes()
+        assert whole.weights.tobytes() == blocks.weights.tobytes()
+        assert whole.merged_count == blocks.merged_count
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,15 @@ def test_lattice_2d_count_matches_enumeration():
     assert {tuple(map(int, p)) for p in x.points} == expected
 
 
+@pytest.mark.parametrize(
+    "points",
+    [[[math.nan]], [[0.0], [math.nan]], [[math.inf]], [[-1.0, 0.0], [0.0, -math.inf]]],
+)
+def test_non_finite_coordinate_rejected(points):
+    with pytest.raises(InvalidArgumentError, match="non-finite coordinate"):
+        PointSet(len(points[0]), 1.0, 5.0, np.array(points))
+
+
 def test_lattice_spacing_scales_sep_radius():
     x = gen_lattice(1, 0.5, 1.0)
     assert x.sep_radius == 0.5
