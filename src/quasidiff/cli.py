@@ -37,6 +37,13 @@ from .svg import Table, plot_emit
 __all__ = ["main"]
 
 
+def _numbers(pieces: list[str], what: str) -> list[float]:
+    try:
+        return [float(v) for v in pieces]
+    except ValueError:
+        raise InvalidArgumentError(f"bad {what}: expected numbers, got {':'.join(pieces)!r}") from None
+
+
 def _parse_grid(text: str) -> FrequencyGrid:
     axes = []
     for part in text.split(";"):
@@ -45,23 +52,26 @@ def _parse_grid(text: str) -> FrequencyGrid:
             raise InvalidArgumentError(
                 f"bad grid axis {part!r}; expected lo:hi:step (';'-separated per axis)"
             )
-        axes.append(tuple(float(v) for v in pieces))
+        axes.append(tuple(_numbers(pieces, "grid axis")))
     return FrequencyGrid(axes=tuple(axes))
 
 
+_NOISE_KINDS = {
+    "gaussian": (1, NoiseModel.gaussian),
+    "uniform": (1, NoiseModel.uniform),
+    "pareto": (2, NoiseModel.pareto_radial),
+}
+
+
 def _parse_noise(text: str, dim: int) -> NoiseModel:
-    pieces = text.split(":")
-    kind = pieces[0]
-    if kind == "gaussian" and len(pieces) == 2:
-        return NoiseModel.gaussian(dim, float(pieces[1]))
-    if kind == "uniform" and len(pieces) == 2:
-        return NoiseModel.uniform(dim, float(pieces[1]))
-    if kind == "pareto" and len(pieces) == 3:
-        return NoiseModel.pareto_radial(dim, float(pieces[1]), float(pieces[2]))
-    raise InvalidArgumentError(
-        f"bad noise argument {text!r}; expected gaussian:<sigma>, "
-        f"uniform:<half-width>, or pareto:<alpha>:<scale>"
-    )
+    kind, *params = text.split(":")
+    arity, make = _NOISE_KINDS.get(kind, (None, None))
+    if len(params) != arity:
+        raise InvalidArgumentError(
+            f"bad noise argument {text!r}; expected gaussian:<sigma>, "
+            f"uniform:<half-width>, or pareto:<alpha>:<scale>"
+        )
+    return make(dim, *_numbers(params, f"{kind} noise parameters"))
 
 
 def _require_out(args) -> str:
@@ -105,12 +115,12 @@ def _cmd_dist(args) -> int:
     if args.kind == "hausdorff":
         doc = {"kind": "hausdorff", "value": hausdorff_distance(a, b)}
     elif args.kind == "alignment":
-        res = rho_gh(a, b, eps_tol=args.eps_tol if args.eps_tol else 1e-4)
+        res = rho_gh(a, b, eps_tol=1e-4 if args.eps_tol is None else args.eps_tol)
         doc = {"kind": "alignment", "value": res.value, "capped": res.capped}
     else:
         grid = LGrid.integers(args.l_max)
         if args.kind == "stat":
-            res = rho_stat(a, b, grid, eps_tol=args.eps_tol if args.eps_tol else 1e-6)
+            res = rho_stat(a, b, grid, eps_tol=1e-6 if args.eps_tol is None else args.eps_tol)
         else:
             res = rho_aut(a, b, grid)
         doc = {

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import InvalidArgumentError
 from .pointset import PointSet
@@ -110,61 +111,47 @@ def _norms(points: np.ndarray) -> np.ndarray:
     return np.sqrt(sq_norms(points))
 
 
-def _nearest_center_dist(queries: np.ndarray, targets: np.ndarray, eps: float) -> np.ndarray:
-    """For each query point, the smallest norm among target points strictly
-    within ``eps`` of it (+inf when there is none).
+def _close_pairs(a: np.ndarray, b: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with ``b[j]`` strictly within ``eps`` of ``a[i]``.
 
-    A point q of one set is then matched inside the radius-L window exactly
-    when the returned value m(q) satisfies m(q) <= L, which turns the
-    per-window mismatch count into two sorted-array lookups.
+    Candidates come from two binary searches on the sorted coordinates in
+    1-d and from one dual-tree enumeration in higher dimensions; every
+    candidate is then decided by the same Euclidean comparison, which is
+    symmetric in a and b, so one enumeration serves both directions.
     """
-    nq = len(queries)
-    out = np.full(nq, np.inf)
-    if nq == 0 or len(targets) == 0:
-        return out
-    if queries.shape[1] == 1:
-        t = targets[:, 0]
-        q = queries[:, 0]
-        i0 = np.searchsorted(t, q - eps, side="right")
-        i1 = np.searchsorted(t, q + eps, side="left")
-        has = i1 > i0
-        j = np.searchsorted(t, 0.0)
-        hi = np.maximum(i1 - 1, 0)
-        c1 = np.clip(j, i0, hi)
-        c2 = np.clip(j - 1, i0, hi)
-        best = np.minimum(np.abs(t[np.minimum(c1, len(t) - 1)]),
-                          np.abs(t[np.minimum(c2, len(t) - 1)]))
-        out[has] = best[has]
-        return out
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(targets)
-    tnorm = _norms(targets)
-    hits = tree.query_ball_point(queries, r=eps, return_sorted=False)
-    for i, cand in enumerate(hits):
-        if not cand:
-            continue
-        cand = np.asarray(cand)
-        d = _norms(targets[cand] - queries[i])
-        strict = cand[d < eps]
-        if len(strict):
-            out[i] = tnorm[strict].min()
-    return out
+    if len(a) == 0 or len(b) == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    if a.shape[1] == 1:
+        # the closed interval [a - eps, a + eps] holds every pair that passes
+        # the comparison below, whichever way a +- eps rounds
+        t, q = b[:, 0], a[:, 0]
+        lo = np.searchsorted(t, q - eps, side="left")
+        n = np.searchsorted(t, q + eps, side="right") - lo
+        i = np.repeat(np.arange(len(a)), n)
+        j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(n) - n), n)
+    else:
+        cand = cKDTree(a).sparse_distance_matrix(cKDTree(b), eps, output_type="ndarray")
+        i, j = cand["i"], cand["j"]
+    strict = _norms(b[j] - a[i]) < eps
+    return i[strict], j[strict]
 
 
-class _MismatchCounter:
-    """Counts mismatched points of X against Y per window radius, for one eps."""
+def _mismatch_counts(
+    own_norms: np.ndarray, owner: np.ndarray, partner_norms: np.ndarray, radii: np.ndarray
+) -> np.ndarray:
+    """Per radius, the points of one set inside the window with no close
+    partner inside it.
 
-    def __init__(self, x: PointSet, y: PointSet, eps: float):
-        own = _norms(x.points)
-        match_radius = _nearest_center_dist(x.points, y.points, eps)
-        self._present = np.sort(own)
-        self._matched = np.sort(np.maximum(own, match_radius))
-
-    def counts(self, radii: np.ndarray) -> np.ndarray:
-        inside = np.searchsorted(self._present, radii, side="right")
-        matched = np.searchsorted(self._matched, radii, side="right")
-        return inside - matched
+    ``owner[k]`` is the point of the close pair k and ``partner_norms[k]`` the
+    norm of its partner.  A point is matched in the radius-L window exactly
+    when max(own norm, smallest partner norm) <= L, so each count is two
+    sorted-array lookups.
+    """
+    reach = np.full(len(own_norms), np.inf)
+    np.minimum.at(reach, owner, partner_norms)
+    inside = np.searchsorted(np.sort(own_norms), radii, side="right")
+    matched = np.searchsorted(np.sort(np.maximum(own_norms, reach)), radii, side="right")
+    return inside - matched
 
 
 def _check_pair(x: PointSet, y: PointSet) -> None:
@@ -187,9 +174,7 @@ def mismatch_sets(x: PointSet, y: PointSet, radius: float, eps: float):
     def side(a: PointSet, b: PointSet) -> np.ndarray:
         pa = a.points[window_mask(a.points, radius)]
         pb = b.points[window_mask(b.points, radius)]
-        # matched points have a finite nearest-in-window norm; the rest sit
-        # at distance >= eps from the whole window (possibly an empty one)
-        return pa[np.isinf(_nearest_center_dist(pa, pb, eps))]
+        return pa[nearest(pa, pb)[0] >= eps]
 
     return side(x, y), side(y, x)
 
@@ -210,7 +195,9 @@ def ratio_sup(
         raise InvalidArgumentError("exponent must lie in (0, dim]")
     grid.require_within(x, y)
     radii = grid.array()
-    total = _MismatchCounter(x, y, eps).counts(radii) + _MismatchCounter(y, x, eps).counts(radii)
+    nx, ny = _norms(x.points), _norms(y.points)
+    i, j = _close_pairs(x.points, y.points, eps)
+    total = _mismatch_counts(nx, i, ny[j], radii) + _mismatch_counts(ny, j, nx[i], radii)
     ratios = total / radii**exponent
     best = int(np.argmax(ratios))  # first maximizer -> deterministic attained_L
     return MetricResult(

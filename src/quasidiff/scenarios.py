@@ -90,7 +90,6 @@ _ALLOWED_KEYS = {
     "out_dir",
     "extent",
     "l_values",
-    "noise_kind",
     "noise_scale",
     "tolerances",
 }
@@ -105,7 +104,6 @@ class ScenarioConfig:
     out_dir: str = "."
     extent: float | None = None
     l_values: tuple[float, ...] | None = None
-    noise_kind: str | None = None
     noise_scale: float | None = None
     tolerances: dict = field(default_factory=dict)
 
@@ -140,8 +138,6 @@ class ScenarioConfig:
             kwargs["extent"] = value("extent", float)
         if "l_values" in doc and doc["l_values"] is not None:
             kwargs["l_values"] = value("l_values", lambda vs: tuple(float(v) for v in vs))
-        if "noise_kind" in doc and doc["noise_kind"] is not None:
-            kwargs["noise_kind"] = str(doc["noise_kind"])
         if "noise_scale" in doc and doc["noise_scale"] is not None:
             kwargs["noise_scale"] = value("noise_scale", float)
         if "tolerances" in doc and doc["tolerances"] is not None:
@@ -161,7 +157,6 @@ class ScenarioConfig:
             "seed": self.seed,
             "extent": self.extent,
             "l_values": list(self.l_values) if self.l_values is not None else None,
-            "noise_kind": self.noise_kind,
             "noise_scale": self.noise_scale,
             "tolerances": dict(sorted(self.tolerances.items())),
         }
@@ -651,10 +646,7 @@ def _scenario_boundary(cfg: ScenarioConfig):
     far_ceiling = cfg.tol("far_ratio_ceiling", 0.005)
     extent = _eff_extent(cfg, 1100.0)
     lattice = gen_lattice(1, 1.0, extent, label="int-lattice")
-    kind = cfg.noise_kind or "gaussian"
     scale = cfg.noise_scale if cfg.noise_scale is not None else 0.1
-    if kind != "gaussian":
-        raise ConfigError("the boundary scenario is defined for gaussian noise")
     model = NoiseModel.gaussian(1, scale)
     radii = list(cfg.l_values) if cfg.l_values else [100.0, 1000.0]
 

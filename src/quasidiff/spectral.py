@@ -55,8 +55,12 @@ class FrequencyGrid:
         if not axes:
             raise InvalidArgumentError("FrequencyGrid needs at least one axis")
         for lo, hi, step in axes:
+            if not all(math.isfinite(v) for v in (lo, hi, step)):
+                raise InvalidArgumentError("grid bounds and steps must be finite")
             if not (step > 0) or not (hi > lo):
                 raise InvalidArgumentError("each axis needs max > min and step > 0")
+            if not math.isfinite((hi - lo) / step):
+                raise InvalidArgumentError("grid axis would hold a non-finite number of nodes")
         if self.node_count > self.node_budget:
             raise InvalidArgumentError(
                 f"grid would hold {self.node_count} nodes, over the budget of {self.node_budget}"
@@ -82,7 +86,7 @@ class FrequencyGrid:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def nodes(self) -> np.ndarray:
         """All grid nodes as an (M, d) array in lexicographic order."""

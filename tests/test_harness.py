@@ -436,27 +436,43 @@ class TestCli:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_grid_string_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "oops", "0:inf:1", "0:1e300:1e-300", "a:1:0.1", "0:1:nan", "-inf:0:1",
+            # 1e27 nodes: more than an int64 holds
+            "0:1:1e-9;0:1:1e-9;0:1:1e-9",
+        ],
+    )
+    def test_bad_grid_string_exits_two(self, tmp_path, capsys, grid):
         src = noise_free_lattice(tmp_path)
         code = main(
-            ["spectrum", "--input", src, "--radius", "10", "--grid", "oops",
+            ["spectrum", "--input", src, "--radius", "10", f"--grid={grid}",
              "--out", str(tmp_path / "s.csv")]
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_noise_string_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("noise", ["triangular:1", "gaussian:x", "pareto:1", "pareto:a:2"])
+    def test_bad_noise_string_exits_two(self, tmp_path, capsys, noise):
         src = noise_free_lattice(tmp_path)
         code = main(
-            ["perturb", "--input", src, "--noise", "triangular:1",
+            ["perturb", "--input", src, "--noise", noise,
              "--out", str(tmp_path / "n.pts")]
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["stat", "alignment"])
+    def test_zero_eps_tol_exits_two(self, tmp_path, capsys, kind):
+        src = noise_free_lattice(tmp_path)
+        code = main(["dist", "--kind", kind, "--a", src, "--b", src, "--eps-tol", "0"])
+        assert code == 2
+        assert "eps_tol must be positive" in capsys.readouterr().err
+
     def test_scenario_config_with_unknown_key_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
-        for key, val in (("frobnicate", 1), ("grid_axes", [[1, 2]])):
+        for key, val in (("frobnicate", 1), ("grid_axes", [[1, 2]]), ("noise_kind", "uniform")):
             cfg.write_text(json.dumps({"scenario": "completeness", key: val}))
             assert main(["scenario", "--config", str(cfg)]) == 2
             assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quasidiff.errors import (
     InsufficientExtentError,
@@ -19,7 +22,7 @@ from quasidiff.metrics import (
     rho_gh,
     rho_stat,
 )
-from quasidiff.pointset import gen_lattice, gen_poisson
+from quasidiff.pointset import PointSet, gen_lattice, gen_poisson
 
 from conftest import remove_points, shifted_lattice
 
@@ -111,6 +114,93 @@ class TestRatioSup:
     def test_rejects_bad_exponent(self, lattice_1001):
         with pytest.raises(InvalidArgumentError):
             ratio_sup(lattice_1001, lattice_1001, 0.3, 1.5, GRID_1000)
+
+
+# ---------------------------------------------------------------------------
+# ratio_sup and mismatch_sets against an O(n^2) brute force
+
+SMALL_EXTENT = 8.0
+SMALL_GRID = LGrid((0.5, 1.0, 2.0, 3.5, 5.0, 8.0), l_min=0.5)
+# quarter-integers make exact ties at eps = 0.25 and 0.5 common
+SMALL_COORDS = st.one_of(
+    st.integers(-20, 20).map(lambda k: k / 4),
+    st.floats(-5.0, 5.0, allow_nan=False),
+)
+# below half the quarter-integer separation, at ties, above it, and anywhere
+SMALL_EPS = st.one_of(
+    st.sampled_from([0.05, 0.1, 0.25, 0.5, 0.75, 1.0, 2.5]),
+    st.floats(1e-3, 3.0),
+)
+
+
+def small_sets(dim: int):
+    def build(pts):
+        return PointSet(dim, 0.0, SMALL_EXTENT, np.unique(pts, axis=0).reshape(-1, dim))
+
+    return st.integers(0, 14).flatmap(
+        lambda n: arrays(np.float64, (n, dim), elements=SMALL_COORDS).map(build)
+    )
+
+
+def brute_mismatches(a: np.ndarray, b: np.ndarray, radius: float, eps: float) -> np.ndarray:
+    """Points of a's radius-window with no point of b's window closer than eps."""
+    wa = a[(a**2).sum(axis=1) <= radius * radius]
+    wb = b[(b**2).sum(axis=1) <= radius * radius]
+    dist = np.sqrt(((wa[:, None, :] - wb[None, :, :]) ** 2).sum(axis=2))
+    return wa[~(dist < eps).any(axis=1)]
+
+
+def assert_matches_brute_force(x: PointSet, y: PointSet, eps: float) -> None:
+    radii = SMALL_GRID.array()
+    counts = np.array(
+        [
+            len(brute_mismatches(x.points, y.points, r, eps))
+            + len(brute_mismatches(y.points, x.points, r, eps))
+            for r in radii
+        ]
+    )
+    ratios = counts / radii ** x.dim
+    best = int(np.argmax(ratios))
+    for a, b in ((x, y), (y, x)):
+        res = ratio_sup(a, b, eps, float(x.dim), SMALL_GRID)
+        assert (res.value, res.attained_L) == (ratios[best], radii[best])
+    for r in radii:
+        a_xy, a_yx = mismatch_sets(x, y, r, eps)
+        assert np.array_equal(a_xy, brute_mismatches(x.points, y.points, r, eps))
+        assert np.array_equal(a_yx, brute_mismatches(y.points, x.points, r, eps))
+
+
+class TestMismatchAgainstBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), eps=SMALL_EPS, data=st.data())
+    def test_random_small_sets(self, dim, eps, data):
+        x = data.draw(small_sets(dim), label="x")
+        y = data.draw(small_sets(dim), label="y")
+        assert_matches_brute_force(x, y, eps)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("eps", [0.1, 0.25, 0.3])
+    def test_quarter_shift(self, dim, eps):
+        # every nearest distance is bit-exactly 0.25: eps <= 0.25 mismatches all points
+        x = gen_lattice(dim, 1.0, SMALL_EXTENT)
+        shifted = x.points + np.array([0.25] + [0.0] * (dim - 1))
+        y = PointSet(dim, 1.0, SMALL_EXTENT, shifted[(shifted**2).sum(axis=1) <= SMALL_EXTENT**2])
+        assert_matches_brute_force(x, y, eps)
+        if eps <= 0.25:
+            a_xy, a_yx = mismatch_sets(x, y, 5.0, eps)
+            assert len(a_xy) == int(((x.points**2).sum(axis=1) <= 25.0).sum())
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_empty_window_on_one_side(self, dim):
+        # y has no point within radius 2, so against y's small windows every
+        # point of x is mismatched, and x's empty side contributes nothing
+        x = gen_lattice(dim, 1.0, SMALL_EXTENT)
+        far = x.points[(x.points**2).sum(axis=1) > 4.0]
+        y = PointSet(dim, 1.0, SMALL_EXTENT, far)
+        assert_matches_brute_force(x, y, 0.3)
+        a_xy, a_yx = mismatch_sets(x, y, 1.0, 0.3)
+        assert len(a_xy) == int(((x.points**2).sum(axis=1) <= 1.0).sum())
+        assert len(a_yx) == 0
 
 
 # ---------------------------------------------------------------------------
