@@ -84,7 +84,10 @@ def window_mask(points: np.ndarray, radius: float) -> np.ndarray:
 
 
 def require_extent(radius: float, extent: float, what: str) -> None:
-    """Refuse a window radius beyond the extent the data covers (1e-12 relative slack)."""
+    """Refuse a window radius that is not a positive finite number, or that
+    lies beyond the extent the data covers (1e-12 relative slack)."""
+    if not (0 < radius < np.inf):
+        raise InvalidArgumentError(f"{what} must be a positive finite number, got {radius!r}")
     if radius > extent * (1.0 + 1e-12):
         raise InsufficientExtentError(
             f"{what} {radius!r} exceeds the available extent {extent!r}"

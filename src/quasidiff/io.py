@@ -167,7 +167,6 @@ def read_spectrum(path: str) -> Spectrum:
         )
     nodes = grid.nodes()
     amp = np.empty(len(body), dtype=np.complex128)
-    power = np.empty(len(body), dtype=np.float64)
     valid = np.empty(len(body), dtype=bool)
     for i, line in enumerate(body):
         parts = line.split(",")
@@ -186,7 +185,6 @@ def read_spectrum(path: str) -> Spectrum:
             if not (_is_nan(re_v) and _is_nan(im_v) and _is_nan(pw_v)):
                 raise FormatError(f"{path}:{i + 2}: partially-nan row")
             amp[i] = np.nan + 0j
-            power[i] = np.nan
             valid[i] = False
             continue
         expect = radius**d * (re_v * re_v + im_v * im_v)
@@ -195,8 +193,7 @@ def read_spectrum(path: str) -> Spectrum:
                 f"{path}:{i + 2}: stored power {pw_v!r} disagrees with recomputed {expect!r}"
             )
         amp[i] = complex(re_v, im_v)
-        power[i] = pw_v
         valid[i] = True
-    return Spectrum(grid, radius, label, amp, power, valid)
+    return Spectrum(grid, radius, label, amp, valid)
 
 

@@ -136,11 +136,8 @@ class TestFunction:
     center: tuple[float, ...]
     radius: float
     amplitude: float = 1.0
-    kind: str = "radial_tent"
 
     def __post_init__(self):
-        if self.kind != "radial_tent":
-            raise InvalidArgumentError("only radial tents are supported")
         if not (self.radius > 0):
             raise InvalidArgumentError("radius must be positive")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))

@@ -53,7 +53,7 @@ class LGrid:
         if not vals:
             raise InvalidArgumentError("LGrid needs at least one radius")
         arr = np.asarray(vals)
-        if (arr <= 0).any() or (np.diff(arr) <= 0).any():
+        if not ((arr > 0).all() and (np.diff(arr) > 0).all()):
             raise InvalidArgumentError("LGrid radii must be positive and strictly increasing")
         if vals[0] < self.l_min - 1e-12:
             raise InvalidArgumentError(f"smallest radius {vals[0]!r} below l_min={self.l_min!r}")
@@ -63,17 +63,6 @@ class LGrid:
         if hi < lo:
             raise InvalidArgumentError("need hi >= lo")
         return cls(tuple(float(v) for v in range(lo, hi + 1)), l_min=float(lo))
-
-    @classmethod
-    def geometric(cls, lo: float, hi: float, factor: float = 2.0) -> "LGrid":
-        if not (factor > 1.0) or not (0 < lo <= hi):
-            raise InvalidArgumentError("need factor > 1 and 0 < lo <= hi")
-        vals = []
-        v = float(lo)
-        while v <= hi * (1 + 1e-12):
-            vals.append(min(v, hi))
-            v *= factor
-        return cls(tuple(vals), l_min=float(lo))
 
     def require_within(self, *sets: PointSet) -> None:
         require_extent(self.values[-1], min(s.extent for s in sets), "grid radius")

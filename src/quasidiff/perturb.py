@@ -31,6 +31,7 @@ from .spectral import FrequencyGrid, Spectrum, _exp_sums
 
 _MARGIN_SAMPLES = 200_000
 _MARGIN_PERCENTILE = 99.9
+_MOMENT_EPS = 0.5  # finite_moment asks for E |xi|^(dim + _MOMENT_EPS) < infinity
 
 __all__ = [
     "NoiseModel",
@@ -62,8 +63,8 @@ class NoiseModel:
       radius scale * ((1-u)^(-1/alpha) - 1) — heavy tail of index alpha, so
       the moment E |xi|^m is finite exactly when m < alpha.
 
-    ``finite_moment`` records whether E |xi|^(dim + moment_eps) is finite
-    for the declared ``moment_eps``; construction warns when it is not.
+    Every parameter must be finite.  ``finite_moment`` records whether
+    E |xi|^(dim + 1/2) is finite; construction warns when it is not.
     """
 
     dim: int
@@ -73,17 +74,16 @@ class NoiseModel:
     components: tuple[tuple[float, tuple[float, ...], float], ...] = ()
     alpha: float = 0.0
     scale: float = 0.0
-    moment_eps: float = 0.5
 
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidArgumentError("dim must be >= 1")
-        if not (self.moment_eps > 0):
-            raise InvalidArgumentError("moment_eps must be positive")
         if self.kind == "gaussian":
+            _require_finite("sigma", self.sigmas)
             if len(self.sigmas) != self.dim or any(s < 0 for s in self.sigmas):
                 raise InvalidArgumentError("gaussian model needs one sigma >= 0 per axis")
         elif self.kind == "uniform":
+            _require_finite("half-width", self.half_widths)
             if len(self.half_widths) != self.dim or any(a < 0 for a in self.half_widths):
                 raise InvalidArgumentError("uniform model needs one half-width >= 0 per axis")
         elif self.kind == "gaussian_mixture":
@@ -91,6 +91,9 @@ class NoiseModel:
                 raise InvalidArgumentError("mixture needs at least one component")
             total = 0.0
             for w, mean, s in self.components:
+                _require_finite("mixture weight", (w,))
+                _require_finite("mixture mean", mean)
+                _require_finite("mixture sigma", (s,))
                 if not (w > 0) or s < 0 or len(mean) != self.dim:
                     raise InvalidArgumentError(
                         "each mixture component needs weight > 0, sigma >= 0, and a dim-length mean"
@@ -99,6 +102,8 @@ class NoiseModel:
             if abs(total - 1.0) > 1e-12:
                 raise InvalidArgumentError("mixture weights must sum to 1")
         elif self.kind == "pareto_radial":
+            _require_finite("alpha", (self.alpha,))
+            _require_finite("scale", (self.scale,))
             if not (self.alpha > 0) or not (self.scale > 0):
                 raise InvalidArgumentError("pareto_radial needs alpha > 0 and scale > 0")
         else:
@@ -106,16 +111,16 @@ class NoiseModel:
         if not self.finite_moment:
             warnings.warn(
                 f"noise model has infinite E|xi|^(d+eps) moment: alpha={self.alpha!r} "
-                f"<= dim + moment_eps = {self.dim + self.moment_eps!r}",
+                f"<= dim + {_MOMENT_EPS!r} = {self.dim + _MOMENT_EPS!r}",
                 RuntimeWarning,
                 stacklevel=2,
             )
 
     @property
     def finite_moment(self) -> bool:
-        """Whether E |xi|^(dim + moment_eps) < infinity."""
+        """Whether E |xi|^(dim + 1/2) < infinity."""
         if self.kind == "pareto_radial":
-            return self.alpha > self.dim + self.moment_eps
+            return self.alpha > self.dim + _MOMENT_EPS
         return True
 
     @classmethod
@@ -140,13 +145,13 @@ class NoiseModel:
         return cls(dim=dim, kind="gaussian_mixture", components=comps)
 
     @classmethod
-    def pareto_radial(
-        cls, dim: int, alpha: float, scale: float, moment_eps: float = 0.5
-    ) -> "NoiseModel":
-        return cls(
-            dim=dim, kind="pareto_radial", alpha=float(alpha), scale=float(scale),
-            moment_eps=float(moment_eps),
-        )
+    def pareto_radial(cls, dim: int, alpha: float, scale: float) -> "NoiseModel":
+        return cls(dim=dim, kind="pareto_radial", alpha=float(alpha), scale=float(scale))
+
+
+def _require_finite(name: str, values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidArgumentError(f"noise {name} must be finite, got {tuple(values)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +243,7 @@ def char_fn_grid(model: NoiseModel, freqs: np.ndarray) -> np.ndarray:
             out += w * phase * decay
         return out
     raise InvalidArgumentError(
-        f"{model.kind} has no closed-form characteristic function; use char_fn with mc_samples"
+        f"{model.kind} has no closed-form characteristic function; use char_fn_mc"
     )
 
 
@@ -255,15 +260,11 @@ def char_fn_mc(model: NoiseModel, lam, mc_samples: int, seed: int = 0) -> tuple[
     return value, float(math.sqrt(spread))
 
 
-def char_fn(model: NoiseModel, lam, mc_samples: int | None = None, seed: int = 0) -> complex:
-    """psi(lambda) = E e^(-2 pi i <xi, lambda>); |psi| <= 1 always.
+def char_fn(model: NoiseModel, lam) -> complex:
+    """psi(lambda) = E e^(-2 pi i <xi, lambda>) in closed form; |psi| <= 1 always.
 
-    Closed form when the model has one and ``mc_samples`` is omitted; the
-    heavy-tailed radial model requires ``mc_samples`` (its standard error is
-    available from :func:`char_fn_mc`).
+    The heavy-tailed radial model has none: estimate it with :func:`char_fn_mc`.
     """
-    if mc_samples is not None:
-        return char_fn_mc(model, lam, mc_samples, seed)[0]
     lam = np.asarray(lam, dtype=np.float64).reshape(1, model.dim)
     return complex(char_fn_grid(model, lam)[0])
 
@@ -287,19 +288,16 @@ def recover(spec: Spectrum, model: NoiseModel, guard: float = 1e-3) -> Spectrum:
     psi = char_fn_grid(model, spec.grid.nodes())
     good = spec.valid & (np.abs(psi) >= guard)
     amp = np.where(good, spec.amplitude / np.where(good, psi, 1.0), np.nan + 0j)
-    power = np.where(
-        good, spec.window_radius**spec.grid.dim * np.abs(amp) ** 2, np.nan
-    )
-    return Spectrum(spec.grid, spec.window_radius, spec.label, amp, power, good)
+    return Spectrum(spec.grid, spec.window_radius, spec.label, amp, good)
 
 
 # ---------------------------------------------------------------------------
 # boundary behavior and end-to-end trials
 
 
-def displacement_margin(model: NoiseModel, seed: int = 0) -> float:
+def displacement_margin(model: NoiseModel) -> float:
     """High quantile (99.9%) of the displacement length, by fixed-seed MC."""
-    key = rng.stream_key(seed, f"margin:{model.kind}:{model.dim}")
+    key = rng.stream_key(0, f"margin:{model.kind}:{model.dim}")
     xi = _displacements(model, key, np.arange(_MARGIN_SAMPLES, dtype=np.uint64))
     return float(np.percentile(np.sqrt(sq_norms(xi)), _MARGIN_PERCENTILE))
 
@@ -331,7 +329,7 @@ def boundary_crossings(x: PointSet, model: NoiseModel, seed: int, l_list) -> Bou
     if model.dim != x.dim:
         raise InvalidArgumentError("noise model and set dimensions differ")
     radii = [float(v) for v in l_list]
-    if not radii or any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= 0:
+    if not (radii and radii[0] > 0 and all(b > a for a, b in zip(radii, radii[1:]))):
         raise InvalidArgumentError("l_list must be positive and strictly increasing")
     margin = displacement_margin(model)
     require_extent(max(radii) + margin, x.extent, "max radius + displacement margin")

@@ -411,8 +411,6 @@ def ammann_beenker_config(extent: float, window_half: float = 1.0) -> CutProject
 
 def window(x: PointSet, radius: float) -> PointSet:
     """Restrict to the closed ball of the given radius (must be <= extent)."""
-    if not (radius > 0):
-        raise InvalidArgumentError("window radius must be positive")
     require_extent(radius, x.extent, f"{x.label or 'set'} window radius")
     pts = x.points[window_mask(x.points, radius)]
     return PointSet(x.dim, x.sep_radius, radius, pts, x.label)
@@ -490,7 +488,7 @@ def set_stats(x: PointSet, l_values) -> SetStats:
     ls = np.asarray(l_values, dtype=np.float64)
     if ls.ndim != 1 or len(ls) == 0:
         raise InvalidArgumentError("l_values must be a nonempty 1-d sequence")
-    if (ls <= 0).any() or (np.diff(ls) <= 0).any():
+    if not ((ls > 0).all() and (np.diff(ls) > 0).all()):
         raise InvalidArgumentError("l_values must be positive and strictly increasing")
     require_extent(ls[-1], x.extent, "stats window")
     sq = np.sort(sq_norms(x.points))

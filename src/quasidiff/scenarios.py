@@ -35,16 +35,11 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InsufficientExtentError,
-    InvalidArgumentError,
-    UnknownScenarioError,
-)
+from .errors import ConfigError, UnknownScenarioError
 from .measures import (
     TestFamily,
     TestFunction,
@@ -84,17 +79,6 @@ __all__ = [
 ]
 
 
-_ALLOWED_KEYS = {
-    "scenario",
-    "seed",
-    "out_dir",
-    "extent",
-    "l_values",
-    "noise_scale",
-    "tolerances",
-}
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Declarative input of one scenario run; unknown JSON keys are rejected."""
@@ -102,9 +86,6 @@ class ScenarioConfig:
     scenario: str
     seed: int = 0
     out_dir: str = "."
-    extent: float | None = None
-    l_values: tuple[float, ...] | None = None
-    noise_scale: float | None = None
     tolerances: dict = field(default_factory=dict)
 
     @classmethod
@@ -115,7 +96,7 @@ class ScenarioConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - _ALLOWED_KEYS
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "scenario" not in doc:
@@ -134,12 +115,6 @@ class ScenarioConfig:
             kwargs["seed"] = value("seed", int)
         if "out_dir" in doc:
             kwargs["out_dir"] = str(doc["out_dir"])
-        if "extent" in doc and doc["extent"] is not None:
-            kwargs["extent"] = value("extent", float)
-        if "l_values" in doc and doc["l_values"] is not None:
-            kwargs["l_values"] = value("l_values", lambda vs: tuple(float(v) for v in vs))
-        if "noise_scale" in doc and doc["noise_scale"] is not None:
-            kwargs["noise_scale"] = value("noise_scale", float)
         if "tolerances" in doc and doc["tolerances"] is not None:
             if not isinstance(doc["tolerances"], dict):
                 raise ConfigError("'tolerances' must be an object of named numbers")
@@ -155,9 +130,6 @@ class ScenarioConfig:
         return {
             "scenario": self.scenario,
             "seed": self.seed,
-            "extent": self.extent,
-            "l_values": list(self.l_values) if self.l_values is not None else None,
-            "noise_scale": self.noise_scale,
             "tolerances": dict(sorted(self.tolerances.items())),
         }
 
@@ -192,17 +164,6 @@ class ScenarioResult:
 
 def _crit(name: str, measured, threshold: str, passed: bool) -> CriterionResult:
     return CriterionResult(name, str(measured), threshold, bool(passed))
-
-
-def _eff_extent(cfg: ScenarioConfig, needed: float) -> float:
-    """The configured extent if any (refused when too small), else the default."""
-    if cfg.extent is None:
-        return needed
-    if cfg.extent < needed:
-        raise InsufficientExtentError(
-            f"scenario {cfg.scenario!r} needs extent >= {needed!r}, configured {cfg.extent!r}"
-        )
-    return cfg.extent
 
 
 def _check_tolerance_names(cfg: ScenarioConfig, allowed: set[str]) -> None:
@@ -281,10 +242,9 @@ def _scenario_metric_axioms(cfg: ScenarioConfig):
     _check_tolerance_names(cfg, {"eps_tol", "triples"})
     eps_tol = cfg.tol("eps_tol", 1e-6)
     triples = int(cfg.tol("triples", 500))
-    extent = _eff_extent(cfg, 200.0)
-    grid = LGrid.integers(int(min(extent, 200.0)))
+    grid = LGrid.integers(200)
     rng = np.random.default_rng(cfg.seed)
-    base = gen_lattice(1, 1.0, extent, label="int-lattice")
+    base = gen_lattice(1, 1.0, 200.0, label="int-lattice")
     id_bad = 0
     sym_bad = 0
     tri_bad = 0
@@ -326,7 +286,7 @@ def _scenario_metric_axioms(cfg: ScenarioConfig):
 def _scenario_completeness(cfg: ScenarioConfig):
     _check_tolerance_names(cfg, {"eps_tol"})
     eps_tol = cfg.tol("eps_tol", 1e-6)
-    extent = _eff_extent(cfg, 512.0)
+    extent = 512.0
     grid = LGrid.integers(512)
     limit = gen_lattice(1, 1.0, extent, label="int-lattice")
 
@@ -369,7 +329,7 @@ def _scenario_gh_vs_vague(cfg: ScenarioConfig):
     _check_tolerance_names(cfg, {"eps_tol", "pairing_tol"})
     eps_tol = cfg.tol("eps_tol", 1e-6)
     pairing_tol = cfg.tol("pairing_tol", 1e-9)
-    extent = _eff_extent(cfg, 2051.0)
+    extent = 2051.0
     grid = LGrid.integers(2000)
     lattice = gen_lattice(1, 1.0, extent, label="int-lattice")
     comb_lattice = dirac_comb(window(lattice, 100.0))
@@ -431,7 +391,7 @@ def _scenario_gh_vs_vague(cfg: ScenarioConfig):
 def _scenario_defect_convergence(cfg: ScenarioConfig):
     _check_tolerance_names(cfg, {"gap_ceiling"})
     gap_ceiling = cfg.tol("gap_ceiling", 0.01)
-    extent = _eff_extent(cfg, 4100.0)
+    extent = 4100.0
     base = gen_fibonacci(extent)
     values = base.points[:, 0]
     grid = LGrid.integers(4096)
@@ -485,7 +445,7 @@ def _scenario_gh_counterexample(cfg: ScenarioConfig):
     _check_tolerance_names(cfg, {"scan_step", "gap_floor"})
     scan_step = cfg.tol("scan_step", 0.0025)
     gap_floor = cfg.tol("gap_floor", 0.3)
-    extent = _eff_extent(cfg, 420.0)
+    extent = 420.0
     lattice = gen_lattice(1, 1.0, extent, label="int-lattice")
     fib = gen_fibonacci(extent)
     fam = TestFamily(
@@ -532,7 +492,7 @@ def _scenario_uniform_quasicrystalline(cfg: ScenarioConfig):
     _check_tolerance_names(cfg, {"portmanteau_tol", "support_pad"})
     port_tol = cfg.tol("portmanteau_tol", 0.05)
     support_pad = cfg.tol("support_pad", 0.0)
-    extent = _eff_extent(cfg, 600.0)
+    extent = 600.0
     base = gen_fibonacci(extent)
     grid = FrequencyGrid(axes=((0.04, 1.2, 2.5e-4),))
 
@@ -597,7 +557,7 @@ def _scenario_uniform_quasicrystalline(cfg: ScenarioConfig):
 def _scenario_ft_continuity(cfg: ScenarioConfig):
     _check_tolerance_names(cfg, {"deviation_ceiling"})
     ceiling = cfg.tol("deviation_ceiling", 0.02)
-    extent = _eff_extent(cfg, 2051.0)
+    extent = 2051.0
     lattice = gen_lattice(1, 1.0, extent, label="int-lattice")
     grid = FrequencyGrid(axes=((-1.6, 1.596875, 0.003125),))
     lgrid = LGrid.integers(2000)
@@ -644,11 +604,9 @@ def _scenario_ft_continuity(cfg: ScenarioConfig):
 def _scenario_boundary(cfg: ScenarioConfig):
     _check_tolerance_names(cfg, {"far_ratio_ceiling"})
     far_ceiling = cfg.tol("far_ratio_ceiling", 0.005)
-    extent = _eff_extent(cfg, 1100.0)
-    lattice = gen_lattice(1, 1.0, extent, label="int-lattice")
-    scale = cfg.noise_scale if cfg.noise_scale is not None else 0.1
-    model = NoiseModel.gaussian(1, scale)
-    radii = list(cfg.l_values) if cfg.l_values else [100.0, 1000.0]
+    lattice = gen_lattice(1, 1.0, 1100.0, label="int-lattice")
+    model = NoiseModel.gaussian(1, 0.1)
+    radii = [100.0, 1000.0]
 
     rows = []
     near_ok = 0
@@ -704,10 +662,8 @@ def _scenario_recovery(cfg: ScenarioConfig):
     _check_tolerance_names(cfg, {"median_error_ceiling", "char_fn_tol"})
     err_ceiling = cfg.tol("median_error_ceiling", 0.05)
     cf_tol = cfg.tol("char_fn_tol", 1e-4)
-    extent = _eff_extent(cfg, 5010.0)
-    lattice = gen_lattice(1, 1.0, extent, label="int-lattice")
-    scale = cfg.noise_scale if cfg.noise_scale is not None else 0.1
-    model = NoiseModel.gaussian(1, scale)
+    lattice = gen_lattice(1, 1.0, 5010.0, label="int-lattice")
+    model = NoiseModel.gaussian(1, 0.1)
     seeds = [cfg.seed + s for s in range(10)]
 
     report = recovery_trial(lattice, model, seeds, [[1.0], [0.5]], radius=5000.0)

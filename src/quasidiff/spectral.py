@@ -27,6 +27,7 @@ from .geometry import require_extent, window_mask
 from .pointset import PointSet
 
 _ENTRY_BUDGET = 4_000_000  # phase-matrix entries materialized per chunk
+_NODE_BUDGET = 4_194_304  # nodes a FrequencyGrid may hold
 
 __all__ = [
     "FrequencyGrid",
@@ -47,7 +48,6 @@ class FrequencyGrid:
     """Rectangular grid of frequencies: per-axis (min, max, step) triples."""
 
     axes: tuple[tuple[float, float, float], ...]
-    node_budget: int = 4_194_304
 
     def __post_init__(self):
         axes = tuple((float(a), float(b), float(s)) for a, b, s in self.axes)
@@ -61,9 +61,9 @@ class FrequencyGrid:
                 raise InvalidArgumentError("each axis needs max > min and step > 0")
             if not math.isfinite((hi - lo) / step):
                 raise InvalidArgumentError("grid axis would hold a non-finite number of nodes")
-        if self.node_count > self.node_budget:
+        if self.node_count > _NODE_BUDGET:
             raise InvalidArgumentError(
-                f"grid would hold {self.node_count} nodes, over the budget of {self.node_budget}"
+                f"grid would hold {self.node_count} nodes, over the budget of {_NODE_BUDGET}"
             )
 
     @property
@@ -99,60 +99,43 @@ class FrequencyGrid:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Amplitudes and power on a frequency grid, for one window radius.
+    """Amplitudes on a frequency grid, for one window radius, with the power
+    L^d |amplitude|^2 derived from them.
 
     ``valid`` marks nodes carrying a defined value; noise-undoing division
     (see the perturbation module) blanks nodes where the divisor is too
-    small, and every consumer must honor the mask.
+    small, and every consumer must honor the mask.  Invalid nodes have NaN
+    power.
     """
 
     grid: FrequencyGrid
     window_radius: float
     label: str
     amplitude: np.ndarray
-    power: np.ndarray
     valid: np.ndarray = None  # type: ignore[assignment]
+    power: np.ndarray = field(init=False)
 
     def __post_init__(self):
         m = self.grid.node_count
         amp = np.asarray(self.amplitude, dtype=np.complex128).reshape(-1)
-        pw = np.asarray(self.power, dtype=np.float64).reshape(-1)
         valid = (
             np.ones(m, dtype=bool)
             if self.valid is None
             else np.asarray(self.valid, dtype=bool).reshape(-1)
         )
-        if len(amp) != m or len(pw) != m or len(valid) != m:
+        if len(amp) != m or len(valid) != m:
             raise InvalidArgumentError("spectrum arrays must match the grid's node count")
-        if not (self.window_radius > 0):
-            raise InvalidArgumentError("window_radius must be positive")
-        scale = self.window_radius**self.grid.dim
-        expect = scale * (amp.real**2 + amp.imag**2)
-        if not np.isfinite(pw[valid]).all() or not np.isfinite(amp[valid]).all():
+        if not (0 < self.window_radius < math.inf):
+            raise InvalidArgumentError("window_radius must be a positive finite number")
+        if not np.isfinite(amp[valid]).all():
             raise InvalidArgumentError("valid nodes must carry finite values")
-        if (pw[valid] < 0).any():
-            raise InvalidArgumentError("power must be nonnegative")
-        tol = 1e-12 * np.maximum(np.abs(expect[valid]), 1.0)
-        if (np.abs(pw[valid] - expect[valid]) > tol).any():
-            raise InvalidArgumentError("power and amplitude are inconsistent")
+        scale = self.window_radius**self.grid.dim
+        pw = np.where(valid, scale * (amp.real**2 + amp.imag**2), np.nan)
         for arr in (amp, pw, valid):
             arr.flags.writeable = False
         object.__setattr__(self, "amplitude", amp)
         object.__setattr__(self, "power", pw)
         object.__setattr__(self, "valid", valid)
-
-    @classmethod
-    def from_amplitude(
-        cls,
-        grid: FrequencyGrid,
-        window_radius: float,
-        label: str,
-        amplitude: np.ndarray,
-        valid: np.ndarray | None = None,
-    ) -> "Spectrum":
-        amp = np.asarray(amplitude, dtype=np.complex128).reshape(-1)
-        power = window_radius**grid.dim * (amp.real**2 + amp.imag**2)
-        return cls(grid, window_radius, label, amp, power, valid)
 
     def frequencies(self) -> np.ndarray:
         return self.grid.nodes()
@@ -195,7 +178,7 @@ def amplitude_spectrum(x: PointSet, radius: float, grid: FrequencyGrid) -> Spect
         raise InvalidArgumentError("grid and point set dimensions differ")
     require_extent(radius, x.extent, "window radius")
     sums = _exp_sums(x.points[window_mask(x.points, radius)], grid.nodes())
-    return Spectrum.from_amplitude(grid, radius, x.label, sums / radius**x.dim)
+    return Spectrum(grid, radius, x.label, sums / radius**x.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +365,7 @@ def singularity_diagnostic(
     All raw numbers and thresholds ride along in the report.
     """
     radii = [float(v) for v in l_list]
-    if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
+    if len(radii) < 3 or not all(b > a for a, b in zip(radii, radii[1:])):
         raise InvalidArgumentError("need at least three strictly increasing window radii")
     require_extent(radii[-1], x.extent, "largest window radius")
 

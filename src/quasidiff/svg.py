@@ -1,4 +1,4 @@
-"""Self-contained deterministic SVG plots (line, scatter, heatmap).
+"""Self-contained deterministic SVG plots (line, scatter).
 
 Output bytes are a pure function of the inputs: numbers are formatted with
 '%.6g', the palette is fixed, and nothing (timestamps, ids, library
@@ -98,18 +98,6 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _heat_color(t: float) -> str:
-    # fixed two-ramp map: dark blue -> white -> dark red
-    t = min(1.0, max(0.0, t))
-    if t < 0.5:
-        u = t / 0.5
-        r, g, b = 27 + u * (255 - 27), 60 + u * (255 - 60), 120 + u * (255 - 120)
-    else:
-        u = (t - 0.5) / 0.5
-        r, g, b = 255 - u * (255 - 150), 255 - u * (255 - 32), 255 - u * (255 - 32)
-    return f"rgb({int(round(r))},{int(round(g))},{int(round(b))})"
-
-
 def plot_emit(
     table: Table,
     kind: str,
@@ -118,21 +106,15 @@ def plot_emit(
     config_hash: str = "",
 ) -> None:
     """Write one standalone SVG; byte-identical for identical arguments."""
-    if kind not in ("line", "scatter", "heatmap"):
+    if kind not in ("line", "scatter"):
         raise InvalidArgumentError(f"unknown plot kind {kind!r}")
-    if kind in ("line", "scatter") and len(table.columns) < 2:
+    if len(table.columns) < 2:
         raise InvalidArgumentError(f"{kind} plots need an x column and a y column")
-    if kind == "heatmap" and len(table.columns) != 3:
-        raise InvalidArgumentError("heatmap tables need exactly (x, y, value) columns")
 
     body: list[str] = []
     xs_vals = table.column(0)
     x_lo, x_hi = _span(xs_vals)
-    if kind == "heatmap":
-        y_lo, y_hi = _span(table.column(1))
-    else:
-        everything = [v for i in range(1, len(table.columns)) for v in table.column(i)]
-        y_lo, y_hi = _span(everything)
+    y_lo, y_hi = _span([v for i in range(1, len(table.columns)) for v in table.column(i)])
     xs = _Scale(x_lo, x_hi, _MARGIN_L, _WIDTH - _MARGIN_R)
     ys = _Scale(y_lo, y_hi, _HEIGHT - _MARGIN_B, _MARGIN_T)
 
@@ -150,33 +132,14 @@ def plot_emit(
                 f'font-size="11" text-anchor="end" fill="{color}">'
                 f"{_escape(table.columns[ci])}</text>"
             )
-    elif kind == "scatter":
+    else:
         for x, y in zip(xs_vals, table.column(1)):
             body.append(
                 f'<circle cx="{_fmt(xs(x))}" cy="{_fmt(ys(y))}" r="2.2" '
                 f'fill="{_PALETTE[0]}"/>'
             )
-    else:
-        ux = sorted(set(xs_vals))
-        uy = sorted(set(table.column(1)))
-        vals = table.column(2)
-        v_lo, v_hi = _span(vals)
-        dx = (xs.out_hi - xs.out_lo) / max(len(ux), 1)
-        dy = (ys.out_lo - ys.out_hi) / max(len(uy), 1)
-        pos_x = {v: i for i, v in enumerate(ux)}
-        pos_y = {v: i for i, v in enumerate(uy)}
-        for row in table.rows:
-            i, j = pos_x[float(row[0])], pos_y[float(row[1])]
-            t = (float(row[2]) - v_lo) / (v_hi - v_lo) if v_hi > v_lo else 0.5
-            body.append(
-                f'<rect x="{_fmt(xs.out_lo + i * dx)}" '
-                f'y="{_fmt(ys.out_lo - (j + 1) * dy)}" '
-                f'width="{_fmt(dx)}" height="{_fmt(dy)}" fill="{_heat_color(t)}"/>'
-            )
 
-    ylabel = table.columns[1] if len(table.columns) > 1 else ""
-    if kind == "line" and len(table.columns) > 2:
-        ylabel = "value"
+    ylabel = "value" if kind == "line" and len(table.columns) > 2 else table.columns[1]
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" '

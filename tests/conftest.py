@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from quasidiff.pointset import PointSet, gen_lattice
+
+# HYPOTHESIS_PROFILE=ci: the same examples on every run, and a failure prints
+# the blob that reproduces it
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 def shifted_lattice(shift: float, extent: float, spacing: float = 1.0) -> PointSet:

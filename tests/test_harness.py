@@ -169,16 +169,12 @@ class TestSpectrumIO:
 
 
 LINE_TABLE = Table(("x", "y"), ((0.0, 1.0), (1.0, 3.0), (2.0, 2.0)))
-HEAT_TABLE = Table(
-    ("x", "y", "value"),
-    ((0.0, 0.0, 1.0), (0.0, 1.0, 2.0), (1.0, 0.0, 3.0), (1.0, 1.0, 4.0)),
-)
 
 
 class TestSvg:
     @pytest.mark.parametrize(
         "kind,table",
-        [("line", LINE_TABLE), ("scatter", LINE_TABLE), ("heatmap", HEAT_TABLE)],
+        [("line", LINE_TABLE), ("scatter", LINE_TABLE)],
     )
     def test_emits_svg_document(self, tmp_path, kind, table):
         path = str(tmp_path / f"{kind}.svg")
@@ -196,17 +192,14 @@ class TestSvg:
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
     def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(InvalidArgumentError, match="kind"):
-            plot_emit(LINE_TABLE, "pie", str(tmp_path / "x.svg"))
+        for kind in ("pie", "heatmap"):
+            with pytest.raises(InvalidArgumentError, match="kind"):
+                plot_emit(LINE_TABLE, kind, str(tmp_path / "x.svg"))
 
     def test_line_needs_two_columns(self, tmp_path):
         one = Table(("x",), ((0.0,), (1.0,)))
         with pytest.raises(InvalidArgumentError):
             plot_emit(one, "line", str(tmp_path / "x.svg"))
-
-    def test_heatmap_needs_three_columns(self, tmp_path):
-        with pytest.raises(InvalidArgumentError):
-            plot_emit(LINE_TABLE, "heatmap", str(tmp_path / "x.svg"))
 
     def test_table_rejects_empty_and_ragged(self):
         with pytest.raises(InvalidArgumentError):
@@ -470,16 +463,36 @@ class TestCli:
         assert code == 2
         assert "eps_tol must be positive" in capsys.readouterr().err
 
+    def test_non_positive_radius_exits_two(self, tmp_path, capsys):
+        src = noise_free_lattice(tmp_path)
+        assert main(["autocorr", "--input", src, "--radius", "-3"]) == 2
+        assert "must be a positive finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", ["gaussian:nan", "uniform:inf", "pareto:inf:0.1"])
+    def test_non_finite_noise_exits_two(self, tmp_path, capsys, noise):
+        src = noise_free_lattice(tmp_path)
+        spec = str(tmp_path / "s.csv")
+        assert main(
+            ["spectrum", "--input", src, "--radius", "10", "--grid=0:1:0.25", "--out", spec]
+        ) == 0
+        capsys.readouterr()
+        for argv in (["perturb", "--input", src], ["recover", "--input", spec]):
+            assert main([*argv, "--noise", noise, "--out", str(tmp_path / "o")]) == 2
+            assert "must be finite" in capsys.readouterr().err
+
     def test_scenario_config_with_unknown_key_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
-        for key, val in (("frobnicate", 1), ("grid_axes", [[1, 2]]), ("noise_kind", "uniform")):
+        for key, val in (
+            ("frobnicate", 1), ("grid_axes", [[1, 2]]), ("noise_kind", "uniform"),
+            ("extent", [1]), ("l_values", 5), ("noise_scale", 0.2),
+        ):
             cfg.write_text(json.dumps({"scenario": "completeness", key: val}))
             assert main(["scenario", "--config", str(cfg)]) == 2
             assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "fields",
-        [{"seed": "x"}, {"extent": [1]}, {"l_values": 5}, {"tolerances": {"a": "b"}}],
+        [{"seed": "x"}, {"seed": None}, {"tolerances": {"a": None}}, {"tolerances": {"a": "b"}}],
     )
     def test_scenario_config_value_of_wrong_type_exits_two(self, tmp_path, capsys, fields):
         cfg = tmp_path / "bad.json"

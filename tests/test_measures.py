@@ -1,7 +1,12 @@
 """Atomic measures, pairings, autocorrelation, and vague-convergence proxies."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quasidiff import measures
 from quasidiff.errors import InvalidArgumentError
@@ -122,6 +127,30 @@ class TestAutocorrelation:
         assert dist.max() <= 1e-12
         assert len(np.unique(idx)) == len(idx)
         assert np.array_equal(near.weights, full.weights[keep][idx])
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), data=st.data())
+    def test_matches_counter_of_differences(self, dim, data):
+        # quarter-integers: every difference is exact, so with bucket_tol=0
+        # the atoms are exactly the distinct differences of ordered pairs
+        n = data.draw(st.integers(0, 12), label="n")
+        quarters = st.integers(-20, 20).map(lambda k: k / 4)
+        pts = data.draw(arrays(np.float64, (n, dim), elements=quarters), label="points")
+        x = PointSet(dim, 0.25, 8.0, np.unique(pts, axis=0).reshape(-1, dim))
+        radius = data.draw(st.sampled_from([1.0, 2.5, 4.0, 8.0]), label="radius")
+        max_range = data.draw(st.sampled_from([None, 0.5, 1.0, 1.3, 2.25]), label="max_range")
+        gamma = autocorrelation(x, radius, bucket_tol=0.0, max_range=max_range)
+        inside = [p for p in x.points if float(p @ p) <= radius * radius]
+        diffs = Counter(
+            tuple(p - q)
+            for p in inside
+            for q in inside
+            if max_range is None or float((p - q) @ (p - q)) <= max_range**2
+        )
+        keys = sorted(diffs)
+        assert np.array_equal(gamma.locations, np.array(keys).reshape(-1, dim))
+        assert np.array_equal(gamma.weights, [diffs[k] / radius**dim for k in keys])
+        assert gamma.merged_count == 0
 
     @pytest.mark.parametrize("bucket_tol", [1e-9, 0.0])
     @pytest.mark.parametrize(

@@ -48,6 +48,26 @@ class TestNoiseModel:
         with pytest.raises(InvalidArgumentError):
             NoiseModel(1, "cauchy")
 
+    @pytest.mark.parametrize(
+        "kind, args, name",
+        [
+            ("gaussian", (1, math.nan), "sigma"),
+            ("gaussian", (2, [0.1, math.inf]), "sigma"),
+            ("uniform", (1, math.inf), "half-width"),
+            ("uniform", (1, math.nan), "half-width"),
+            ("gaussian_mixture", (1, [(math.nan, (0.0,), 0.1)]), "mixture weight"),
+            ("gaussian_mixture", (1, [(math.inf, (0.0,), 0.1)]), "mixture weight"),
+            ("gaussian_mixture", (1, [(1.0, (math.inf,), 0.1)]), "mixture mean"),
+            ("gaussian_mixture", (1, [(1.0, (0.0,), math.nan)]), "mixture sigma"),
+            ("pareto_radial", (1, math.inf, 0.1), "alpha"),
+            ("pareto_radial", (1, math.nan, 0.1), "alpha"),
+            ("pareto_radial", (1, 3.0, math.inf), "scale"),
+        ],
+    )
+    def test_non_finite_parameter_rejected(self, kind, args, name):
+        with pytest.raises(InvalidArgumentError, match=f"noise {name} must be finite"):
+            getattr(NoiseModel, kind)(*args)
+
 
 # ---------------------------------------------------------------------------
 # perturb
@@ -96,7 +116,7 @@ class TestCharFn:
         heavy = NoiseModel.pareto_radial(1, alpha=2.0, scale=0.1)
         for model in (GAUSS01, NoiseModel.uniform(1, 0.25), MIXTURE):
             assert char_fn(model, [0.0]) == 1.0 + 0j
-        assert char_fn(heavy, [0.0], mc_samples=1000) == 1.0 + 0j
+        assert char_fn_mc(heavy, [0.0], mc_samples=1000)[0] == 1.0 + 0j
 
     def test_gaussian_closed_form(self):
         value = char_fn(GAUSS01, [1.0])
@@ -155,9 +175,7 @@ class TestRecover:
     def test_undoes_multiplication_exactly(self):
         spec = self.spectrum()
         psi = char_fn_grid(GAUSS01, self.GRID.nodes())
-        blurred = Spectrum.from_amplitude(
-            self.GRID, spec.window_radius, "blurred", spec.amplitude * psi
-        )
+        blurred = Spectrum(self.GRID, spec.window_radius, "blurred", spec.amplitude * psi)
         rec = recover(blurred, GAUSS01)
         assert rec.valid.all()  # gaussian psi stays above the default guard here
         err = np.abs(rec.amplitude - spec.amplitude)

@@ -1,7 +1,13 @@
 """Exponential sums, periodograms, peak analysis, and spectral-type verdicts."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quasidiff.errors import (
     EmptySpectrumError,
@@ -10,9 +16,18 @@ from quasidiff.errors import (
 )
 from quasidiff.measures import autocorrelation
 from quasidiff.perturb import NoiseModel, perturb
-from quasidiff.pointset import PointSet, gen_fibonacci, gen_lattice, gen_poisson, window
+from quasidiff.pointset import (
+    TAU,
+    PointSet,
+    fibonacci_cut_project_config,
+    gen_fibonacci,
+    gen_lattice,
+    gen_poisson,
+    window,
+)
 from quasidiff.spectral import (
     FrequencyGrid,
+    Spectrum,
     amplitude_spectrum,
     analyze_peaks,
     exp_sum,
@@ -29,6 +44,17 @@ def node_index(grid: FrequencyGrid, freq: float) -> int:
 @pytest.fixture(scope="module")
 def lattice_220():
     return gen_lattice(1, 1.0, 220.0)
+
+
+@pytest.fixture(scope="module")
+def fibonacci_1000():
+    return gen_fibonacci(1000.0)
+
+
+# quarter-integers put many points on one phase; free floats fill the rest
+SPECTRUM_COORDS = st.one_of(
+    st.integers(-20, 20).map(lambda k: k / 4), st.floats(-5.0, 5.0, allow_nan=False)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +120,52 @@ class TestAmplitudeSpectrum:
         x = gen_lattice(1, 1.0, 10.0)
         with pytest.raises(InsufficientExtentError):
             amplitude_spectrum(x, 11.0, self.GRID)
+
+    @pytest.mark.parametrize("radius", [0.0, math.inf, math.nan])
+    def test_spectrum_needs_positive_finite_radius(self, radius):
+        # an infinite radius (e.g. from a spectrum sidecar) gave infinite power
+        with pytest.raises(InvalidArgumentError, match="positive finite"):
+            Spectrum(self.GRID, radius, "x", np.ones(self.GRID.node_count))
+
+    @pytest.mark.parametrize("a, b", [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1)])
+    def test_fibonacci_amplitudes_match_closed_form(self, fibonacci_1000, a, b):
+        # Bragg peak of the model set at k, with (k, k*) = S^-T (a, b) for the
+        # stacked projection S: |amplitude| -> |window transform at k*| / |det S|.
+        # The window has length tau, |det S| = sqrt 5, and the window of length
+        # 2L normalised by L contributes the factor 2.
+        s = fibonacci_cut_project_config(1.0).stacked()
+        k, k_star = np.linalg.solve(s.T, [a, b])
+        spec = amplitude_spectrum(fibonacci_1000, 1000.0, FrequencyGrid(((k, k + 1e-3, 1e-3),)))
+        closed = 2 / math.sqrt(5) * abs(math.sin(math.pi * TAU * k_star) / (math.pi * k_star))
+        assert abs(abs(spec.amplitude[0]) - closed) <= 2e-3
+
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), data=st.data())
+    def test_matches_direct_sum(self, dim, data):
+        n = data.draw(st.integers(0, 12), label="n")
+        pts = data.draw(arrays(np.float64, (n, dim), elements=SPECTRUM_COORDS), label="points")
+        x = PointSet(dim, 0.0, 8.0, np.unique(pts, axis=0).reshape(-1, dim))
+        radius = data.draw(st.sampled_from([1.0, 2.5, 4.0, 5.0]), label="radius")
+        axes = tuple(
+            (lo, lo + step * count, step)
+            for lo, step, count in data.draw(
+                st.lists(
+                    st.tuples(
+                        st.floats(-3.0, 3.0), st.floats(0.01, 0.5), st.integers(1, 6)
+                    ),
+                    min_size=dim,
+                    max_size=dim,
+                ),
+                label="axes",
+            )
+        )
+        grid = FrequencyGrid(axes)
+        spec = amplitude_spectrum(x, radius, grid)
+        inside = [p for p in x.points if float(p @ p) <= radius * radius]
+        scale = radius**dim
+        for amp, lam in zip(spec.amplitude, grid.nodes()):
+            direct = sum(cmath.exp(-2j * math.pi * float(p @ lam)) for p in inside)
+            assert abs(amp - direct / scale) <= 1e-9 * max(len(inside), 1) / scale
 
 
 # ---------------------------------------------------------------------------
