@@ -11,7 +11,9 @@ Conventions, applied uniformly and without floating-point slack:
 
 * a point of one set is *mismatched* at scale ``eps`` when its Euclidean
   distance to the other set's window is >= eps (ties mismatch),
-* windows are closed (points at exactly the radius belong to the window),
+* windows are closed (points at exactly the radius belong to the window)
+  and every windowed count compares squared norms with squared radii, the
+  test of :func:`~quasidiff.geometry.window_mask`,
 * every operation is symmetric in its two operands by construction, and
   comparing a set against an equal set returns exactly 0.
 """
@@ -96,10 +98,6 @@ class MetricResult:
 # mismatch machinery
 
 
-def _norms(points: np.ndarray) -> np.ndarray:
-    return np.sqrt(sq_norms(points))
-
-
 def _close_pairs(a: np.ndarray, b: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) with ``b[j]`` strictly within ``eps`` of ``a[i]``.
 
@@ -121,25 +119,27 @@ def _close_pairs(a: np.ndarray, b: np.ndarray, eps: float) -> tuple[np.ndarray, 
     else:
         cand = cKDTree(a).sparse_distance_matrix(cKDTree(b), eps, output_type="ndarray")
         i, j = cand["i"], cand["j"]
-    strict = _norms(b[j] - a[i]) < eps
+    strict = np.sqrt(sq_norms(b[j] - a[i])) < eps
     return i[strict], j[strict]
 
 
 def _mismatch_counts(
-    own_norms: np.ndarray, owner: np.ndarray, partner_norms: np.ndarray, radii: np.ndarray
+    own_sq: np.ndarray, owner: np.ndarray, partner_sq: np.ndarray, radii: np.ndarray
 ) -> np.ndarray:
     """Per radius, the points of one set inside the window with no close
     partner inside it.
 
-    ``owner[k]`` is the point of the close pair k and ``partner_norms[k]`` the
-    norm of its partner.  A point is matched in the radius-L window exactly
-    when max(own norm, smallest partner norm) <= L, so each count is two
-    sorted-array lookups.
+    ``own_sq`` holds the squared norms of the set's points, ``owner[k]`` is the
+    point of the close pair k and ``partner_sq[k]`` the squared norm of its
+    partner.  A point is matched in the radius-L window exactly when
+    max(own squared norm, smallest partner squared norm) <= L*L, the test of
+    :func:`window_mask`, so each count is two sorted-array lookups.
     """
-    reach = np.full(len(own_norms), np.inf)
-    np.minimum.at(reach, owner, partner_norms)
-    inside = np.searchsorted(np.sort(own_norms), radii, side="right")
-    matched = np.searchsorted(np.sort(np.maximum(own_norms, reach)), radii, side="right")
+    reach = np.full(len(own_sq), np.inf)
+    np.minimum.at(reach, owner, partner_sq)
+    r2 = radii * radii
+    inside = np.searchsorted(np.sort(own_sq), r2, side="right")
+    matched = np.searchsorted(np.sort(np.maximum(own_sq, reach)), r2, side="right")
     return inside - matched
 
 
@@ -184,7 +184,7 @@ def ratio_sup(
         raise InvalidArgumentError("exponent must lie in (0, dim]")
     grid.require_within(x, y)
     radii = grid.array()
-    nx, ny = _norms(x.points), _norms(y.points)
+    nx, ny = sq_norms(x.points), sq_norms(y.points)
     i, j = _close_pairs(x.points, y.points, eps)
     total = _mismatch_counts(nx, i, ny[j], radii) + _mismatch_counts(ny, j, nx[i], radii)
     ratios = total / radii**exponent
@@ -275,7 +275,7 @@ def rho_gh(x: PointSet, y: PointSet, eps_tol: float = 1e-4) -> MetricResult:
         return MetricResult(0.0)
     require_extent(1.0 / eps_tol, min(x.extent, y.extent), "scan start radius 1/eps_tol")
     # each window is a prefix of the points in order of norm
-    nx, ny = _norms(x.points), _norms(y.points)
+    nx, ny = sq_norms(x.points), sq_norms(y.points)
     ox, oy = np.argsort(nx, kind="stable"), np.argsort(ny, kind="stable")
     px, sx = x.points[ox], nx[ox]
     py, sy = y.points[oy], ny[oy]
@@ -283,8 +283,9 @@ def rho_gh(x: PointSet, y: PointSet, eps_tol: float = 1e-4) -> MetricResult:
     for k in range(1, steps + 1):
         eps = k * eps_tol
         radius = 1.0 / eps
-        wa = px[: np.searchsorted(sx, radius, side="right")]
-        wb = py[: np.searchsorted(sy, radius, side="right")]
+        r2 = radius * radius
+        wa = px[: np.searchsorted(sx, r2, side="right")]
+        wb = py[: np.searchsorted(sy, r2, side="right")]
         if hausdorff_distance(wa, wb) <= eps:
             return MetricResult(eps, attained_L=radius, attained_eps=eps)
     return MetricResult(0.25, capped=True)
@@ -294,13 +295,13 @@ def rho_gh(x: PointSet, y: PointSet, eps_tol: float = 1e-4) -> MetricResult:
 # symmetric-difference density distance
 
 
-def _common_norms(x: PointSet, y: PointSet) -> np.ndarray:
-    """Sorted norms of points present (exactly) in both sets."""
+def _common_sq_norms(x: PointSet, y: PointSet) -> np.ndarray:
+    """Sorted squared norms of points present (exactly) in both sets."""
     both = np.concatenate([x.points, y.points])
     order = np.lexsort(both.T[::-1])
     both = both[order]
     same = np.all(both[1:] == both[:-1], axis=1) if len(both) > 1 else np.zeros(0, bool)
-    return np.sort(_norms(both[:-1][same]))
+    return np.sort(sq_norms(both[:-1][same]))
 
 
 def rho_aut(
@@ -330,12 +331,10 @@ def rho_aut(
             raise InvalidArgumentError("no grid radii at or beyond tail_start")
     if x == y:
         return MetricResult(0.0, trend="flat" if mode == "tail_limsup" else None)
-    sx = np.sort(_norms(x.points))
-    sy = np.sort(_norms(y.points))
-    common = _common_norms(x, y)
-    n_x = np.searchsorted(sx, radii, side="right")
-    n_y = np.searchsorted(sy, radii, side="right")
-    n_c = np.searchsorted(common, radii, side="right")
+    r2 = radii * radii
+    n_x = np.searchsorted(np.sort(sq_norms(x.points)), r2, side="right")
+    n_y = np.searchsorted(np.sort(sq_norms(y.points)), r2, side="right")
+    n_c = np.searchsorted(_common_sq_norms(x, y), r2, side="right")
     ratios = (n_x + n_y - 2 * n_c) / radii**x.dim
     best = int(np.argmax(ratios))
     trend = None

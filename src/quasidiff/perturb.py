@@ -335,12 +335,13 @@ def boundary_crossings(x: PointSet, model: NoiseModel, seed: int, l_list) -> Bou
     require_extent(max(radii) + margin, x.extent, "max radius + displacement margin")
     key = rng.stream_key(seed, x.label)
     xi = _displacements(model, key, np.arange(len(x.points), dtype=np.uint64))
-    before = np.sqrt(sq_norms(x.points))
-    after = np.sqrt(sq_norms(x.points + xi))
+    before = sq_norms(x.points)
+    after = sq_norms(x.points + xi)
     records = []
     for radius in radii:
-        exits = int(((before <= radius) & (after > radius)).sum())
-        entries = int(((before > radius) & (after < radius)).sum())
+        r2 = radius * radius
+        exits = int(((before <= r2) & (after > r2)).sum())
+        entries = int(((before > r2) & (after < r2)).sum())
         records.append(
             BoundaryRecord(radius, exits, entries, (exits + entries) / radius**x.dim)
         )

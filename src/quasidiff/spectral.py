@@ -1,5 +1,5 @@
-"""Finite-window diffraction: exponential sums, periodograms, peak analysis,
-and the singular-versus-absolutely-continuous evidence diagnostic.
+"""Finite-window diffraction: exponential sums, peak analysis, and the
+singular-versus-absolutely-continuous evidence diagnostic.
 
 The infinite-volume diffraction measure is approached through periodograms:
 power(lambda) = |sum over the radius-L window of e^(-2 pi i <p, lambda>)|^2
@@ -11,12 +11,25 @@ numbers and thresholds it was derived from.
 
 Amplitude values are exp-sums divided by L^d, so power = L^d |amplitude|^2;
 both are carried on an explicit rectangular :class:`FrequencyGrid`.
-Summation order is fixed (numpy pairwise reduction over the point axis), so
-results are bit-identical run to run regardless of chunking.
+
+Every grid is a tensor product of uniform axes, so its exponential sums
+factor and no (node, point) phase matrix is built.  In d >= 2 each axis
+contributes one K_i x n table of e^(-2 pi i lambda_i p_i) and the sum is
+their contraction over the points.  A 1-d axis of M nodes is split as
+k = k1 K2 + k2 with K2 = ceil(sqrt M) (Cooley & Tukey 1965), which gives two
+tables of about sqrt(M) x n entries.  Phases are reduced mod 1 before the
+exponential.  The kernel thus makes about (K1 + K2) n complex exponentials
+instead of M n, and holds about (K1 + K2) n complex entries at a time.  The
+contraction runs in numpy's own einsum loops, not in a threaded BLAS, so
+amplitudes are bit-identical run to run and for any BLAS thread count.
+Sums at a free list of frequencies (``exp_sum``, the noise-recovery trials)
+use the dense phase matrix, chunked by frequency.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +39,7 @@ from .errors import EmptySpectrumError, InvalidArgumentError
 from .geometry import require_extent, window_mask
 from .pointset import PointSet
 
-_ENTRY_BUDGET = 4_000_000  # phase-matrix entries materialized per chunk
+_ENTRY_BUDGET = 4_000_000  # phase-matrix entries materialized per chunk of a frequency list
 _NODE_BUDGET = 4_194_304  # nodes a FrequencyGrid may hold
 
 __all__ = [
@@ -166,6 +179,45 @@ def _exp_sums(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _phases(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """e^(-2 pi i v c) for every (value, coordinate) pair, as a
+    (len(values), len(coords)) table; v c is reduced mod 1 first."""
+    t = np.multiply.outer(values, coords)
+    return np.exp((-2j * np.pi) * (t - np.round(t)))
+
+
+def _grid_sums(points: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """sum_p e^(-2 pi i <p, lambda>) at every node of the grid, in node order.
+
+    The factors are per-axis phase tables (two for a split 1-d axis, see the
+    module docstring).  The last two are contracted over the points; each
+    row of every leading table (d >= 3) is first multiplied into the second
+    to last, one leading node at a time.
+    """
+    m = grid.node_count
+    if len(points) == 0:
+        return np.zeros(m, dtype=np.complex128)
+    if grid.dim == 1:
+        lo, _, step = grid.axes[0]
+        k2 = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
+        k1 = -(-m // k2)
+        p = points[:, 0]
+        factors = [
+            _phases(step * k2 * np.arange(k1), p),
+            _phases(lo + step * np.arange(k2), p),
+        ]
+    else:
+        factors = [_phases(grid.axis_values(i), points[:, i]) for i in range(grid.dim)]
+    *lead, inner, last = factors
+    blocks = []
+    for rows in itertools.product(*lead):
+        w = inner
+        for row in rows:
+            w = w * row
+        blocks.append(np.einsum("ap,bp->ab", w, last))
+    return np.concatenate(blocks, axis=None)[:m]
+
+
 def exp_sum(x: PointSet, lam) -> complex:
     """Exponential sum of the whole set at one frequency; |result| <= #points."""
     lam = np.asarray(lam, dtype=np.float64).reshape(1, x.dim)
@@ -177,7 +229,7 @@ def amplitude_spectrum(x: PointSet, radius: float, grid: FrequencyGrid) -> Spect
     if grid.dim != x.dim:
         raise InvalidArgumentError("grid and point set dimensions differ")
     require_extent(radius, x.extent, "window radius")
-    sums = _exp_sums(x.points[window_mask(x.points, radius)], grid.nodes())
+    sums = _grid_sums(x.points[window_mask(x.points, radius)], grid)
     return Spectrum(grid, radius, x.label, sums / radius**x.dim)
 
 
@@ -227,7 +279,10 @@ def analyze_peaks(
     Peaks are strict local maxima at or above threshold_ratio * max power,
     thinned greedily (highest first) so surviving peaks are at least half a
     window width apart.  Each peak's location is refined by a quadratic fit
-    through the three nodes around the maximum, its mass is the trapezoid
+    through the three nodes around the maximum; when its two neighbours
+    differ by at most 1e-12 times the peak power, which is rounding noise of
+    the exponential sums, the peak counts as symmetric and stays on its
+    node, so noise cannot move a support box edge.  Its mass is the trapezoid
     integral of power over the width-wide interval centered there, and the
     background is the median (the mean is also reported) of power outside
     all peak intervals.  The intervals double as estimated support boxes.
@@ -252,9 +307,16 @@ def analyze_peaks(
     cand = interior[is_max & (power[interior] >= threshold)]
     cand = cand[np.argsort(-power[cand], kind="stable")]
 
+    # only the two accepted neighbours of a candidate can be the nearest
     accepted: list[int] = []
+    taken: list[float] = []  # accepted locations, sorted
     for idx in cand:
-        if all(abs(freqs[idx] - freqs[j]) >= width / 2 for j in accepted):
+        f = float(freqs[idx])
+        i = bisect.bisect_left(taken, f)
+        if (i == len(taken) or taken[i] - f >= width / 2) and (
+            i == 0 or f - taken[i - 1] >= width / 2
+        ):
+            taken.insert(i, f)
             accepted.append(int(idx))
 
     peaks = []
@@ -263,7 +325,8 @@ def analyze_peaks(
     for idx in accepted:
         pm, p0, pp = power[idx - 1], power[idx], power[idx + 1]
         denom = pm - 2.0 * p0 + pp
-        offset = 0.0 if denom == 0 else 0.5 * (pm - pp) / denom
+        symmetric = denom == 0 or abs(pm - pp) <= 1e-12 * p0
+        offset = 0.0 if symmetric else 0.5 * (pm - pp) / denom
         loc = float(freqs[idx] + offset * step)
         lo, hi = loc - width / 2, loc + width / 2
         sel = (freqs >= lo) & (freqs <= hi)

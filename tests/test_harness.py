@@ -282,10 +282,7 @@ class TestRunScenario:
         for path in result.manifest:
             assert os.path.exists(path)
 
-    # diffraction-catalog is left out: its dense exponential sums take ~18 s
-    @pytest.mark.parametrize(
-        "name", sorted(n for n in SCENARIOS if n != "diffraction-catalog")
-    )
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_artifacts_reproduce_byte_for_byte_across_out_dirs(self, tmp_path, name):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):

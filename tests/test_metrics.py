@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,7 +22,7 @@ from quasidiff.metrics import (
     rho_gh,
     rho_stat,
 )
-from quasidiff.pointset import PointSet, gen_lattice, gen_poisson
+from quasidiff.pointset import PointSet, gen_lattice, gen_poisson, window
 
 from conftest import remove_points, shifted_lattice
 
@@ -142,6 +142,18 @@ def small_sets(dim: int):
     )
 
 
+SMALL_PAIRS = st.sampled_from([1, 2]).flatmap(
+    lambda dim: st.tuples(small_sets(dim), small_sets(dim))
+)
+
+# |(1, 1.6e-8)|^2 rounds to 1 + 2^-52 > 1, but its square root rounds to 1.0,
+# so comparing the norm with the radius put the point inside the radius-1 window
+SQRT_EDGE = (
+    PointSet(2, 0.0, SMALL_EXTENT, np.array([[0.0, 0.0]])),
+    PointSet(2, 0.0, SMALL_EXTENT, np.array([[0.0, 0.0], [1.0, 1.6034438376935757e-08]])),
+)
+
+
 def brute_mismatches(a: np.ndarray, b: np.ndarray, radius: float, eps: float) -> np.ndarray:
     """Points of a's radius-window with no point of b's window closer than eps."""
     wa = a[(a**2).sum(axis=1) <= radius * radius]
@@ -172,11 +184,10 @@ def assert_matches_brute_force(x: PointSet, y: PointSet, eps: float) -> None:
 
 class TestMismatchAgainstBruteForce:
     @settings(max_examples=300, deadline=None)
-    @given(dim=st.sampled_from([1, 2]), eps=SMALL_EPS, data=st.data())
-    def test_random_small_sets(self, dim, eps, data):
-        x = data.draw(small_sets(dim), label="x")
-        y = data.draw(small_sets(dim), label="y")
-        assert_matches_brute_force(x, y, eps)
+    @given(pair=SMALL_PAIRS, eps=SMALL_EPS)
+    @example(pair=SQRT_EDGE, eps=0.05)
+    def test_random_small_sets(self, pair, eps):
+        assert_matches_brute_force(*pair, eps)
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("eps", [0.1, 0.25, 0.3])
@@ -334,6 +345,25 @@ class TestRhoAut:
     def test_rejects_unknown_mode(self, lattice_1001):
         with pytest.raises(InvalidArgumentError):
             rho_aut(lattice_1001, lattice_1001, GRID_1000, mode="limsup")
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=SMALL_PAIRS)
+    @example(pair=SQRT_EDGE)
+    def test_counts_the_windows_symmetric_difference(self, pair):
+        x, y = pair
+        radii = SMALL_GRID.array()
+        counts = np.array(
+            [
+                len(set(map(tuple, window(x, r).points)) ^ set(map(tuple, window(y, r).points)))
+                for r in radii
+            ]
+        )
+        ratios = counts / radii**x.dim
+        best = int(np.argmax(ratios))
+        res = rho_aut(x, y, SMALL_GRID)
+        assert res.value == ratios[best]
+        if res.value > 0:  # equal sets return 0 without a radius
+            assert res.attained_L == radii[best]
 
 
 # ---------------------------------------------------------------------------

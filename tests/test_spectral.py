@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import quasidiff
 from quasidiff.errors import (
     EmptySpectrumError,
     InsufficientExtentError,
@@ -19,7 +23,9 @@ from quasidiff.perturb import NoiseModel, perturb
 from quasidiff.pointset import (
     TAU,
     PointSet,
+    ammann_beenker_config,
     fibonacci_cut_project_config,
+    gen_cut_project,
     gen_fibonacci,
     gen_lattice,
     gen_poisson,
@@ -51,10 +57,52 @@ def fibonacci_1000():
     return gen_fibonacci(1000.0)
 
 
+@pytest.fixture(scope="module")
+def ammann_beenker_60():
+    return gen_cut_project(ammann_beenker_config(60.0))
+
+
 # quarter-integers put many points on one phase; free floats fill the rest
 SPECTRUM_COORDS = st.one_of(
     st.integers(-20, 20).map(lambda k: k / 4), st.floats(-5.0, 5.0, allow_nan=False)
 )
+# 1-d node counts: perfect squares fill the k1*K2 + k2 split exactly, primes
+# and the others leave up to K2 - 1 padded nodes
+LONG_AXIS_COUNTS = [1, 2, 3, 5, 16, 17, 48, 97, 100, 101, 997, 1024, 1031]
+
+
+def spectrum_points(dim: int, data) -> PointSet:
+    # coordinates lie in [-5, 5], so every point is within 5 * sqrt(3) < 9 in d <= 3
+    n = data.draw(st.integers(0, 12), label="n")
+    pts = data.draw(arrays(np.float64, (n, dim), elements=SPECTRUM_COORDS), label="points")
+    return PointSet(dim, 0.0, 9.0, np.unique(pts, axis=0).reshape(-1, dim))
+
+
+def assert_matches_direct_sum(x: PointSet, radius: float, grid: FrequencyGrid) -> None:
+    spec = amplitude_spectrum(x, radius, grid)
+    inside = [p for p in x.points if float(p @ p) <= radius * radius]
+    scale = radius**x.dim
+    for amp, lam in zip(spec.amplitude, grid.nodes()):
+        direct = sum(cmath.exp(-2j * math.pi * float(p @ lam)) for p in inside)
+        assert abs(amp - direct / scale) <= 1e-9 * max(len(inside), 1) / scale
+
+
+# amplitudes of a 1-d Fibonacci and a 2-d Ammann-Beenker grid, as a digest;
+# the Fibonacci sizes are those of the diffraction-catalog scenario, large
+# enough that a threaded BLAS product splits its work differently
+_AMPLITUDE_DIGEST = """
+import hashlib
+from quasidiff.pointset import ammann_beenker_config, gen_cut_project, gen_fibonacci
+from quasidiff.spectral import FrequencyGrid, amplitude_spectrum
+digest = hashlib.sha256()
+for x, radius, grid in (
+    (gen_fibonacci(4100.0), 4000.0, FrequencyGrid(((0.04, 1.06, 6.25e-5),))),
+    (gen_cut_project(ammann_beenker_config(60.0)), 55.0,
+     FrequencyGrid(((-1.0, 1.0, 0.02), (-1.0, 1.0, 0.02)))),
+):
+    digest.update(amplitude_spectrum(x, radius, grid).amplitude.tobytes())
+print(digest.hexdigest())
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +190,7 @@ class TestAmplitudeSpectrum:
     @settings(max_examples=100, deadline=None)
     @given(dim=st.sampled_from([1, 2]), data=st.data())
     def test_matches_direct_sum(self, dim, data):
-        n = data.draw(st.integers(0, 12), label="n")
-        pts = data.draw(arrays(np.float64, (n, dim), elements=SPECTRUM_COORDS), label="points")
-        x = PointSet(dim, 0.0, 8.0, np.unique(pts, axis=0).reshape(-1, dim))
+        x = spectrum_points(dim, data)
         radius = data.draw(st.sampled_from([1.0, 2.5, 4.0, 5.0]), label="radius")
         axes = tuple(
             (lo, lo + step * count, step)
@@ -159,13 +205,64 @@ class TestAmplitudeSpectrum:
                 label="axes",
             )
         )
-        grid = FrequencyGrid(axes)
-        spec = amplitude_spectrum(x, radius, grid)
-        inside = [p for p in x.points if float(p @ p) <= radius * radius]
-        scale = radius**dim
-        for amp, lam in zip(spec.amplitude, grid.nodes()):
-            direct = sum(cmath.exp(-2j * math.pi * float(p @ lam)) for p in inside)
-            assert abs(amp - direct / scale) <= 1e-9 * max(len(inside), 1) / scale
+        assert_matches_direct_sum(x, radius, FrequencyGrid(axes))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 3]), data=st.data())
+    def test_long_and_three_axis_grids_match_direct_sum(self, dim, data):
+        x = spectrum_points(dim, data)
+        if dim == 1:
+            counts = [data.draw(st.sampled_from(LONG_AXIS_COUNTS), label="count")]
+        else:
+            counts = data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=3), label="counts")
+        axes = []
+        for count in counts:
+            lo = data.draw(st.floats(-3.0, 3.0), label="lo")
+            step = data.draw(st.floats(1e-3, 0.5), label="step")
+            axes.append((lo, lo + step * (count - 0.5), step))
+        grid = FrequencyGrid(tuple(axes))
+        assert grid.shape == tuple(counts)
+        assert_matches_direct_sum(x, 5.0, grid)
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            (0, 1, 0, 0),
+            (1, 1, 0, 0),
+            (1, -1, 0, 0),
+            # k* on a zero of the window transform
+            (1, 0, 0, 0),
+            (0, 0, 1, 0),
+            (1, 0, 1, 0),
+            (1, 0, -1, 0),
+            (1, 1, 0, 1),
+        ],
+    )
+    def test_ammann_beenker_amplitudes_match_closed_form(self, ammann_beenker_60, z):
+        # Bragg peak at k, with (k, k*) = S^-T z for the stacked projection S:
+        # |amplitude| -> pi * |window transform at k*| / |det S|.  The window is
+        # the box [-1, 1)^2, whose transform is prod_i sin(2 pi k*_i) / (pi k*_i),
+        # |det S| = 4, and the radius-L disc normalised by L^2 contributes pi.
+        s = ammann_beenker_config(60.0).stacked()
+        k, k_star = np.split(np.linalg.solve(s.T, z), 2)
+        grid = FrequencyGrid(tuple((v, v + 1e-3, 1e-3) for v in k))
+        spec = amplitude_spectrum(ammann_beenker_60, 55.0, grid)
+        closed = math.pi * abs(np.prod(2 * np.sinc(2 * k_star))) / 4
+        assert abs(abs(spec.amplitude[0]) - closed) <= 1e-2
+
+    def test_amplitudes_do_not_depend_on_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(quasidiff.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", _AMPLITUDE_DIGEST],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +324,50 @@ class TestPeriodogram:
 
 
 class TestAnalyzePeaks:
-    def test_lattice_unit_window_masses(self, lattice_220):
+    # each band holds 2 * int(band) + 1 integer peaks; at every band edge the
+    # outermost support box must end on a node of zero power
+    @pytest.mark.parametrize("band", [1.5, 2.5, 3.5, 4.5])
+    def test_lattice_unit_window_masses(self, lattice_220, band):
         spec = amplitude_spectrum(
-            lattice_220, 50.0, FrequencyGrid(axes=((-2.5, 2.5, 1e-3),))
+            lattice_220, 50.0, FrequencyGrid(axes=((-band, band, 1e-3),))
         )
         report = analyze_peaks(spec, peak_window_width=1.0)
-        assert len(report.peaks) == 5
-        for peak, expected_loc in zip(report.peaks, (-2.0, -1.0, 0.0, 1.0, 2.0)):
+        expected = np.arange(-int(band), int(band) + 1, dtype=float)
+        assert len(report.peaks) == len(expected)
+        for peak, expected_loc in zip(report.peaks, expected):
             assert peak.location == pytest.approx(expected_loc, abs=1e-3)
             # one full period of the squared Dirichlet kernel integrates to
             # the window's point count: 101/50 = 2.02
             assert peak.mass == pytest.approx(2.02, abs=1e-3)
         assert report.background_level == 0.0
-        assert len(report.support_boxes) == 5
+        assert len(report.support_boxes) == len(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        heights=st.lists(st.integers(0, 6), min_size=3, max_size=60),
+        half_width=st.integers(1, 12),
+        threshold_ratio=st.sampled_from([0.0, 0.3, 0.5]),
+    )
+    def test_thinning_accepts_what_the_pairwise_rule_accepts(
+        self, heights, half_width, threshold_ratio
+    ):
+        # quarter steps and half-widths keep every distance exact, so ties at
+        # exactly half a width are common
+        step = 0.25
+        grid = FrequencyGrid(((0.0, step * (len(heights) - 0.5), step),))
+        spec = Spectrum(grid, 1.0, "h", np.asarray(heights, dtype=float))
+        width = 2 * half_width * step
+        report = analyze_peaks(spec, peak_window_width=width, threshold_ratio=threshold_ratio)
+
+        power, freqs = spec.power, grid.axis_values(0)
+        interior = np.arange(1, len(freqs) - 1)
+        is_max = (power[interior] > power[interior - 1]) & (power[interior] > power[interior + 1])
+        cand = interior[is_max & (power[interior] >= threshold_ratio * power.max())]
+        accepted = []
+        for idx in cand[np.argsort(-power[cand], kind="stable")]:
+            if all(abs(freqs[idx] - freqs[j]) >= width / 2 for j in accepted):
+                accepted.append(idx)
+        assert [p.node_location for p in report.peaks] == sorted(freqs[accepted].tolist())
 
     def test_threshold_above_one_yields_no_peaks(self, lattice_220):
         spec = amplitude_spectrum(
