@@ -191,7 +191,7 @@ def _cmd_peaks(args) -> int:
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.svg:
-        nodes = spec.frequencies()[:, 0]
+        nodes = spec.grid.axis_values(0)
         table = Table(
             ("frequency", "power"),
             tuple(

@@ -83,11 +83,17 @@ def window_mask(points: np.ndarray, radius: float) -> np.ndarray:
     return sq_norms(points) <= radius * radius
 
 
+def _require_positive_finite(value: float, what: str) -> None:
+    # NaN fails the comparison too; the generators also call this, because an
+    # infinite extent or intensity would overflow, loop or enumerate nothing
+    if not (0 < value < np.inf):
+        raise InvalidArgumentError(f"{what} must be a positive finite number, got {value!r}")
+
+
 def require_extent(radius: float, extent: float, what: str) -> None:
     """Refuse a window radius that is not a positive finite number, or that
     lies beyond the extent the data covers (1e-12 relative slack)."""
-    if not (0 < radius < np.inf):
-        raise InvalidArgumentError(f"{what} must be a positive finite number, got {radius!r}")
+    _require_positive_finite(radius, what)
     if radius > extent * (1.0 + 1e-12):
         raise InsufficientExtentError(
             f"{what} {radius!r} exceeds the available extent {extent!r}"

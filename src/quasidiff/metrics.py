@@ -61,10 +61,11 @@ class LGrid:
             raise InvalidArgumentError(f"smallest radius {vals[0]!r} below l_min={self.l_min!r}")
 
     @classmethod
-    def integers(cls, hi: int, lo: int = 1) -> "LGrid":
-        if hi < lo:
-            raise InvalidArgumentError("need hi >= lo")
-        return cls(tuple(float(v) for v in range(lo, hi + 1)), l_min=float(lo))
+    def integers(cls, hi: int) -> "LGrid":
+        """The radii 1, 2, ..., hi."""
+        if hi < 1:
+            raise InvalidArgumentError("need hi >= 1")
+        return cls(tuple(float(v) for v in range(1, hi + 1)))
 
     def require_within(self, *sets: PointSet) -> None:
         require_extent(self.values[-1], min(s.extent for s in sets), "grid radius")
@@ -79,15 +80,13 @@ class MetricResult:
 
     ``capped`` means the defining search was cut off at its ceiling (half the
     separation radius, or 1/4 for the window-alignment distance) and the
-    ceiling itself is reported.  ``trend`` carries the tail monotonicity flag
-    of the tail variant of the density distance; it is None elsewhere.
+    ceiling itself is reported.
     """
 
     value: float
     attained_L: float | None = None
     attained_eps: float | None = None
     capped: bool = False
-    trend: str | None = None
 
     def __post_init__(self):
         if self.value < 0:
@@ -200,11 +199,10 @@ def rho_stat(
     x: PointSet,
     y: PointSet,
     grid: LGrid,
-    exponent: float | None = None,
     eps_tol: float = 1e-6,
 ) -> MetricResult:
-    """Statistical window distance: the smallest eps whose normalized mismatch
-    ratio falls below eps, capped at half the separation radius.
+    """Statistical window distance: the smallest eps whose mismatch ratio,
+    normalized by L^dim, falls below eps, capped at half the separation radius.
 
     The mismatch ratio is nonincreasing in eps, so the feasibility predicate
     ``ratio(eps) < eps`` is monotone and bisection to ``eps_tol`` is exact up
@@ -215,15 +213,13 @@ def rho_stat(
     if not (eps_tol > 0):
         raise InvalidArgumentError("eps_tol must be positive")
     r0 = min(x.require_separation(), y.require_separation())
-    if exponent is None:
-        exponent = float(x.dim)
     if x == y:
         return MetricResult(0.0)
     grid.require_within(x, y)
     cap = r0 / 2.0
 
     def ratio_at(eps: float) -> MetricResult:
-        return ratio_sup(x, y, eps, exponent, grid)
+        return ratio_sup(x, y, eps, float(x.dim), grid)
 
     top = ratio_at(cap)
     if not (top.value < cap):
@@ -304,45 +300,18 @@ def _common_sq_norms(x: PointSet, y: PointSet) -> np.ndarray:
     return np.sort(sq_norms(both[:-1][same]))
 
 
-def rho_aut(
-    x: PointSet,
-    y: PointSet,
-    grid: LGrid,
-    mode: str = "sup",
-    tail_start: float | None = None,
-) -> MetricResult:
-    """Symmetric-difference density over windows: max_L #(X_L xor Y_L) / L^d.
-
-    mode "sup" takes the grid as is; mode "tail_limsup" restricts to grid
-    radii >= tail_start and additionally reports whether the ratio is
-    decreasing, increasing or flat between the first and last tail radii —
-    the finite stand-in for a limsup as the window grows.
-    """
+def rho_aut(x: PointSet, y: PointSet, grid: LGrid) -> MetricResult:
+    """Symmetric-difference density over windows: max_L #(X_L xor Y_L) / L^d,
+    the largest ratio over the grid and the first radius attaining it."""
     _check_pair(x, y)
-    if mode not in ("sup", "tail_limsup"):
-        raise InvalidArgumentError("mode must be 'sup' or 'tail_limsup'")
     grid.require_within(x, y)
-    radii = grid.array()
-    if mode == "tail_limsup":
-        if tail_start is None:
-            raise InvalidArgumentError("tail_limsup mode needs tail_start")
-        radii = radii[radii >= tail_start - 1e-12]
-        if len(radii) == 0:
-            raise InvalidArgumentError("no grid radii at or beyond tail_start")
     if x == y:
-        return MetricResult(0.0, trend="flat" if mode == "tail_limsup" else None)
+        return MetricResult(0.0)
+    radii = grid.array()
     r2 = radii * radii
     n_x = np.searchsorted(np.sort(sq_norms(x.points)), r2, side="right")
     n_y = np.searchsorted(np.sort(sq_norms(y.points)), r2, side="right")
     n_c = np.searchsorted(_common_sq_norms(x, y), r2, side="right")
     ratios = (n_x + n_y - 2 * n_c) / radii**x.dim
     best = int(np.argmax(ratios))
-    trend = None
-    if mode == "tail_limsup":
-        first, last = ratios[0], ratios[-1]
-        trend = "decreasing" if last < first - 1e-12 else ("increasing" if last > first + 1e-12 else "flat")
-    return MetricResult(
-        value=float(ratios[best]),
-        attained_L=float(radii[best]),
-        trend=trend,
-    )
+    return MetricResult(value=float(ratios[best]), attained_L=float(radii[best]))

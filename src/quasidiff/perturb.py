@@ -32,6 +32,7 @@ from .spectral import FrequencyGrid, Spectrum, _exp_sums
 _MARGIN_SAMPLES = 200_000
 _MARGIN_PERCENTILE = 99.9
 _MOMENT_EPS = 0.5  # finite_moment asks for E |xi|^(dim + _MOMENT_EPS) < infinity
+_GUARD = 1e-3  # smallest |psi| that recovery divides by
 
 __all__ = [
     "NoiseModel",
@@ -273,7 +274,7 @@ def char_fn(model: NoiseModel, lam) -> complex:
 # recovery
 
 
-def recover(spec: Spectrum, model: NoiseModel, guard: float = 1e-3) -> Spectrum:
+def recover(spec: Spectrum, model: NoiseModel, guard: float = _GUARD) -> Spectrum:
     """Undo the noise on the Fourier side: amplitude / psi where safe.
 
     Nodes with |psi| < guard keep no value (NaN) and are flagged invalid;
@@ -371,15 +372,14 @@ def recovery_trial(
     seeds,
     lambdas,
     radius: float,
-    guard: float = 1e-3,
 ) -> RecoveryReport:
     """Compare noise-undone amplitudes against the unperturbed truth.
 
     Each seed perturbs the whole set, windows the displaced points at the
     given radius, measures amplitudes at every requested frequency and
-    divides by psi.  Frequencies with |psi| < guard are reported invalid
-    (nothing is divided); if every frequency is invalid the trial is
-    degenerate and raises.
+    divides by psi.  Frequencies with |psi| under :func:`recover`'s default
+    guard 1e-3 are reported invalid (nothing is divided); if every
+    frequency is invalid the trial is degenerate and raises.
     """
     if model.dim != x.dim:
         raise InvalidArgumentError("noise model and set dimensions differ")
@@ -395,7 +395,7 @@ def recovery_trial(
     base = x.points[window_mask(x.points, radius)]
     truth = _exp_sums(base, lams) / scale
     psi = char_fn_grid(model, lams)
-    usable = np.abs(psi) >= guard
+    usable = np.abs(psi) >= _GUARD
     if not usable.any():
         raise DegenerateTrialError("every requested frequency falls under the psi guard")
     per_seed = []
@@ -420,4 +420,4 @@ def recovery_trial(
                 valid=bool(usable[i]),
             )
         )
-    return RecoveryReport(radius, guard, margin, tuple(rows))
+    return RecoveryReport(radius, _GUARD, margin, tuple(rows))

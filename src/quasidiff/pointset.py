@@ -35,6 +35,7 @@ from .errors import (
     SeamViolationError,
 )
 from .geometry import (
+    _require_positive_finite,
     as_points,
     ball_volume,
     lex_sort,
@@ -93,8 +94,7 @@ class PointSet:
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidArgumentError("dim must be >= 1")
-        if not (self.extent > 0):
-            raise InvalidArgumentError("extent must be positive")
+        _require_positive_finite(self.extent, "extent")
         if self.sep_radius < 0:
             raise InvalidArgumentError("sep_radius must be >= 0")
         pts = as_points(self.points, self.dim)
@@ -171,10 +171,8 @@ def gen_lattice(dim: int, spacing: float, extent: float, label: str | None = Non
     """spacing * Z^d intersected with the closed extent ball."""
     if dim < 1:
         raise InvalidArgumentError("dim must be >= 1")
-    if not (spacing > 0):
-        raise InvalidArgumentError("spacing must be positive")
-    if not (extent > 0):
-        raise InvalidArgumentError("extent must be positive")
+    _require_positive_finite(spacing, "spacing")
+    _require_positive_finite(extent, "extent")
     k = int(np.floor(extent / spacing * (1.0 + 1e-12)))
     axis = np.arange(-k, k + 1, dtype=np.float64) * spacing
     if dim == 1:
@@ -217,8 +215,7 @@ def gen_fibonacci(extent: float, label: str = "fibonacci") -> PointSet:
     ("a") and 1 ("b"), and one tile endpoint sits at the origin.  The chain
     therefore extends to the left of 0 as well: window(X, 2) contains -tau.
     """
-    if not (extent > 0):
-        raise InvalidArgumentError("extent must be positive")
+    _require_positive_finite(extent, "extent")
     word = _fibonacci_word(extent + 2.0 * TAU)
     right = _tile_positions(word)
     left = -_tile_positions(word[::-1])
@@ -229,8 +226,7 @@ def gen_fibonacci(extent: float, label: str = "fibonacci") -> PointSet:
 
 def gen_visible(extent: float, label: str = "visible") -> PointSet:
     """Visible points of Z^2: nonzero integer pairs with coprime coordinates."""
-    if not (extent > 0):
-        raise InvalidArgumentError("extent must be positive")
+    _require_positive_finite(extent, "extent")
     k = int(np.floor(extent * (1.0 + 1e-12)))
     axis = np.arange(-k, k + 1, dtype=np.int64)
     mm, nn = np.meshgrid(axis, axis, indexing="ij")
@@ -242,12 +238,10 @@ def gen_visible(extent: float, label: str = "visible") -> PointSet:
 
 def gen_poisson(intensity: float, dim: int, extent: float, seed: int) -> PointSet:
     """Homogeneous Poisson sample on the extent ball; sep_radius 0 by definition."""
-    if not (intensity > 0):
-        raise InvalidArgumentError("intensity must be positive")
+    _require_positive_finite(intensity, "intensity")
     if dim < 1:
         raise InvalidArgumentError("dim must be >= 1")
-    if not (extent > 0):
-        raise InvalidArgumentError("extent must be positive")
+    _require_positive_finite(extent, "extent")
     rng = np.random.default_rng(int(seed))
     n = int(rng.poisson(intensity * ball_volume(dim, extent)))
     direction = rng.standard_normal((n, dim))
@@ -292,8 +286,7 @@ class CutProjectConfig:
                 raise InvalidArgumentError("window must have positive volume")
         if len(self.offset) != n:
             raise InvalidArgumentError("offset must have total_dim entries")
-        if not (self.extent > 0):
-            raise InvalidArgumentError("extent must be positive")
+        _require_positive_finite(self.extent, "extent")
         if np.linalg.cond(self.stacked()) > 1e12:
             raise InvalidArgumentError("stacked projection matrix is (near) singular")
 
@@ -392,14 +385,15 @@ def fibonacci_cut_project_config(extent: float) -> CutProjectConfig:
     )
 
 
-def ammann_beenker_config(extent: float, window_half: float = 1.0) -> CutProjectConfig:
-    """Octagonal-symmetry scheme on Z^4 with an axis box acceptance window."""
+def ammann_beenker_config(extent: float) -> CutProjectConfig:
+    """Octagonal-symmetry scheme on Z^4 with the axis box [-1, 1)^2 as
+    acceptance window."""
     c = np.sqrt(2.0) / 2.0
     return CutProjectConfig(
         total_dim=4,
         physical=((1.0, c, 0.0, -c), (0.0, c, 1.0, c)),
         internal=((1.0, -c, 0.0, c), (0.0, c, -1.0, c)),
-        window=((-window_half, window_half), (-window_half, window_half)),
+        window=((-1.0, 1.0), (-1.0, 1.0)),
         offset=(0.01, 0.013, 0.017, 0.019),
         extent=extent,
     )

@@ -27,6 +27,13 @@ Registered scenarios:
                            characteristic function recovers the truth;
 * ``diffraction-catalog``— lattice / Poisson / quasiperiodic diffraction
                            signatures side by side.
+
+:data:`SCENARIOS` maps each name to its pipeline and to the tolerances that
+pipeline reads, with their defaults, so each tolerance is declared once.  A
+pipeline takes the seed, then those tolerances as keyword arguments, and
+returns its criteria and one ``(name, table, plot kind)``;
+:func:`run_scenario` writes the table into ``<scenario>-result.json`` and
+plots it as ``<scenario>-<name>.svg``.
 """
 
 from __future__ import annotations
@@ -137,9 +144,6 @@ class ScenarioConfig:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -164,15 +168,6 @@ class ScenarioResult:
 
 def _crit(name: str, measured, threshold: str, passed: bool) -> CriterionResult:
     return CriterionResult(name, str(measured), threshold, bool(passed))
-
-
-def _check_tolerance_names(cfg: ScenarioConfig, allowed: set[str]) -> None:
-    unknown = set(cfg.tolerances) - allowed
-    if unknown:
-        raise ConfigError(
-            f"scenario {cfg.scenario!r} does not use tolerances {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +233,16 @@ def _fibonacci_autocorr_family(radius: float = 0.15) -> TestFamily:
 # scenarios
 
 
-def _scenario_metric_axioms(cfg: ScenarioConfig):
-    _check_tolerance_names(cfg, {"eps_tol", "triples"})
-    eps_tol = cfg.tol("eps_tol", 1e-6)
-    triples = int(cfg.tol("triples", 500))
+def _scenario_metric_axioms(seed: int, eps_tol: float, triples: float):
     grid = LGrid.integers(200)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     base = gen_lattice(1, 1.0, 200.0, label="int-lattice")
     id_bad = 0
     sym_bad = 0
     tri_bad = 0
     worst_excess = 0.0
     rows = []
-    for t in range(triples):
+    for t in range(int(triples)):
         xs = [random_lattice_variant(rng, base, 3 * t + j) for j in range(3)]
         for x in xs:
             if rho_stat(x, x, grid, eps_tol=eps_tol).value != 0.0:
@@ -280,12 +272,10 @@ def _scenario_metric_axioms(cfg: ScenarioConfig):
             tri_bad == 0,
         ),
     )
-    return criteria, {"triples": table}, [("triples", table, "line")]
+    return criteria, ("triples", table, "line")
 
 
-def _scenario_completeness(cfg: ScenarioConfig):
-    _check_tolerance_names(cfg, {"eps_tol"})
-    eps_tol = cfg.tol("eps_tol", 1e-6)
+def _scenario_completeness(seed: int, eps_tol: float):
     extent = 512.0
     grid = LGrid.integers(512)
     limit = gen_lattice(1, 1.0, extent, label="int-lattice")
@@ -322,13 +312,10 @@ def _scenario_completeness(cfg: ScenarioConfig):
             step_ok,
         ),
     )
-    return criteria, {"dyadic": table}, [("dyadic", table, "line")]
+    return criteria, ("dyadic", table, "line")
 
 
-def _scenario_gh_vs_vague(cfg: ScenarioConfig):
-    _check_tolerance_names(cfg, {"eps_tol", "pairing_tol"})
-    eps_tol = cfg.tol("eps_tol", 1e-6)
-    pairing_tol = cfg.tol("pairing_tol", 1e-9)
+def _scenario_gh_vs_vague(seed: int, eps_tol: float, pairing_tol: float):
     extent = 2051.0
     grid = LGrid.integers(2000)
     lattice = gen_lattice(1, 1.0, extent, label="int-lattice")
@@ -385,12 +372,10 @@ def _scenario_gh_vs_vague(cfg: ScenarioConfig):
             and abs(ctrl_gap - 1.0) <= pairing_tol,
         ),
     )
-    return criteria, {"sequence": table}, [("sequence", table, "line")]
+    return criteria, ("sequence", table, "line")
 
 
-def _scenario_defect_convergence(cfg: ScenarioConfig):
-    _check_tolerance_names(cfg, {"gap_ceiling"})
-    gap_ceiling = cfg.tol("gap_ceiling", 0.01)
+def _scenario_defect_convergence(seed: int, gap_ceiling: float):
     extent = 4100.0
     base = gen_fibonacci(extent)
     values = base.points[:, 0]
@@ -438,13 +423,10 @@ def _scenario_defect_convergence(cfg: ScenarioConfig):
             gaps[-1] < gaps[0] / 2 and gaps[-1] < gap_ceiling,
         ),
     )
-    return criteria, {"defects": table}, [("defects", table, "line")]
+    return criteria, ("defects", table, "line")
 
 
-def _scenario_gh_counterexample(cfg: ScenarioConfig):
-    _check_tolerance_names(cfg, {"scan_step", "gap_floor"})
-    scan_step = cfg.tol("scan_step", 0.0025)
-    gap_floor = cfg.tol("gap_floor", 0.3)
+def _scenario_gh_counterexample(seed: int, scan_step: float, gap_floor: float):
     extent = 420.0
     lattice = gen_lattice(1, 1.0, extent, label="int-lattice")
     fib = gen_fibonacci(extent)
@@ -485,13 +467,10 @@ def _scenario_gh_counterexample(cfg: ScenarioConfig):
             gap_ok,
         ),
     )
-    return criteria, {"splice": table}, [("splice", table, "line")]
+    return criteria, ("splice", table, "line")
 
 
-def _scenario_uniform_quasicrystalline(cfg: ScenarioConfig):
-    _check_tolerance_names(cfg, {"portmanteau_tol", "support_pad"})
-    port_tol = cfg.tol("portmanteau_tol", 0.05)
-    support_pad = cfg.tol("support_pad", 0.0)
+def _scenario_uniform_quasicrystalline(seed: int, portmanteau_tol: float, support_pad: float):
     extent = 600.0
     base = gen_fibonacci(extent)
     grid = FrequencyGrid(axes=((0.04, 1.2, 2.5e-4),))
@@ -520,7 +499,7 @@ def _scenario_uniform_quasicrystalline(cfg: ScenarioConfig):
     radii = (150.0, 250.0, 350.0, 500.0)
     seq = [autocorrelation(members[1], r, max_range=2.0) for r in radii]
     balls = [((0.0,), 0.2), ((1.0,), 0.2), ((TAU,), 0.2)]
-    port = portmanteau_check(seq, seq[-1], compacts=balls, opens=balls, tol=port_tol)
+    port = portmanteau_check(seq, seq[-1], compacts=balls, opens=balls, tol=portmanteau_tol)
 
     diag = singularity_diagnostic(
         base, [125.0, 250.0, 500.0], FrequencyGrid(axes=((0.04, 1.2, 1.25e-4),))
@@ -541,7 +520,7 @@ def _scenario_uniform_quasicrystalline(cfg: ScenarioConfig):
         _crit(
             "vague-tail-inequalities",
             f"compact_ok={port.compact_ok}, open_ok={port.open_ok}",
-            f"both tail inequalities hold at tol {port_tol:g}",
+            f"both tail inequalities hold at tol {portmanteau_tol:g}",
             port.passed,
         ),
         _crit(
@@ -551,12 +530,10 @@ def _scenario_uniform_quasicrystalline(cfg: ScenarioConfig):
             diag.verdict == "singular-dominant",
         ),
     )
-    return criteria, {"members": table}, [("members", table, "scatter")]
+    return criteria, ("members", table, "scatter")
 
 
-def _scenario_ft_continuity(cfg: ScenarioConfig):
-    _check_tolerance_names(cfg, {"deviation_ceiling"})
-    ceiling = cfg.tol("deviation_ceiling", 0.02)
+def _scenario_ft_continuity(seed: int, deviation_ceiling: float):
     extent = 2051.0
     lattice = gen_lattice(1, 1.0, extent, label="int-lattice")
     grid = FrequencyGrid(axes=((-1.6, 1.596875, 0.003125),))
@@ -594,28 +571,26 @@ def _scenario_ft_continuity(cfg: ScenarioConfig):
         _crit(
             "deviation-small",
             f"{devs[-1]:.6g}",
-            f"deviation at n=32 < {ceiling:g}",
-            devs[-1] < ceiling,
+            f"deviation at n=32 < {deviation_ceiling:g}",
+            devs[-1] < deviation_ceiling,
         ),
     )
-    return criteria, {"deviation": table}, [("deviation", table, "line")]
+    return criteria, ("deviation", table, "line")
 
 
-def _scenario_boundary(cfg: ScenarioConfig):
-    _check_tolerance_names(cfg, {"far_ratio_ceiling"})
-    far_ceiling = cfg.tol("far_ratio_ceiling", 0.005)
+def _scenario_boundary(seed: int, far_ratio_ceiling: float):
     lattice = gen_lattice(1, 1.0, 1100.0, label="int-lattice")
     model = NoiseModel.gaussian(1, 0.1)
     radii = [100.0, 1000.0]
 
     rows = []
     near_ok = 0
-    for seed in range(10):
-        rep = boundary_crossings(lattice, model, cfg.seed + seed, radii)
+    for s in range(10):
+        rep = boundary_crossings(lattice, model, seed + s, radii)
         near, far = rep.records[0], rep.records[-1]
         rows.append(
             (
-                float(seed),
+                float(s),
                 float(near.exits + near.entries),
                 near.ratio,
                 far.ratio,
@@ -625,7 +600,7 @@ def _scenario_boundary(cfg: ScenarioConfig):
     med_near = float(np.median([r[2] for r in rows]))
     med_far = float(np.median([r[3] for r in rows]))
 
-    zero = boundary_crossings(lattice, NoiseModel.gaussian(1, 0.0), cfg.seed, radii)
+    zero = boundary_crossings(lattice, NoiseModel.gaussian(1, 0.0), seed, radii)
     zero_ok = all(r.exits == 0 and r.entries == 0 for r in zero.records)
 
     table = Table(("seed", "near_crossings", "near_ratio", "far_ratio"), tuple(rows))
@@ -639,8 +614,8 @@ def _scenario_boundary(cfg: ScenarioConfig):
         _crit(
             "far-ratio-small",
             f"{med_far:.6g}",
-            f"median ratio at L={radii[-1]:g} <= {far_ceiling:g}",
-            med_far <= far_ceiling,
+            f"median ratio at L={radii[-1]:g} <= {far_ratio_ceiling:g}",
+            med_far <= far_ratio_ceiling,
         ),
         _crit(
             "near-crossings-rare",
@@ -655,16 +630,13 @@ def _scenario_boundary(cfg: ScenarioConfig):
             zero_ok,
         ),
     )
-    return criteria, {"crossings": table}, [("crossings", table, "scatter")]
+    return criteria, ("crossings", table, "scatter")
 
 
-def _scenario_recovery(cfg: ScenarioConfig):
-    _check_tolerance_names(cfg, {"median_error_ceiling", "char_fn_tol"})
-    err_ceiling = cfg.tol("median_error_ceiling", 0.05)
-    cf_tol = cfg.tol("char_fn_tol", 1e-4)
+def _scenario_recovery(seed: int, median_error_ceiling: float, char_fn_tol: float):
     lattice = gen_lattice(1, 1.0, 5010.0, label="int-lattice")
     model = NoiseModel.gaussian(1, 0.1)
-    seeds = [cfg.seed + s for s in range(10)]
+    seeds = [seed + s for s in range(10)]
 
     report = recovery_trial(lattice, model, seeds, [[1.0], [0.5]], radius=5000.0)
     bragg, off = report.rows
@@ -673,7 +645,7 @@ def _scenario_recovery(cfg: ScenarioConfig):
 
     psi_g = char_fn(NoiseModel.gaussian(1, 0.1), [1.0])
     psi_u = char_fn(NoiseModel.uniform(1, 0.25), [1.0])
-    cf_ok = abs(psi_g - 0.8209) <= cf_tol and abs(psi_u - 2.0 / np.pi) <= cf_tol
+    cf_ok = abs(psi_g - 0.8209) <= char_fn_tol and abs(psi_u - 2.0 / np.pi) <= char_fn_tol
 
     rows = tuple(
         (float(s), abs(bragg.recovered[i] - 2.0), abs(off.recovered[i]))
@@ -684,23 +656,23 @@ def _scenario_recovery(cfg: ScenarioConfig):
         _crit(
             "bragg-amplitude-recovered",
             f"median |recovered - 2| = {med_bragg:.6g}",
-            f"<= {err_ceiling:g} at the unit frequency",
-            med_bragg <= err_ceiling,
+            f"<= {median_error_ceiling:g} at the unit frequency",
+            med_bragg <= median_error_ceiling,
         ),
         _crit(
             "off-bragg-stays-null",
             f"median |recovered| = {med_off:.6g}",
-            f"<= {err_ceiling:g} at the half-integer frequency",
-            med_off <= err_ceiling,
+            f"<= {median_error_ceiling:g} at the half-integer frequency",
+            med_off <= median_error_ceiling,
         ),
         _crit(
             "characteristic-closed-forms",
             f"gaussian {psi_g.real:.6f}, uniform {psi_u.real:.6f}",
-            f"0.8209 and 2/pi within {cf_tol:g}",
+            f"0.8209 and 2/pi within {char_fn_tol:g}",
             cf_ok,
         ),
     )
-    return criteria, {"recovery": table}, [("recovery", table, "scatter")]
+    return criteria, ("recovery", table, "scatter")
 
 
 def _doubling_drift(diag) -> tuple[float, float]:
@@ -723,10 +695,7 @@ def _doubling_drift(diag) -> tuple[float, float]:
     return worst_pos, worst_mass
 
 
-def _scenario_diffraction_catalog(cfg: ScenarioConfig):
-    _check_tolerance_names(cfg, {"mass_tol", "poisson_rel_tol"})
-    mass_tol = cfg.tol("mass_tol", 1e-3)
-    poisson_rel = cfg.tol("poisson_rel_tol", 0.10)
+def _scenario_diffraction_catalog(seed: int, mass_tol: float, poisson_rel_tol: float):
 
     # lattice: unit-mass peaks of equal weight at every integer frequency
     lattice = gen_lattice(1, 1.0, 220.0, label="int-lattice")
@@ -746,7 +715,7 @@ def _scenario_diffraction_catalog(cfg: ScenarioConfig):
     ac_verdicts = 0
     pois_rows = []
     for s in range(20):
-        x = gen_poisson(1.0, 1, 2100.0, seed=cfg.seed + s)
+        x = gen_poisson(1.0, 1, 2100.0, seed=seed + s)
         spec = amplitude_spectrum(x, 2000.0, pois_grid)
         powers.append(spec.power.mean())
         verdict = singularity_diagnostic(
@@ -779,8 +748,8 @@ def _scenario_diffraction_catalog(cfg: ScenarioConfig):
         _crit(
             "poisson-flat-level",
             f"mean power {mean_power:.6g}",
-            f"within {poisson_rel:.0%} of 2 over the low-frequency band",
-            abs(mean_power - 2.0) <= poisson_rel * 2.0,
+            f"within {poisson_rel_tol:.0%} of 2 over the low-frequency band",
+            abs(mean_power - 2.0) <= poisson_rel_tol * 2.0,
         ),
         _crit(
             "poisson-verdicts",
@@ -799,29 +768,49 @@ def _scenario_diffraction_catalog(cfg: ScenarioConfig):
             and fib_diag.background_ratio < 0.01,
         ),
     )
-    return criteria, {"poisson": table}, [("poisson", table, "scatter")]
+    return criteria, ("poisson", table, "scatter")
 
 
+# name -> (pipeline, the tolerances it reads with their defaults)
 SCENARIOS = {
-    "metric-axioms": _scenario_metric_axioms,
-    "completeness": _scenario_completeness,
-    "gh-vs-vague": _scenario_gh_vs_vague,
-    "defect-convergence": _scenario_defect_convergence,
-    "gh-counterexample": _scenario_gh_counterexample,
-    "uniform-quasicrystalline": _scenario_uniform_quasicrystalline,
-    "ft-continuity": _scenario_ft_continuity,
-    "boundary": _scenario_boundary,
-    "recovery": _scenario_recovery,
-    "diffraction-catalog": _scenario_diffraction_catalog,
+    "metric-axioms": (_scenario_metric_axioms, {"eps_tol": 1e-6, "triples": 500}),
+    "completeness": (_scenario_completeness, {"eps_tol": 1e-6}),
+    "gh-vs-vague": (_scenario_gh_vs_vague, {"eps_tol": 1e-6, "pairing_tol": 1e-9}),
+    "defect-convergence": (_scenario_defect_convergence, {"gap_ceiling": 0.01}),
+    "gh-counterexample": (_scenario_gh_counterexample, {"scan_step": 0.0025, "gap_floor": 0.3}),
+    "uniform-quasicrystalline": (
+        _scenario_uniform_quasicrystalline,
+        {"portmanteau_tol": 0.05, "support_pad": 0.0},
+    ),
+    "ft-continuity": (_scenario_ft_continuity, {"deviation_ceiling": 0.02}),
+    "boundary": (_scenario_boundary, {"far_ratio_ceiling": 0.005}),
+    "recovery": (_scenario_recovery, {"median_error_ceiling": 0.05, "char_fn_tol": 1e-4}),
+    "diffraction-catalog": (
+        _scenario_diffraction_catalog,
+        {"mass_tol": 1e-3, "poisson_rel_tol": 0.10},
+    ),
 }
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    """Run one registered scenario, write its artifacts, return the result."""
+    """Run one registered scenario, write its artifacts, return the result.
+
+    The scenario receives every tolerance it declares in :data:`SCENARIOS`,
+    each at the configured value or else at its default; a configured name
+    it does not declare is refused.
+    """
     if cfg.scenario not in SCENARIOS:
         raise UnknownScenarioError(
             f"unknown scenario {cfg.scenario!r}; registered: {sorted(SCENARIOS)}"
         )
+    pipeline, defaults = SCENARIOS[cfg.scenario]
+    unknown = set(cfg.tolerances) - set(defaults)
+    if unknown:
+        raise ConfigError(
+            f"scenario {cfg.scenario!r} does not use tolerances {sorted(unknown)}; "
+            f"allowed: {sorted(defaults)}"
+        )
+    tolerances = {name: float(cfg.tolerances.get(name, v)) for name, v in defaults.items()}
     t0 = time.perf_counter()
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -832,15 +821,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     except OSError as exc:
         raise ConfigError(f"output directory {cfg.out_dir!r} is not writable: {exc}") from exc
 
-    criteria, tables, plots = SCENARIOS[cfg.scenario](cfg)
+    criteria, (name, table, kind) = pipeline(cfg.seed, **tolerances)
     elapsed = time.perf_counter() - t0
 
-    manifest = []
     config_hash = cfg.config_hash()
-    for name, table, kind in plots:
-        path = os.path.join(cfg.out_dir, f"{cfg.scenario}-{name}.svg")
-        plot_emit(table, kind, path, title=f"{cfg.scenario}: {name}", config_hash=config_hash)
-        manifest.append(path)
+    svg_path = os.path.join(cfg.out_dir, f"{cfg.scenario}-{name}.svg")
+    plot_emit(table, kind, svg_path, title=f"{cfg.scenario}: {name}", config_hash=config_hash)
 
     doc = {
         "scenario": cfg.scenario,
@@ -857,18 +843,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             for c in criteria
         ],
         "tables": {
-            name: {"columns": list(t.columns), "rows": [list(r) for r in t.rows]}
-            for name, t in tables.items()
+            name: {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}
         },
     }
     result_path = os.path.join(cfg.out_dir, f"{cfg.scenario}-result.json")
     atomic_write_text(result_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    manifest.append(result_path)
 
     return ScenarioResult(
         scenario=cfg.scenario,
         criteria=tuple(criteria),
-        tables=tables,
-        manifest=tuple(manifest),
+        tables={name: table},
+        manifest=(svg_path, result_path),
         elapsed_seconds=elapsed,
     )

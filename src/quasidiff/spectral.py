@@ -150,9 +150,6 @@ class Spectrum:
         object.__setattr__(self, "power", pw)
         object.__setattr__(self, "valid", valid)
 
-    def frequencies(self) -> np.ndarray:
-        return self.grid.nodes()
-
     def __repr__(self) -> str:
         return (
             f"Spectrum(label={self.label!r}, L={self.window_radius!r}, "
@@ -297,6 +294,8 @@ def analyze_peaks(
         raise EmptySpectrumError("need at least three nodes to look for peaks")
     step = spec.grid.axes[0][2]
     width = 4.0 / spec.window_radius if peak_window_width is None else float(peak_window_width)
+    if not (math.isfinite(width) and math.isfinite(threshold_ratio)):
+        raise InvalidArgumentError("peak window width and threshold ratio must be finite")
     if width < 2 * step * (1 - 1e-12):
         raise InvalidArgumentError("peak window width must cover at least two grid steps")
 
@@ -329,11 +328,12 @@ def analyze_peaks(
         offset = 0.0 if symmetric else 0.5 * (pm - pp) / denom
         loc = float(freqs[idx] + offset * step)
         lo, hi = loc - width / 2, loc + width / 2
-        sel = (freqs >= lo) & (freqs <= hi)
-        mass = float(np.trapezoid(power[sel], freqs[sel])) if sel.sum() >= 2 else 0.0
+        # freqs is sorted, so the nodes in [lo, hi] are one slice
+        a, b = np.searchsorted(freqs, lo, side="left"), np.searchsorted(freqs, hi, side="right")
+        mass = float(np.trapezoid(power[a:b], freqs[a:b])) if b - a >= 2 else 0.0
         peaks.append(Peak(float(freqs[idx]), loc, float(p0), mass))
         boxes.append((lo, hi))
-        outside &= ~sel
+        outside[a:b] = False
     order = np.argsort([p.location for p in peaks], kind="stable")
     peaks = tuple(peaks[i] for i in order)
     boxes = tuple(boxes[i] for i in order)
@@ -393,17 +393,12 @@ def _off_zero(report: PeakReport) -> list[Peak]:
     return [p for p in report.peaks if abs(p.location) > report.window_width]
 
 
-def singularity_diagnostic(
-    x: PointSet,
-    l_list,
-    grid: FrequencyGrid,
-    peak_window_width: float | None = None,
-) -> SingularityReport:
+def singularity_diagnostic(x: PointSet, l_list, grid: FrequencyGrid) -> SingularityReport:
     """Evidence for a point-dominant versus continuous-dominant spectrum.
 
-    Periodograms at each radius are peak-analyzed (detection threshold 1% of
-    the maximum, so small stable atoms are counted rather than swept into
-    the background).  The verdict is:
+    Periodograms at each radius are peak-analyzed with the default 4/L peak
+    window (detection threshold 1% of the maximum, so small stable atoms are
+    counted rather than swept into the background).  The verdict is:
 
     * "singular-dominant" — the top (up to five) off-zero peaks persist at
       every radius with mass drift < 5% over the last doubling, background
@@ -432,16 +427,13 @@ def singularity_diagnostic(
         raise InvalidArgumentError("need at least three strictly increasing window radii")
     require_extent(radii[-1], x.extent, "largest window radius")
 
-    reports = []
-    for radius in radii:
-        spec = amplitude_spectrum(x, radius, grid)
-        reports.append(
-            analyze_peaks(
-                spec,
-                peak_window_width=peak_window_width,
-                threshold_ratio=_THRESHOLDS["peak_threshold_ratio"],
-            )
+    reports = [
+        analyze_peaks(
+            amplitude_spectrum(x, radius, grid),
+            threshold_ratio=_THRESHOLDS["peak_threshold_ratio"],
         )
+        for radius in radii
+    ]
 
     rows = []
     for radius, rep in zip(radii, reports):
@@ -472,6 +464,7 @@ def singularity_diagnostic(
 
     masses_stable = len(tracked) > 0
     for peak in tracked:
+        # the loop ends in prev, whose tolerance is match_tol: mate is prev's
         for rep in reports[:-1]:
             mate = find(rep.peaks, peak.location, max(match_tol, rep.window_width / 2))
             if mate is None:
@@ -479,7 +472,6 @@ def singularity_diagnostic(
                 break
         if not masses_stable:
             break
-        mate = find(prev.peaks, peak.location, match_tol)
         drift = abs(peak.mass - mate.mass) / max(abs(peak.mass), 1e-300)
         if drift >= _THRESHOLDS["mass_drift_over_doubling"]:
             masses_stable = False

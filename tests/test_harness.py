@@ -227,8 +227,7 @@ class TestScenarioConfig:
         assert cfg.scenario == "completeness"
         assert cfg.seed == 3
         assert cfg.out_dir == "somewhere"
-        assert cfg.tol("eps_tol", 1e-6) == 1e-7
-        assert cfg.tol("absent", 0.25) == 0.25
+        assert cfg.tolerances == {"eps_tol": 1e-7}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="frobnicate"):
@@ -476,6 +475,48 @@ class TestCli:
         for argv in (["perturb", "--input", src], ["recover", "--input", spec]):
             assert main([*argv, "--noise", noise, "--out", str(tmp_path / "o")]) == 2
             assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_unknown_tolerance_exits_two_and_lists_the_allowed(self, tmp_path, capsys, name):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"scenario": name, "tolerances": {"frobnicate": 1.0}}))
+        assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        allowed = sorted(SCENARIOS[name][1])
+        err = capsys.readouterr().err
+        assert f"does not use tolerances ['frobnicate']; allowed: {allowed}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "lattice", "--extent", "inf"],
+            ["--kind", "lattice", "--extent", "nan"],
+            ["--kind", "lattice", "--extent", "10", "--spacing", "inf"],
+            ["--kind", "visible", "--extent", "inf"],
+            ["--kind", "poisson", "--extent", "inf"],
+            ["--kind", "poisson", "--extent", "10", "--intensity", "inf"],
+            ["--kind", "fibonacci", "--extent", "inf"],
+            ["--kind", "fibonacci-cut-project", "--extent", "inf"],
+            ["--kind", "ammann-beenker", "--extent", "inf"],
+        ],
+    )
+    def test_non_finite_generator_input_exits_two(self, tmp_path, capsys, argv):
+        assert main(["gen", *argv, "--out", str(tmp_path / "x.pts")]) == 2
+        assert "must be a positive finite number, got" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", [["--width", "nan"], ["--width", "inf"],
+                 ["--threshold-ratio", "nan"], ["--threshold-ratio", "inf"]],
+    )
+    def test_non_finite_peak_setting_exits_two(self, tmp_path, capsys, flag):
+        src = noise_free_lattice(tmp_path)
+        spec = str(tmp_path / "s.csv")
+        assert main(
+            ["spectrum", "--input", src, "--radius", "50", "--grid=-1.5:1.5:0.01", "--out", spec]
+        ) == 0
+        capsys.readouterr()
+        assert main(["peaks", "--input", spec, *flag]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_scenario_config_with_unknown_key_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

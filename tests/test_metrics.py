@@ -22,6 +22,7 @@ from quasidiff.metrics import (
     rho_gh,
     rho_stat,
 )
+from quasidiff.geometry import lex_sort, min_pairwise_gap
 from quasidiff.pointset import PointSet, gen_lattice, gen_poisson, window
 
 from conftest import remove_points, shifted_lattice
@@ -224,7 +225,7 @@ class TestRhoStat:
 
     def test_square_defects(self, lattice_1001):
         _, defective = lattice_minus_squares()
-        res = rho_stat(lattice_1001, defective, GRID_1000, exponent=1.0)
+        res = rho_stat(lattice_1001, defective, GRID_1000)
         # counts are eps-independent below 0.5, so the infimum is exactly the
         # peak mismatch ratio 0.25 and bisection lands within eps_tol of it
         assert abs(res.value - 0.25) <= 1e-6
@@ -246,6 +247,83 @@ class TestRhoStat:
         y = shifted_lattice(0.2, 50.0)
         with pytest.raises(InsufficientExtentError):
             rho_stat(x, y, LGrid.integers(60))
+
+
+# ---------------------------------------------------------------------------
+# rho_stat against the exact infimum
+
+ORACLE_EXTENT = {1: 40.0, 2: 7.0}
+ORACLE_EPS_TOL = 1e-6
+
+
+def edited_lattices(dim: int):
+    """The unit lattice with up to six points each moved by at most 0.3 per
+    axis or dropped; sep_radius is the measured gap, at least 0.4."""
+    base = gen_lattice(dim, 1.0, ORACLE_EXTENT[dim])
+    shift = st.tuples(*[st.floats(-0.3, 0.3)] * dim)
+    edits = st.lists(
+        st.tuples(st.integers(0, len(base) - 1), st.one_of(st.none(), shift)),
+        max_size=6,
+        unique_by=lambda e: e[0],
+    )
+
+    def build(edits):
+        pts = base.points.copy()
+        for i, move in edits:
+            if move is not None:
+                pts[i] += move
+        pts = lex_sort(np.delete(pts, [i for i, move in edits if move is None], axis=0))
+        # moved points may leave the lattice's ball; the grid stops at its radius
+        return PointSet(dim, min_pairwise_gap(pts), base.extent + 0.5, pts)
+
+    return edits.map(build)
+
+
+def exact_rho_stat(x: PointSet, y: PointSet, grid: LGrid) -> float | None:
+    """inf {eps in (0, cap] : ratio(eps) < eps}, or None when no eps is feasible.
+
+    Each window's nearest-partner distances are brute forced.  A mismatch
+    count only changes at one of them, so the ratio is constant on each
+    interval (lo, hi] between consecutive distances below the cap, and its
+    feasible part is (max(lo, ratio), hi] when ratio < hi.  The ratio is
+    nonincreasing, so the first nonempty part holds the infimum.
+    """
+    cap = min(x.sep_radius, y.sep_radius) / 2
+    dist = np.sqrt(((x.points[:, None, :] - y.points[None, :, :]) ** 2).sum(axis=2))
+    in_x, in_y = (x.points**2).sum(axis=1), (y.points**2).sum(axis=1)
+    near = []
+    for r in grid.array():
+        d = dist[in_x <= r * r][:, in_y <= r * r]
+        near.append((r, np.concatenate([d.min(axis=1, initial=np.inf), d.min(axis=0, initial=np.inf)])))
+
+    def ratio(eps: float) -> float:
+        return max(np.count_nonzero(n >= eps) / r**x.dim for r, n in near)
+
+    lo = 0.0
+    for hi in sorted({float(v) for _, n in near for v in n if 0 < v < cap}) + [cap]:
+        value = ratio(hi)
+        if value < hi:
+            return max(lo, value)
+        lo = hi
+    return None
+
+
+class TestRhoStatExactInfimum:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_within_eps_tol_above_the_exact_infimum(self, dim, data):
+        x = data.draw(edited_lattices(dim), label="x")
+        y = data.draw(edited_lattices(dim), label="y")
+        grid = LGrid.integers(int(ORACLE_EXTENT[dim]))
+        exact = exact_rho_stat(x, y, grid)
+        res = rho_stat(x, y, grid, eps_tol=ORACLE_EPS_TOL)
+        if exact is None:
+            assert res.capped
+            assert res.value == min(x.sep_radius, y.sep_radius) / 2
+        else:
+            assert not res.capped
+            assert exact <= res.value <= exact + ORACLE_EPS_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -322,29 +400,12 @@ class TestRhoGH:
 class TestRhoAut:
     def test_square_defects_sup(self, lattice_1001):
         _, defective = lattice_minus_squares()
-        res = rho_aut(lattice_1001, defective, GRID_1000, mode="sup")
+        res = rho_aut(lattice_1001, defective, GRID_1000)
         assert res.value == 0.25
         assert res.attained_L == 4.0
 
-    def test_square_defects_tail(self, lattice_1001):
-        _, defective = lattice_minus_squares()
-        res = rho_aut(
-            lattice_1001, defective, GRID_1000, mode="tail_limsup", tail_start=100.0
-        )
-        assert res.value == pytest.approx(0.09, abs=1e-12)
-        assert res.attained_L == 100.0
-        assert res.trend == "decreasing"
-
-    def test_identity_zero_both_modes(self, lattice_1001):
-        assert rho_aut(lattice_1001, lattice_1001, GRID_1000, mode="sup").value == 0.0
-        tail = rho_aut(
-            lattice_1001, lattice_1001, GRID_1000, mode="tail_limsup", tail_start=100.0
-        )
-        assert tail.value == 0.0
-
-    def test_rejects_unknown_mode(self, lattice_1001):
-        with pytest.raises(InvalidArgumentError):
-            rho_aut(lattice_1001, lattice_1001, GRID_1000, mode="limsup")
+    def test_identity_zero(self, lattice_1001):
+        assert rho_aut(lattice_1001, lattice_1001, GRID_1000).value == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(pair=SMALL_PAIRS)
@@ -402,8 +463,8 @@ class TestMetricProperties:
                 == ratio_sup(y, x, 0.25, 1.0, self.GRID).value
             )
             assert (
-                rho_aut(x, y, self.GRID, mode="sup").value
-                == rho_aut(y, x, self.GRID, mode="sup").value
+                rho_aut(x, y, self.GRID).value
+                == rho_aut(y, x, self.GRID).value
             )
 
     def test_triangle_inequality_sampled(self):
@@ -421,7 +482,7 @@ class TestMetricProperties:
     def test_density_distance_dominates(self):
         for x, y in self.pairs(6, seed=303):
             stat = rho_stat(x, y, self.GRID).value
-            aut = rho_aut(x, y, self.GRID, mode="sup").value
+            aut = rho_aut(x, y, self.GRID).value
             assert stat <= aut + 1e-6
 
     def test_small_distance_forces_window_alignment(self, lattice_1001):

@@ -309,3 +309,33 @@ class TestRecoveryTrial:
             (values.real.var(ddof=1) + values.imag.var(ddof=1)) / len(values)
         )
         assert abs(mean - psi * truth) <= 3 * stderr
+
+
+# ---------------------------------------------------------------------------
+# closed-form spectrum of a perturbed lattice
+
+
+def test_perturbed_lattice_power_matches_closed_form():
+    # for i.i.d. displacements with characteristic function psi the window's
+    # expected power is (N / L^d)(1 - |psi|^2) + |psi|^2 power_0: a continuous
+    # floor plus the damped unperturbed power (Hof 1995; Baake, Birkner &
+    # Moody 2010).  On these nodes N lam = lam mod 1, so power_0 = 1/L and
+    # the floor dominates.  The bound is a standard-error multiple.
+    z = gen_lattice(1, 1.0, 2010.0)
+    radius = 2000.0
+    model = NoiseModel.gaussian(1, 0.2)
+    grid = FrequencyGrid(axes=((0.105, 0.895, 0.01),))
+    assert grid.node_count == 80
+    count = int((np.abs(z.points[:, 0]) <= radius).sum())
+    psi2 = np.abs(char_fn_grid(model, grid.nodes())) ** 2
+    power0 = amplitude_spectrum(z, radius, grid).power
+    predicted = count / radius * (1 - psi2) + psi2 * power0
+    # one node-averaged ratio of measured to predicted power per seed
+    ratios = np.array(
+        [
+            (amplitude_spectrum(perturb(z, model, seed), radius, grid).power / predicted).mean()
+            for seed in range(100)
+        ]
+    )
+    stderr = ratios.std(ddof=1) / math.sqrt(len(ratios))
+    assert abs(ratios.mean() - 1.0) <= 3 * stderr

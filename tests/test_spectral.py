@@ -404,17 +404,22 @@ class TestAnalyzePeaks:
 
 class TestSingularityDiagnostic:
     def test_lattice_singular_dominant(self, lattice_220):
-        # half-unit peak windows integrate essentially the whole kernel, so
-        # each atom's mass approaches the density 2 as the window grows
+        # the default peak window is 4/L wide; the L = 200 window holds
+        # n = 401 points, whose power |sum_m e(m lam)|^2 / L integrates over
+        # |lam - k| <= 2/L to (2hn + sum_m 2(n - m) sin(2 pi m h)/(pi m)) / L
+        # with h = 2/L and m = 1..n-1 (the Fejer kernel), 1.954387...
         grid = FrequencyGrid(axes=((0.04, 2.46, 2e-4),))
-        report = singularity_diagnostic(
-            lattice_220, [50.0, 100.0, 200.0], grid, peak_window_width=0.5
-        )
+        report = singularity_diagnostic(lattice_220, [50.0, 100.0, 200.0], grid)
         assert report.verdict == "singular-dominant"
+        n, radius = 401, 200.0
+        h = 2.0 / radius
+        m = np.arange(1, n)
+        tail = (2 * (n - m) * np.sin(2 * np.pi * m * h) / (np.pi * m)).sum()
+        fejer = (2 * h * n + tail) / radius
         last = report.rows[-1]
-        assert last.top_off_zero
+        assert sorted(round(p.location) for p in last.top_off_zero) == [1, 2]
         for peak in last.top_off_zero:
-            assert abs(peak.mass - 2.0) <= 0.02 * 2.0
+            assert peak.mass == pytest.approx(fejer, abs=1e-4)
         assert report.background_ratio < 0.01
 
     def test_poisson_ac_dominant(self):
