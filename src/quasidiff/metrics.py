@@ -210,8 +210,8 @@ def rho_stat(
     eps, hence an upper bound within eps_tol of the infimum.
     """
     _check_pair(x, y)
-    if not (eps_tol > 0):
-        raise InvalidArgumentError("eps_tol must be positive")
+    if not (0 < eps_tol < math.inf):
+        raise InvalidArgumentError(f"eps_tol must be positive and finite, got {eps_tol!r}")
     r0 = min(x.require_separation(), y.require_separation())
     if x == y:
         return MetricResult(0.0)
@@ -265,8 +265,8 @@ def rho_gh(x: PointSet, y: PointSet, eps_tol: float = 1e-4) -> MetricResult:
     window of radius 1/eps_tol, so both extents must reach that far.
     """
     _check_pair(x, y)
-    if not (eps_tol > 0):
-        raise InvalidArgumentError("eps_tol must be positive")
+    if not (0 < eps_tol < math.inf):
+        raise InvalidArgumentError(f"eps_tol must be positive and finite, got {eps_tol!r}")
     if x == y:
         return MetricResult(0.0)
     require_extent(1.0 / eps_tol, min(x.extent, y.extent), "scan start radius 1/eps_tol")

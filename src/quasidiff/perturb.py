@@ -17,6 +17,7 @@ under a guard threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,8 +26,8 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateTrialError, InvalidArgumentError
-from .geometry import lex_sort, min_pairwise_gap, require_extent, sq_norms, window_mask
-from .pointset import PointSet
+from .geometry import lex_sort, require_extent, sq_norms, window_mask
+from .pointset import PointSet, _with_measured_gap
 from .spectral import FrequencyGrid, Spectrum, _exp_sums
 
 _MARGIN_SAMPLES = 200_000
@@ -109,6 +110,13 @@ class NoiseModel:
                 raise InvalidArgumentError("pareto_radial needs alpha > 0 and scale > 0")
         else:
             raise InvalidArgumentError(f"unknown noise kind {self.kind!r}")
+        # tuples throughout, so a model built from lists still hashes (and
+        # keys the displacement_margin memo)
+        object.__setattr__(self, "sigmas", tuple(self.sigmas))
+        object.__setattr__(self, "half_widths", tuple(self.half_widths))
+        object.__setattr__(
+            self, "components", tuple((w, tuple(mean), s) for w, mean, s in self.components)
+        )
         if not self.finite_moment:
             warnings.warn(
                 f"noise model has infinite E|xi|^(d+eps) moment: alpha={self.alpha!r} "
@@ -202,7 +210,9 @@ def perturb(x: PointSet, model: NoiseModel, seed: int) -> PointSet:
 
     Point i (in canonical order) uses the stream keyed by (seed, the set's
     label, i), so windowing the result commutes with windowing the input up
-    to boundary crossings, and different seeds are independent.
+    to boundary crossings, and different seeds are independent.  The result's
+    ``sep_radius`` is the measured minimum gap of the displaced points (the
+    input's when fewer than two points remain).
     """
     if model.dim != x.dim:
         raise InvalidArgumentError("noise model and set dimensions differ")
@@ -211,11 +221,9 @@ def perturb(x: PointSet, model: NoiseModel, seed: int) -> PointSet:
     key = rng.stream_key(seed, x.label)
     moved = x.points + _displacements(model, key, np.arange(len(x.points), dtype=np.uint64))
     pts = lex_sort(moved)
-    gap = min_pairwise_gap(pts)
-    sep = float(gap) if np.isfinite(gap) else x.sep_radius
     reach = float(np.sqrt(sq_norms(pts).max()))
     extent = x.extent if reach <= x.extent * (1.0 + 1e-9) else reach * (1.0 + 1e-12)
-    return PointSet(x.dim, sep, extent, pts, x.label)
+    return _with_measured_gap(x.dim, extent, pts, x.label, x.sep_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +290,8 @@ def recover(spec: Spectrum, model: NoiseModel, guard: float = _GUARD) -> Spectru
     dividing by a Monte Carlo estimate would inject its sampling noise into
     every downstream comparison.
     """
-    if not (guard > 0):
-        raise InvalidArgumentError("guard must be positive")
+    if not (0 < guard < math.inf):
+        raise InvalidArgumentError(f"guard must be positive and finite, got {guard!r}")
     if model.dim != spec.grid.dim:
         raise InvalidArgumentError("noise model and spectrum dimensions differ")
     psi = char_fn_grid(model, spec.grid.nodes())
@@ -296,8 +304,13 @@ def recover(spec: Spectrum, model: NoiseModel, guard: float = _GUARD) -> Spectru
 # boundary behavior and end-to-end trials
 
 
+@functools.lru_cache(maxsize=None)
 def displacement_margin(model: NoiseModel) -> float:
-    """High quantile (99.9%) of the displacement length, by fixed-seed MC."""
+    """High quantile (99.9%) of the displacement length, by fixed-seed MC.
+
+    The draw is keyed by the model alone, so the result is memoised per
+    (frozen, hashable) model: each distinct law pays for its samples once.
+    """
     key = rng.stream_key(0, f"margin:{model.kind}:{model.dim}")
     xi = _displacements(model, key, np.arange(_MARGIN_SAMPLES, dtype=np.uint64))
     return float(np.percentile(np.sqrt(sq_norms(xi)), _MARGIN_PERCENTILE))
@@ -361,7 +374,6 @@ class RecoveryRow:
 @dataclass(frozen=True)
 class RecoveryReport:
     window_radius: float
-    guard: float
     margin: float
     rows: tuple[RecoveryRow, ...]
 
@@ -420,4 +432,4 @@ def recovery_trial(
                 valid=bool(usable[i]),
             )
         )
-    return RecoveryReport(radius, _GUARD, margin, tuple(rows))
+    return RecoveryReport(radius, margin, tuple(rows))

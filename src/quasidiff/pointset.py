@@ -151,6 +151,21 @@ class PointSet:
         return self.sep_radius
 
 
+def _with_measured_gap(
+    dim: int, extent: float, points: np.ndarray, label: str, fallback: float
+) -> PointSet:
+    """PointSet whose ``sep_radius`` is the measured minimum gap of its points
+    (``fallback`` below two points).
+
+    Every canonical-form check runs first; the gap is then measured once and
+    declared, so it needs no check against itself.
+    """
+    x = PointSet(dim, 0.0, extent, points, label)
+    gap = min_pairwise_gap(x.points)
+    object.__setattr__(x, "sep_radius", gap if np.isfinite(gap) else fallback)
+    return x
+
+
 @dataclass(frozen=True)
 class SetStats:
     """Summary returned by :func:`set_stats`."""
@@ -360,10 +375,7 @@ def gen_cut_project(cfg: CutProjectConfig, label: str | None = None) -> PointSet
         internal = partial @ s[d:].T
         for i, (lo, hi) in enumerate(cfg.window):
             keep &= (internal[:, i] >= lo) & (internal[:, i] < hi)
-    pts = lex_sort(phys[keep])
-    gap = min_pairwise_gap(pts)
-    sep = 0.0 if not np.isfinite(gap) else gap
-    return PointSet(d, sep, cfg.extent, pts, label or "cut-project")
+    return _with_measured_gap(d, cfg.extent, lex_sort(phys[keep]), label or "cut-project", 0.0)
 
 
 def fibonacci_cut_project_config(extent: float) -> CutProjectConfig:

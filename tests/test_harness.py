@@ -459,6 +459,29 @@ class TestCli:
         assert code == 2
         assert "eps_tol must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["stat", "alignment"])
+    @pytest.mark.parametrize("eps_tol", ["inf", "nan"])
+    def test_non_finite_eps_tol_exits_two(self, tmp_path, capsys, kind, eps_tol):
+        src = noise_free_lattice(tmp_path)
+        code = main(["dist", "--kind", kind, "--a", src, "--b", src, "--eps-tol", eps_tol])
+        assert code == 2
+        assert "eps_tol must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("guard", ["inf", "nan", "0"])
+    def test_non_finite_guard_exits_two(self, tmp_path, capsys, guard):
+        src = noise_free_lattice(tmp_path)
+        spec = str(tmp_path / "s.csv")
+        assert main(
+            ["spectrum", "--input", src, "--radius", "10", "--grid=0:1:0.25", "--out", spec]
+        ) == 0
+        capsys.readouterr()
+        code = main(
+            ["recover", "--input", spec, "--noise", "gaussian:0.1", "--guard", guard,
+             "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 2
+        assert "guard must be positive and finite" in capsys.readouterr().err
+
     def test_non_positive_radius_exits_two(self, tmp_path, capsys):
         src = noise_free_lattice(tmp_path)
         assert main(["autocorr", "--input", src, "--radius", "-3"]) == 2

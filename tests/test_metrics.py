@@ -237,6 +237,14 @@ class TestRhoStat:
         assert res.value == 0.5
         assert res.capped
 
+    @pytest.mark.parametrize("eps_tol", [math.inf, math.nan, 0.0, -1e-6])
+    def test_eps_tol_must_be_positive_and_finite(self, lattice_1001, eps_tol):
+        # an infinite eps_tol skipped the bisection and reported the cap as uncapped
+        _, defective = lattice_minus_squares()
+        for x, y in ((lattice_1001, defective), (lattice_1001, lattice_1001)):
+            with pytest.raises(InvalidArgumentError, match="eps_tol must be positive and finite"):
+                rho_stat(x, y, GRID_1000, eps_tol=eps_tol)
+
     def test_zero_separation_rejected(self, lattice_1001):
         noise = gen_poisson(1.0, 1, 200.0, seed=3)
         with pytest.raises(NotUniformlyDiscreteError):

@@ -21,7 +21,8 @@ from quasidiff.perturb import (
     recover,
     recovery_trial,
 )
-from quasidiff.pointset import gen_lattice
+from quasidiff.geometry import min_pairwise_gap
+from quasidiff.pointset import ammann_beenker_config, gen_cut_project, gen_lattice
 from quasidiff.spectral import FrequencyGrid, Spectrum, amplitude_spectrum
 
 GAUSS01 = NoiseModel.gaussian(1, 0.1)
@@ -99,7 +100,17 @@ class TestPerturb:
         x = gen_lattice(1, 1.0, 50.0)
         moved = perturb(x, GAUSS01, seed=1)
         gaps = np.diff(moved.points[:, 0])
-        assert moved.sep_radius == pytest.approx(float(gaps.min()), abs=1e-15)
+        assert moved.sep_radius == float(gaps.min())
+
+    def test_measured_separation_reported_in_2d(self):
+        x = gen_cut_project(ammann_beenker_config(20.0), label="ammann-beenker")
+        moved = perturb(x, NoiseModel.gaussian(2, 0.05), seed=3)
+        assert moved.sep_radius == min_pairwise_gap(moved.points)
+        assert moved.sep_radius == 0.27930228355991915
+
+    def test_single_point_keeps_input_separation(self):
+        x = gen_lattice(1, 1.0, 0.5)
+        assert perturb(x, GAUSS01, seed=0).sep_radius == 1.0
 
     def test_dimension_mismatch(self):
         x = gen_lattice(2, 1.0, 10.0)
@@ -201,6 +212,12 @@ class TestRecover:
         with pytest.raises(InvalidArgumentError):
             recover(self.spectrum(), NoiseModel.gaussian(2, 0.1))
 
+    @pytest.mark.parametrize("guard", [math.inf, math.nan, 0.0, -1e-3])
+    def test_guard_must_be_positive_and_finite(self, guard):
+        # an infinite guard would mark every node invalid and still succeed
+        with pytest.raises(InvalidArgumentError, match="guard must be positive and finite"):
+            recover(self.spectrum(), GAUSS01, guard=guard)
+
 
 # ---------------------------------------------------------------------------
 # boundary crossings
@@ -239,6 +256,53 @@ class TestBoundaryCrossings:
         lat = gen_lattice(1, 1.0, 100.0)
         with pytest.raises(InsufficientExtentError):
             boundary_crossings(lat, GAUSS01, 0, [100.0])
+
+
+# ---------------------------------------------------------------------------
+# displacement margin memo
+
+# the noise laws of the benchmark's noise-recovery workload, plus a law of the
+# same kind and dimension as the first with a different parameter (the margin
+# draw is keyed by kind and dimension only, so the two share a stream)
+MARGIN_LAWS = {
+    "gaussian-1d": GAUSS01,
+    "gaussian-1d-wide": NoiseModel.gaussian(1, 0.2),
+    "uniform-1d": NoiseModel.uniform(1, 0.2),
+    "gaussian-2d": NoiseModel.gaussian(2, 0.05),
+    "mixture-2d": NoiseModel.gaussian_mixture(
+        2, [(0.7, (0.0, 0.0), 0.05), (0.3, (0.1, -0.05), 0.02)]
+    ),
+    "pareto-2d": NoiseModel.pareto_radial(2, 4.0, 0.1),
+}
+
+
+class TestDisplacementMarginMemo:
+    @pytest.mark.parametrize("name", sorted(MARGIN_LAWS))
+    def test_memo_matches_uncached_computation(self, name):
+        model = MARGIN_LAWS[name]
+        first = displacement_margin(model)
+        assert first == displacement_margin.__wrapped__(model)
+        assert displacement_margin(model) == first
+
+    def test_equal_models_share_one_entry(self):
+        before = displacement_margin.cache_info()
+        displacement_margin(NoiseModel.gaussian(1, 0.3))
+        displacement_margin(NoiseModel.gaussian(1, 0.3))
+        after = displacement_margin.cache_info()
+        assert after.misses - before.misses <= 1
+        assert after.hits - before.hits >= 1
+
+    def test_model_built_from_lists_hashes(self):
+        listed = NoiseModel(1, "gaussian", sigmas=[0.1])
+        assert listed == GAUSS01
+        assert displacement_margin(listed) == displacement_margin(GAUSS01)
+
+    def test_different_parameters_never_share_a_value(self):
+        values = [displacement_margin(m) for m in MARGIN_LAWS.values()]
+        assert len(set(values)) == len(values)
+        # same (kind, dim), same stream: the margin scales with sigma
+        wide = MARGIN_LAWS["gaussian-1d-wide"]
+        assert displacement_margin(wide) == 2 * displacement_margin(GAUSS01)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from quasidiff.errors import (
     InvalidArgumentError,
     SeamViolationError,
 )
+from quasidiff.geometry import min_pairwise_gap
 from quasidiff.pointset import (
     TAU,
     PointSet,
@@ -92,6 +93,20 @@ def test_cut_project_fibonacci_matches_substitution_chain():
             matched = int((near < 1e-6).sum())
             best = min(best, (len(a) + len(b) - 2 * matched) / (2 * 100.0))
     assert best < 1e-3
+
+
+@pytest.mark.parametrize(
+    "cfg, sep",
+    [
+        (ammann_beenker_config(20.0), 0.41421356237309287),
+        (ammann_beenker_config(40.0), 0.4142135623730895),
+        (fibonacci_cut_project_config(100.0), 1.0),
+    ],
+)
+def test_cut_project_declares_its_measured_gap(cfg, sep):
+    x = gen_cut_project(cfg)
+    assert x.sep_radius == sep
+    assert x.sep_radius == min_pairwise_gap(x.points)
 
 
 def test_cut_project_ammann_beenker_density_stability():
