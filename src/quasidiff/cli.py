@@ -74,6 +74,12 @@ def _parse_noise(text: str, dim: int) -> NoiseModel:
     return make(dim, *_numbers(params, f"{kind} noise parameters"))
 
 
+def _given(args, *names: str) -> dict:
+    """The named options present on the command line; the library supplies
+    the defaults of the rest."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _require_out(args) -> str:
     if not args.out:
         raise InvalidArgumentError("this subcommand needs --out")
@@ -115,12 +121,12 @@ def _cmd_dist(args) -> int:
     if args.kind == "hausdorff":
         doc = {"kind": "hausdorff", "value": hausdorff_distance(a, b)}
     elif args.kind == "alignment":
-        res = rho_gh(a, b, eps_tol=1e-4 if args.eps_tol is None else args.eps_tol)
+        res = rho_gh(a, b, **_given(args, "eps_tol"))
         doc = {"kind": "alignment", "value": res.value, "capped": res.capped}
     else:
         grid = LGrid.integers(args.l_max)
         if args.kind == "stat":
-            res = rho_stat(a, b, grid, eps_tol=1e-6 if args.eps_tol is None else args.eps_tol)
+            res = rho_stat(a, b, grid, **_given(args, "eps_tol"))
         else:
             res = rho_aut(a, b, grid)
         doc = {
@@ -138,9 +144,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_autocorr(args) -> int:
     x = qio.read_points(args.input)
-    gamma = autocorrelation(
-        x, args.radius, bucket_tol=args.bucket_tol, max_range=args.max_range
-    )
+    gamma = autocorrelation(x, args.radius, **_given(args, "bucket_tol", "max_range"))
     lines = [",".join([f"offset_{i + 1}" for i in range(gamma.dim)] + ["re", "im"])]
     for loc, w in zip(gamma.locations, gamma.weights):
         lines.append(
@@ -168,11 +172,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_peaks(args) -> int:
     spec = qio.read_spectrum(args.input)
-    report = analyze_peaks(
-        spec,
-        peak_window_width=args.width,
-        threshold_ratio=args.threshold_ratio,
-    )
+    report = analyze_peaks(spec, **_given(args, "peak_window_width", "threshold_ratio"))
     doc = {
         "window_radius": spec.window_radius,
         "peak_count": len(report.peaks),
@@ -215,7 +215,7 @@ def _cmd_perturb(args) -> int:
 def _cmd_recover(args) -> int:
     spec = qio.read_spectrum(args.input)
     model = _parse_noise(args.noise, spec.grid.dim)
-    qio.write_spectrum(_require_out(args), recover(spec, model, guard=args.guard))
+    qio.write_spectrum(_require_out(args), recover(spec, model, **_given(args, "guard")))
     return 0
 
 
@@ -262,15 +262,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # The same flags are accepted after the subcommand; suppressed defaults
     # keep a subcommand-position flag from clobbering a global-position one.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--config", default=argparse.SUPPRESS)
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--out")
+    common.add_argument("--config")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # an option left off the command line is absent from the namespace, so
+    # the library's own default applies (see _given)
     def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+        return sub.add_parser(
+            name, parents=[common], argument_default=argparse.SUPPRESS, **kwargs
+        )
 
     p = add_parser("gen", help="generate a point set and write it to --out")
     p.add_argument(
@@ -306,14 +310,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--l-max", type=int, default=1000, help="window grid 1..l-max")
-    p.add_argument("--eps-tol", type=float, default=None)
+    p.add_argument("--eps-tol", type=float)
     p.set_defaults(func=_cmd_dist)
 
     p = add_parser("autocorr", help="windowed autocorrelation atoms as CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--bucket-tol", type=float, default=1e-9)
-    p.add_argument("--max-range", type=float, default=None)
+    p.add_argument("--bucket-tol", type=float)
+    p.add_argument("--max-range", type=float)
     p.set_defaults(func=_cmd_autocorr)
 
     p = add_parser("spectrum", help="windowed amplitude spectrum / periodogram")
@@ -324,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("peaks", help="peak analysis of a stored spectrum")
     p.add_argument("--input", required=True)
-    p.add_argument("--width", type=float, default=None)
-    p.add_argument("--threshold-ratio", type=float, default=0.5)
+    p.add_argument("--width", dest="peak_window_width", metavar="WIDTH", type=float)
+    p.add_argument("--threshold-ratio", type=float)
     p.add_argument("--svg", default=None, help="also plot the power data")
     p.set_defaults(func=_cmd_peaks)
 
@@ -337,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("recover", help="divide a spectrum by the noise characteristic function")
     p.add_argument("--input", required=True)
     p.add_argument("--noise", required=True, help="gaussian:<sigma> | uniform:<a>")
-    p.add_argument("--guard", type=float, default=1e-3)
+    p.add_argument("--guard", type=float)
     p.set_defaults(func=_cmd_recover)
 
     p = add_parser("scenario", help="run a registered experiment pipeline")

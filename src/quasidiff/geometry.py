@@ -13,7 +13,9 @@ Conventions used everywhere in this package:
 * :func:`nearest` is the one nearest-neighbour primitive: exact Euclidean
   distances plus the index of the target attaining them.  The 1-d path is
   one vectorised binary search over the sorted target coordinates; higher
-  dimensions make one scipy cKDTree query.
+  dimensions make one scipy cKDTree query;
+* :func:`_close_pairs` is the one fixed-radius pair enumeration, behind the
+  metrics' mismatch counts and the short-range autocorrelation.
 """
 
 from __future__ import annotations
@@ -112,6 +114,33 @@ def min_pairwise_gap(points: np.ndarray) -> float:
     tree = cKDTree(pts)
     dist, _ = tree.query(pts, k=2)
     return float(np.min(dist[:, 1]))
+
+
+def _close_pairs(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with ``b[j]`` at Euclidean distance strictly below
+    ``r`` from ``a[i]``.
+
+    In 1-d ``b`` must be sorted (every PointSet is); pairs then come in
+    (i, j) order.  Higher dimensions make one cKDTree sparse distance matrix
+    and return its pairs in no stated order.  Every candidate is decided by
+    the same Euclidean comparison, which is symmetric in a and b, so one
+    enumeration serves both directions.
+    """
+    if len(a) == 0 or len(b) == 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    if a.shape[1] == 1:
+        # the closed interval [a - r, a + r] holds every pair that passes
+        # the comparison below, whichever way a +- r rounds
+        t, q = b[:, 0], a[:, 0]
+        lo = np.searchsorted(t, q - r, side="left")
+        n = np.searchsorted(t, q + r, side="right") - lo
+        i = np.repeat(np.arange(len(a)), n)
+        j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(n) - n), n)
+    else:
+        cand = cKDTree(a).sparse_distance_matrix(cKDTree(b), r, output_type="ndarray")
+        i, j = cand["i"], cand["j"]
+    strict = np.sqrt(sq_norms(b[j] - a[i])) < r
+    return i[strict], j[strict]
 
 
 def nearest(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,8 @@ inequalities) are replaced by their exact finite counterparts:
 * test functions are radial tents — continuous, compactly supported, and
   with closed-form pairings, so no quadrature appears anywhere;
 * vague closeness of two measures is the maximum pairing gap over a declared
-  :class:`TestFamily`, whose region and resolution travel with every result.
+  :class:`TestFamily`; the gap is a bare number, so a smallness claim holds
+  for that family, on the region its supports cover, and no further.
 
 The autocorrelation of a point set X on the radius-L window is the measure
 (1/L^d) * sum of point-mass at p - q over all ordered pairs p, q in the
@@ -21,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidArgumentError
 from .geometry import (
+    _close_pairs,
     as_points,
     lex_sorted_strictly,
     min_pairwise_gap,
@@ -154,24 +155,25 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class TestFamily:
-    """Nonempty family of tents covering a declared region at a declared
-    resolution; the declaration is reported alongside every gap value so a
-    smallness claim names the family it was checked against."""
+    """Nonempty family of tents whose supports all lie in the declared
+    closed ball (``region_center``, ``region_radius``).
+
+    :func:`vague_gap` returns a bare number; the caller keeps the family it
+    was measured against."""
 
     __test__ = False  # keeps pytest from collecting this Test*-named class
 
     functions: tuple[TestFunction, ...]
     region_center: tuple[float, ...]
     region_radius: float
-    resolution: float
 
     def __post_init__(self):
         if not self.functions:
             raise InvalidArgumentError("a TestFamily must contain a function")
         object.__setattr__(self, "functions", tuple(self.functions))
         object.__setattr__(self, "region_center", tuple(float(c) for c in self.region_center))
-        if not (self.region_radius > 0) or not (self.resolution > 0):
-            raise InvalidArgumentError("region_radius and resolution must be positive")
+        if not (self.region_radius > 0):
+            raise InvalidArgumentError("region_radius must be positive")
         rc = np.asarray(self.region_center)
         for f in self.functions:
             if f.dim != len(self.region_center):
@@ -192,12 +194,10 @@ class TestFamily:
             raise InvalidArgumentError("need count >= 1 and hi >= lo")
         centers = np.linspace(lo, hi, count) if count > 1 else np.array([(lo + hi) / 2])
         funcs = tuple(TestFunction((float(c),), radius, amplitude) for c in centers)
-        spacing = (hi - lo) / (count - 1) if count > 1 else hi - lo
         return cls(
             functions=funcs,
             region_center=((lo + hi) / 2.0,),
             region_radius=(hi - lo) / 2.0 + radius,
-            resolution=max(spacing, 1e-300),
         )
 
 
@@ -285,11 +285,8 @@ def autocorrelation(
         vecs, counts, mixed = map(np.concatenate, zip(*blocks))
         reps, counts, mixed = _bucket(vecs, bucket_tol, counts, mixed)
     else:
-        # ordered pairs (diagonal and both orientations) by (row, col)
-        pairs = cKDTree(pts).query_pairs(r=max_range, output_type="ndarray")
-        diag = np.arange(n)
-        rows = np.concatenate([diag, pairs[:, 0], pairs[:, 1]])
-        cols = np.concatenate([diag, pairs[:, 1], pairs[:, 0]])
+        # ordered pairs at distance <= max_range (the closed ball), by (row, col)
+        rows, cols = _close_pairs(pts, pts, np.nextafter(max_range, np.inf))
         order = np.lexsort((cols, rows))
         reps, counts, mixed = _bucket(pts[cols[order]] - pts[rows[order]], bucket_tol)
     order = np.lexsort(reps.T[::-1])

@@ -24,11 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidArgumentError
 from .pointset import PointSet
-from .geometry import as_points, nearest, require_extent, sq_norms, window_mask
+from .geometry import _close_pairs, as_points, nearest, require_extent, sq_norms, window_mask
 
 __all__ = [
     "LGrid",
@@ -95,31 +94,6 @@ class MetricResult:
 
 # ---------------------------------------------------------------------------
 # mismatch machinery
-
-
-def _close_pairs(a: np.ndarray, b: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j) with ``b[j]`` strictly within ``eps`` of ``a[i]``.
-
-    Candidates come from two binary searches on the sorted coordinates in
-    1-d and from one dual-tree enumeration in higher dimensions; every
-    candidate is then decided by the same Euclidean comparison, which is
-    symmetric in a and b, so one enumeration serves both directions.
-    """
-    if len(a) == 0 or len(b) == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    if a.shape[1] == 1:
-        # the closed interval [a - eps, a + eps] holds every pair that passes
-        # the comparison below, whichever way a +- eps rounds
-        t, q = b[:, 0], a[:, 0]
-        lo = np.searchsorted(t, q - eps, side="left")
-        n = np.searchsorted(t, q + eps, side="right") - lo
-        i = np.repeat(np.arange(len(a)), n)
-        j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(n) - n), n)
-    else:
-        cand = cKDTree(a).sparse_distance_matrix(cKDTree(b), eps, output_type="ndarray")
-        i, j = cand["i"], cand["j"]
-    strict = np.sqrt(sq_norms(b[j] - a[i])) < eps
-    return i[strict], j[strict]
 
 
 def _mismatch_counts(

@@ -28,7 +28,7 @@ from . import rng
 from .errors import DegenerateTrialError, InvalidArgumentError
 from .geometry import lex_sort, require_extent, sq_norms, window_mask
 from .pointset import PointSet, _with_measured_gap
-from .spectral import FrequencyGrid, Spectrum, _exp_sums
+from .spectral import Spectrum, _phases
 
 _MARGIN_SAMPLES = 200_000
 _MARGIN_PERCENTILE = 99.9
@@ -405,7 +405,7 @@ def recovery_trial(
     require_extent(radius, x.extent - margin, "window radius")
     scale = radius**x.dim
     base = x.points[window_mask(x.points, radius)]
-    truth = _exp_sums(base, lams) / scale
+    truth = _phases(lams @ base.T).sum(axis=1) / scale
     psi = char_fn_grid(model, lams)
     usable = np.abs(psi) >= _GUARD
     if not usable.any():
@@ -414,7 +414,7 @@ def recovery_trial(
     for seed in seeds:
         moved = perturb(x, model, seed)
         pts = moved.points[window_mask(moved.points, radius)]
-        per_seed.append(_exp_sums(pts, lams) / scale)
+        per_seed.append(_phases(lams @ pts.T).sum(axis=1) / scale)
     rows = []
     for i, lam in enumerate(lams):
         if usable[i]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,13 +183,26 @@ class SetStats:
 # generators
 
 
+def _box_half_width(reach: float, dim: int) -> int:
+    """Half-width k of the integer box [-k, k]^dim around the radius-``reach``
+    ball, refused (an infinite reach too) when the box holds more candidates
+    than the enumeration budget; counted in Python ints, nothing is allocated."""
+    k = math.floor(reach * (1.0 + 1e-12)) if reach < _ENUM_BUDGET else _ENUM_BUDGET
+    if (2 * k + 1) ** dim > _ENUM_BUDGET:
+        raise InvalidArgumentError(
+            f"the {dim}-d candidate box of reach {reach!r} exceeds the enumeration "
+            f"budget of {_ENUM_BUDGET}"
+        )
+    return k
+
+
 def gen_lattice(dim: int, spacing: float, extent: float, label: str | None = None) -> PointSet:
     """spacing * Z^d intersected with the closed extent ball."""
     if dim < 1:
         raise InvalidArgumentError("dim must be >= 1")
     _require_positive_finite(spacing, "spacing")
     _require_positive_finite(extent, "extent")
-    k = int(np.floor(extent / spacing * (1.0 + 1e-12)))
+    k = _box_half_width(extent / spacing, dim)
     axis = np.arange(-k, k + 1, dtype=np.float64) * spacing
     if dim == 1:
         pts = axis.reshape(-1, 1)
@@ -242,7 +256,7 @@ def gen_fibonacci(extent: float, label: str = "fibonacci") -> PointSet:
 def gen_visible(extent: float, label: str = "visible") -> PointSet:
     """Visible points of Z^2: nonzero integer pairs with coprime coordinates."""
     _require_positive_finite(extent, "extent")
-    k = int(np.floor(extent * (1.0 + 1e-12)))
+    k = _box_half_width(extent, 2)
     axis = np.arange(-k, k + 1, dtype=np.int64)
     mm, nn = np.meshgrid(axis, axis, indexing="ij")
     mm, nn = mm.ravel(), nn.ravel()
@@ -257,6 +271,8 @@ def gen_poisson(intensity: float, dim: int, extent: float, seed: int) -> PointSe
     if dim < 1:
         raise InvalidArgumentError("dim must be >= 1")
     _require_positive_finite(extent, "extent")
+    if int(seed) < 0:
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(int(seed))
     n = int(rng.poisson(intensity * ball_volume(dim, extent)))
     direction = rng.standard_normal((n, dim))
@@ -429,20 +445,18 @@ def splice(inner: PointSet, outer: PointSet, radius: float, allow_smaller: bool 
     require_extent(radius, min(inner.extent, outer.extent), "splice radius")
     inside = inner.points[window_mask(inner.points, radius)]
     outside = outer.points[~window_mask(outer.points, radius)]
-    pts = lex_sort(np.concatenate([inside, outside]))
-    measured = min_pairwise_gap(pts)
     declared = min(inner.sep_radius, outer.sep_radius)
-    if measured < declared * (1.0 - 1e-9):
+    x = _with_measured_gap(
+        inner.dim, outer.extent, lex_sort(np.concatenate([inside, outside])),
+        f"splice({inner.label},{outer.label};{radius!r})", declared,
+    )
+    if x.sep_radius < declared * (1.0 - 1e-9):
         if not allow_smaller:
             raise SeamViolationError(
-                f"seam gap {measured!r} below operand separation {declared!r}"
+                f"seam gap {x.sep_radius!r} below operand separation {declared!r}"
             )
-        logger.info("splice: recording reduced separation %r (was %r)", measured, declared)
-    sep = measured if np.isfinite(measured) else declared
-    return PointSet(
-        inner.dim, sep, outer.extent, pts,
-        f"splice({inner.label},{outer.label};{radius!r})",
-    )
+        logger.info("splice: recording reduced separation %r (was %r)", x.sep_radius, declared)
+    return x
 
 
 def sparse_union(x: PointSet, extra: PointSet) -> PointSet:
@@ -452,16 +466,13 @@ def sparse_union(x: PointSet, extra: PointSet) -> PointSet:
     extent = min(x.extent, extra.extent)
     a = x.points[window_mask(x.points, extent)]
     b = extra.points[window_mask(extra.points, extent)]
-    pts = lex_sort(np.concatenate([a, b]))
-    ordered, dup = lex_sorted_strictly(pts)
-    assert ordered
-    if dup:
-        raise DuplicatePointError("sparse_union operands share a point")
-    measured = min_pairwise_gap(pts)
-    sep = measured if np.isfinite(measured) else min(x.sep_radius, extra.sep_radius)
+    union = _with_measured_gap(
+        x.dim, extent, lex_sort(np.concatenate([a, b])), f"union({x.label},{extra.label})",
+        min(x.sep_radius, extra.sep_radius),
+    )
     dens = len(b) / extent**x.dim
     logger.info("sparse_union: extra set windowed density %.6g at L=%r", dens, extent)
-    return PointSet(x.dim, sep, extent, pts, f"union({x.label},{extra.label})")
+    return union
 
 
 def remove_near(x: PointSet, targets, tol: float) -> PointSet:

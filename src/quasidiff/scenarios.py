@@ -95,6 +95,10 @@ class ScenarioConfig:
     out_dir: str = "."
     tolerances: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         try:
@@ -225,7 +229,6 @@ def _fibonacci_autocorr_family(radius: float = 0.15) -> TestFamily:
         functions=funcs,
         region_center=(0.81,),
         region_radius=1.0,
-        resolution=radius,
     )
 
 
@@ -324,7 +327,6 @@ def _scenario_gh_vs_vague(seed: int, eps_tol: float, pairing_tol: float):
         functions=tuple(TestFunction((float(c),), 0.5) for c in (-1, 0, 1)),
         region_center=(0.0,),
         region_radius=1.5,
-        resolution=0.5,
     )
 
     ns = (1, 2, 4, 8, 16)
@@ -434,7 +436,6 @@ def _scenario_gh_counterexample(seed: int, scan_step: float, gap_floor: float):
         functions=(TestFunction((0.0,), 0.25), TestFunction((1.0,), 0.25)),
         region_center=(0.5,),
         region_radius=0.8,
-        resolution=0.25,
     )
 
     ns = (5, 10, 20)

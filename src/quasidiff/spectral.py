@@ -12,18 +12,23 @@ numbers and thresholds it was derived from.
 Amplitude values are exp-sums divided by L^d, so power = L^d |amplitude|^2;
 both are carried on an explicit rectangular :class:`FrequencyGrid`.
 
+Every exponential sum goes through one step, :func:`_phases`: a table of
+phases <p, lambda> is reduced mod 1 and then exponentiated, so an integer
+phase contributes exactly 1 however large it is.
+
 Every grid is a tensor product of uniform axes, so its exponential sums
 factor and no (node, point) phase matrix is built.  In d >= 2 each axis
 contributes one K_i x n table of e^(-2 pi i lambda_i p_i) and the sum is
 their contraction over the points.  A 1-d axis of M nodes is split as
 k = k1 K2 + k2 with K2 = ceil(sqrt M) (Cooley & Tukey 1965), which gives two
-tables of about sqrt(M) x n entries.  Phases are reduced mod 1 before the
-exponential.  The kernel thus makes about (K1 + K2) n complex exponentials
-instead of M n, and holds about (K1 + K2) n complex entries at a time.  The
-contraction runs in numpy's own einsum loops, not in a threaded BLAS, so
-amplitudes are bit-identical run to run and for any BLAS thread count.
-Sums at a free list of frequencies (``exp_sum``, the noise-recovery trials)
-use the dense phase matrix, chunked by frequency.
+tables of about sqrt(M) x n entries.  The kernel thus makes about
+(K1 + K2) n complex exponentials instead of M n, and holds about
+(K1 + K2) n complex entries at a time.  The contraction runs in numpy's own
+einsum loops, not in a threaded BLAS, so amplitudes are bit-identical run
+to run and for any BLAS thread count.  Sums at a free list of frequencies
+(``exp_sum``, the noise-recovery trials) take the phases
+``freqs @ points.T`` and sum each row over the points; those lists hold a
+few frequencies, so the table stays a few times the point count.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .errors import EmptySpectrumError, InvalidArgumentError
 from .geometry import require_extent, window_mask
 from .pointset import PointSet
 
-_ENTRY_BUDGET = 4_000_000  # phase-matrix entries materialized per chunk of a frequency list
 _NODE_BUDGET = 4_194_304  # nodes a FrequencyGrid may hold
 
 __all__ = [
@@ -161,25 +165,8 @@ class Spectrum:
 # exponential sums
 
 
-def _exp_sums(points: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """sum_p e^(-2 pi i <p, lambda>) for every frequency row, chunked."""
-    n = len(points)
-    m = len(freqs)
-    out = np.zeros(m, dtype=np.complex128)
-    if n == 0 or m == 0:
-        return out
-    chunk = max(1, _ENTRY_BUDGET // max(n, 1))
-    for start in range(0, m, chunk):
-        f = freqs[start : start + chunk]
-        phases = f @ points.T  # (chunk, n)
-        out[start : start + chunk] = np.exp((-2j * np.pi) * phases).sum(axis=1)
-    return out
-
-
-def _phases(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """e^(-2 pi i v c) for every (value, coordinate) pair, as a
-    (len(values), len(coords)) table; v c is reduced mod 1 first."""
-    t = np.multiply.outer(values, coords)
+def _phases(t: np.ndarray) -> np.ndarray:
+    """e^(-2 pi i t) entrywise, with t reduced mod 1 first."""
     return np.exp((-2j * np.pi) * (t - np.round(t)))
 
 
@@ -199,13 +186,10 @@ def _grid_sums(points: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
         k2 = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
         k1 = -(-m // k2)
         p = points[:, 0]
-        factors = [
-            _phases(step * k2 * np.arange(k1), p),
-            _phases(lo + step * np.arange(k2), p),
-        ]
+        axes = [(step * k2 * np.arange(k1), p), (lo + step * np.arange(k2), p)]
     else:
-        factors = [_phases(grid.axis_values(i), points[:, i]) for i in range(grid.dim)]
-    *lead, inner, last = factors
+        axes = [(grid.axis_values(i), points[:, i]) for i in range(grid.dim)]
+    *lead, inner, last = [_phases(np.multiply.outer(v, c)) for v, c in axes]
     blocks = []
     for rows in itertools.product(*lead):
         w = inner
@@ -218,7 +202,7 @@ def _grid_sums(points: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
 def exp_sum(x: PointSet, lam) -> complex:
     """Exponential sum of the whole set at one frequency; |result| <= #points."""
     lam = np.asarray(lam, dtype=np.float64).reshape(1, x.dim)
-    return complex(_exp_sums(x.points, lam)[0])
+    return complex(_phases(lam @ x.points.T).sum())
 
 
 def amplitude_spectrum(x: PointSet, radius: float, grid: FrequencyGrid) -> Spectrum:

@@ -345,7 +345,6 @@ def test_09_sparse_defects_wash_out():
         functions=tuple(TestFunction((c,), 0.15) for c in (0.0, 1.0, TAU)),
         region_center=(0.81,),
         region_radius=1.0,
-        resolution=0.5,
     )
     gamma_base = autocorrelation(base, 4000.0, max_range=2.0)
 
@@ -390,7 +389,6 @@ def test_10_window_alignment_without_statistical_agreement():
         functions=(TestFunction((0.0,), 0.25), TestFunction((1.0,), 0.25)),
         region_center=(0.5,),
         region_radius=0.8,
-        resolution=0.25,
     )
     rows = []
     align_ok = gap_ok = True

@@ -1,5 +1,5 @@
-"""The nearest-neighbour primitive against an O(n*m) brute force, and the
-radius check every window goes through."""
+"""The nearest-neighbour and close-pair primitives against O(n*m) brute
+force, and the radius check every window goes through."""
 
 import math
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quasidiff.errors import InvalidArgumentError
-from quasidiff.geometry import nearest, require_extent
+from quasidiff.geometry import _close_pairs, nearest, require_extent, sq_norms
 from quasidiff.measures import autocorrelation
 from quasidiff.metrics import LGrid, mismatch_sets
 from quasidiff.perturb import NoiseModel, boundary_crossings, recovery_trial
@@ -61,6 +61,34 @@ def test_nearest_matches_brute_force(dim, data):
 def test_nearest_of_no_queries_is_empty():
     dist, index = nearest(np.zeros((0, 2)), np.ones((3, 2)))
     assert dist.shape == index.shape == (0,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    r=st.one_of(
+        st.integers(1, 40).map(lambda k: k / 4),
+        st.floats(1e-3, 60.0, allow_nan=False),
+    ),
+    data=st.data(),
+)
+def test_close_pairs_match_brute_force(dim, r, data):
+    # quarter-integer coordinates and radii put many pairs at exactly r,
+    # which the strict comparison excludes
+    a = data.draw(point_arrays(dim), label="a")
+    b = data.draw(point_arrays(dim), label="b")
+    if dim == 1:
+        b = np.sort(b, axis=0)  # the 1-d search needs sorted targets
+    i, j = _close_pairs(a, b, r)
+    ii = np.repeat(np.arange(len(a)), len(b))
+    jj = np.tile(np.arange(len(b)), len(a))
+    near = np.sqrt(sq_norms(b[jj] - a[ii])) < r
+    brute = list(zip(ii[near].tolist(), jj[near].tolist()))
+    found = list(zip(i.tolist(), j.tolist()))
+    if dim == 1:
+        assert found == brute  # in (i, j) order
+    else:
+        assert sorted(found) == brute
 
 
 # ---------------------------------------------------------------------------

@@ -528,6 +528,32 @@ class TestCli:
         assert "must be a positive finite number, got" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "lattice", "--dim", "40", "--extent", "1.5"],  # a 3^40 candidate box
+            ["--kind", "lattice", "--extent", "1e308", "--spacing", "1e-10"],  # k overflows
+        ],
+    )
+    def test_oversize_lattice_box_exits_two(self, tmp_path, capsys, argv):
+        assert main(["gen", *argv, "--out", str(tmp_path / "z.pts")]) == 2
+        assert "exceeds the enumeration budget" in capsys.readouterr().err
+        assert not (tmp_path / "z.pts").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--kind", "poisson", "--extent", "10", "--out", "x.pts"],
+            ["scenario", "--name", "metric-axioms", "--out", "out"],
+            ["scenario", "--name", "diffraction-catalog", "--out", "out"],
+        ],
+    )
+    def test_negative_seed_exits_two(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # no output file or directory
+
+    @pytest.mark.parametrize(
         "flag", [["--width", "nan"], ["--width", "inf"],
                  ["--threshold-ratio", "nan"], ["--threshold-ratio", "inf"]],
     )

@@ -128,6 +128,20 @@ class TestAutocorrelation:
         assert len(np.unique(idx)) == len(idx)
         assert np.array_equal(near.weights, full.weights[keep][idx])
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_max_range_ball_is_closed(self, dim):
+        # lattice differences of length exactly max_range are kept
+        x = gen_lattice(dim, 1.0, 6.0)
+        gamma = autocorrelation(x, 5.0, max_range=2.0)
+        inside = window(x, 5.0).points
+        diffs = Counter(
+            tuple(p - q) for p in inside for q in inside if float((p - q) @ (p - q)) <= 4.0
+        )
+        keys = sorted(diffs)
+        assert (2.0,) + (0.0,) * (dim - 1) in diffs
+        assert np.array_equal(gamma.locations, np.array(keys).reshape(-1, dim))
+        assert np.array_equal(gamma.weights, [diffs[k] / 5.0**dim for k in keys])
+
     @settings(max_examples=200, deadline=None)
     @given(dim=st.sampled_from([1, 2]), data=st.data())
     def test_matches_counter_of_differences(self, dim, data):

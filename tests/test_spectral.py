@@ -120,6 +120,11 @@ class TestExpSum:
         value = exp_sum(z5, [0.5])
         assert value == pytest.approx(-1.0 + 0j, abs=1e-12)
 
+    def test_quarter_frequency_on_a_long_lattice_is_exact(self):
+        # every phase k/4 is reduced mod 1 before the exponential, so the
+        # 10,001 terms cancel to the one left over without rounding drift
+        assert abs(exp_sum(gen_lattice(1, 1.0, 5000.0), [0.25]) - 1.0) <= 1e-13
+
     def test_single_point_unit_modulus(self):
         pt = PointSet(1, 1.0, 5.0, np.array([[0.37]]), "pt")
         for lam in (0.0, 0.31, -1.7, 12.25):
