@@ -20,6 +20,8 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -175,7 +177,7 @@ _UNIT_BALL_VOL = {0: 1.0}
 
 
 def ball_volume(dim: int, radius: float = 1.0) -> float:
-    """Lebesgue volume of the d-ball, via the even/odd closed forms."""
+    """Lebesgue volume of the d-ball, via the even/odd closed forms; inf on overflow."""
     if dim < 0:
         raise InvalidArgumentError("dimension must be nonnegative")
     if dim not in _UNIT_BALL_VOL:
@@ -183,4 +185,7 @@ def ball_volume(dim: int, radius: float = 1.0) -> float:
         from math import gamma, pi
 
         _UNIT_BALL_VOL[dim] = pi ** (dim / 2) / gamma(dim / 2 + 1)
-    return _UNIT_BALL_VOL[dim] * float(radius) ** dim
+    try:
+        return _UNIT_BALL_VOL[dim] * float(radius) ** dim
+    except OverflowError:
+        return math.inf

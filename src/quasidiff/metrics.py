@@ -29,6 +29,8 @@ from .errors import InvalidArgumentError
 from .pointset import PointSet
 from .geometry import _close_pairs, as_points, nearest, require_extent, sq_norms, window_mask
 
+_RADIUS_BUDGET = 4_194_304  # radii LGrid.integers may build
+
 __all__ = [
     "LGrid",
     "MetricResult",
@@ -64,6 +66,8 @@ class LGrid:
         """The radii 1, 2, ..., hi."""
         if hi < 1:
             raise InvalidArgumentError("need hi >= 1")
+        if hi > _RADIUS_BUDGET:
+            raise InvalidArgumentError(f"{hi} radii exceed the radius budget of {_RADIUS_BUDGET}")
         return cls(tuple(float(v) for v in range(1, hi + 1)))
 
     def require_within(self, *sets: PointSet) -> None:

@@ -171,36 +171,32 @@ def _require_finite(name: str, values) -> None:
 # choice, or the radial profile) lives at slot 2*dim.
 
 
-def _displacements(model: NoiseModel, key: int, indices: np.ndarray) -> np.ndarray:
-    n = len(indices)
+def _displacements(model: NoiseModel, seed: int, label: str, n: int) -> np.ndarray:
+    """n displacements; row i is drawn at counter i of the stream keyed by (seed, label).
+
+    Every keyed noise draw (perturbation, boundary counts, recovery trials,
+    Monte Carlo psi, the displacement margin) comes from here.
+    """
+    key = rng.stream_key(seed, label)
+    indices = np.arange(n, dtype=np.uint64)
     d = model.dim
-    out = np.empty((n, d), dtype=np.float64)
-    if model.kind == "gaussian":
-        for j in range(d):
-            out[:, j] = model.sigmas[j] * rng.normals(key, indices, 2 * j)
-        return out
     if model.kind == "uniform":
-        for j in range(d):
-            u = rng.uniforms(key, indices, j)
-            out[:, j] = model.half_widths[j] * (2.0 * u - 1.0)
-        return out
+        u = np.stack([rng.uniforms(key, indices, j) for j in range(d)], axis=1)
+        return np.asarray(model.half_widths) * (2.0 * u - 1.0)
+    g = np.stack([rng.normals(key, indices, 2 * j) for j in range(d)], axis=1)
+    if model.kind == "gaussian":
+        return np.asarray(model.sigmas) * g
+    u = rng.uniforms(key, indices, 2 * d)
     if model.kind == "gaussian_mixture":
         weights = np.array([w for w, _, _ in model.components])
         means = np.array([mean for _, mean, _ in model.components])
         sigmas = np.array([s for _, _, s in model.components])
-        u = rng.uniforms(key, indices, 2 * d)
         comp = np.searchsorted(np.cumsum(weights), u, side="right")
         comp = np.minimum(comp, len(weights) - 1)
-        for j in range(d):
-            out[:, j] = means[comp, j] + sigmas[comp] * rng.normals(key, indices, 2 * j)
-        return out
+        return means[comp] + sigmas[comp][:, None] * g
     # pareto_radial: uniform direction, heavy-tailed radius
-    g = np.empty((n, d))
-    for j in range(d):
-        g[:, j] = rng.normals(key, indices, 2 * j)
     norm = np.sqrt(sq_norms(g))
     norm[norm == 0] = 1.0
-    u = rng.uniforms(key, indices, 2 * d)
     radius = model.scale * ((1.0 - u) ** (-1.0 / model.alpha) - 1.0)
     return g / norm[:, None] * radius[:, None]
 
@@ -209,17 +205,18 @@ def perturb(x: PointSet, model: NoiseModel, seed: int) -> PointSet:
     """Displace every point independently; deterministic in (set, model, seed).
 
     Point i (in canonical order) uses the stream keyed by (seed, the set's
-    label, i), so windowing the result commutes with windowing the input up
-    to boundary crossings, and different seeds are independent.  The result's
-    ``sep_radius`` is the measured minimum gap of the displaced points (the
-    input's when fewer than two points remain).
+    label, i): the same set, label, model and seed give a bit-identical
+    result, and different seeds are independent.  Draws follow the index
+    within the set, so windowing the input first changes which draw each
+    point gets: perturbing a window is not the window of the perturbed set.
+    The result's ``sep_radius`` is the measured minimum gap of the displaced
+    points (the input's when fewer than two points remain).
     """
     if model.dim != x.dim:
         raise InvalidArgumentError("noise model and set dimensions differ")
     if len(x.points) == 0:
         return x
-    key = rng.stream_key(seed, x.label)
-    moved = x.points + _displacements(model, key, np.arange(len(x.points), dtype=np.uint64))
+    moved = x.points + _displacements(model, seed, x.label, len(x.points))
     pts = lex_sort(moved)
     reach = float(np.sqrt(sq_norms(pts).max()))
     extent = x.extent if reach <= x.extent * (1.0 + 1e-9) else reach * (1.0 + 1e-12)
@@ -247,9 +244,8 @@ def char_fn_grid(model: NoiseModel, freqs: np.ndarray) -> np.ndarray:
     if model.kind == "gaussian_mixture":
         out = np.zeros(len(freqs), dtype=np.complex128)
         for w, mean, s in model.components:
-            phase = np.exp(-2j * np.pi * (freqs @ np.asarray(mean)))
             decay = np.exp(-2.0 * np.pi**2 * s * s * sq_norms(freqs))
-            out += w * phase * decay
+            out += w * _phases(freqs @ np.asarray(mean)) * decay
         return out
     raise InvalidArgumentError(
         f"{model.kind} has no closed-form characteristic function; use char_fn_mc"
@@ -261,9 +257,8 @@ def char_fn_mc(model: NoiseModel, lam, mc_samples: int, seed: int = 0) -> tuple[
     if not (mc_samples and mc_samples > 0):
         raise InvalidArgumentError("Monte Carlo estimation needs a positive sample count")
     lam = np.asarray(lam, dtype=np.float64).reshape(model.dim)
-    key = rng.stream_key(seed, f"charfn:{model.kind}:{model.dim}")
-    xi = _displacements(model, key, np.arange(int(mc_samples), dtype=np.uint64))
-    vals = np.exp(-2j * np.pi * (xi @ lam))
+    xi = _displacements(model, seed, f"charfn:{model.kind}:{model.dim}", int(mc_samples))
+    vals = _phases(xi @ lam)
     value = complex(vals.mean())
     spread = (vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / len(vals)
     return value, float(math.sqrt(spread))
@@ -311,8 +306,7 @@ def displacement_margin(model: NoiseModel) -> float:
     The draw is keyed by the model alone, so the result is memoised per
     (frozen, hashable) model: each distinct law pays for its samples once.
     """
-    key = rng.stream_key(0, f"margin:{model.kind}:{model.dim}")
-    xi = _displacements(model, key, np.arange(_MARGIN_SAMPLES, dtype=np.uint64))
+    xi = _displacements(model, 0, f"margin:{model.kind}:{model.dim}", _MARGIN_SAMPLES)
     return float(np.percentile(np.sqrt(sq_norms(xi)), _MARGIN_PERCENTILE))
 
 
@@ -347,10 +341,8 @@ def boundary_crossings(x: PointSet, model: NoiseModel, seed: int, l_list) -> Bou
         raise InvalidArgumentError("l_list must be positive and strictly increasing")
     margin = displacement_margin(model)
     require_extent(max(radii) + margin, x.extent, "max radius + displacement margin")
-    key = rng.stream_key(seed, x.label)
-    xi = _displacements(model, key, np.arange(len(x.points), dtype=np.uint64))
     before = sq_norms(x.points)
-    after = sq_norms(x.points + xi)
+    after = sq_norms(x.points + _displacements(model, seed, x.label, len(x.points)))
     records = []
     for radius in radii:
         r2 = radius * radius
@@ -387,11 +379,11 @@ def recovery_trial(
 ) -> RecoveryReport:
     """Compare noise-undone amplitudes against the unperturbed truth.
 
-    Each seed perturbs the whole set, windows the displaced points at the
-    given radius, measures amplitudes at every requested frequency and
-    divides by psi.  Frequencies with |psi| under :func:`recover`'s default
-    guard 1e-3 are reported invalid (nothing is divided); if every
-    frequency is invalid the trial is degenerate and raises.
+    Each seed displaces every point with :func:`perturb`'s draw, windows the
+    displaced points at the given radius, measures amplitudes at every
+    requested frequency and divides by psi.  Frequencies with |psi| under
+    :func:`recover`'s default guard 1e-3 are reported invalid (nothing is
+    divided); if every frequency is invalid the trial is degenerate and raises.
     """
     if model.dim != x.dim:
         raise InvalidArgumentError("noise model and set dimensions differ")
@@ -412,8 +404,8 @@ def recovery_trial(
         raise DegenerateTrialError("every requested frequency falls under the psi guard")
     per_seed = []
     for seed in seeds:
-        moved = perturb(x, model, seed)
-        pts = moved.points[window_mask(moved.points, radius)]
+        moved = x.points + _displacements(model, seed, x.label, len(x.points))
+        pts = moved[window_mask(moved, radius)]
         per_seed.append(_phases(lams @ pts.T).sum(axis=1) / scale)
     rows = []
     for i, lam in enumerate(lams):

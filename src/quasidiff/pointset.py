@@ -273,8 +273,13 @@ def gen_poisson(intensity: float, dim: int, extent: float, seed: int) -> PointSe
     _require_positive_finite(extent, "extent")
     if int(seed) < 0:
         raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+    mean = intensity * ball_volume(dim, extent)
+    if not mean <= _ENUM_BUDGET:
+        raise InvalidArgumentError(
+            f"the expected Poisson count {mean!r} exceeds the enumeration budget of {_ENUM_BUDGET}"
+        )
     rng = np.random.default_rng(int(seed))
-    n = int(rng.poisson(intensity * ball_volume(dim, extent)))
+    n = int(rng.poisson(mean))
     direction = rng.standard_normal((n, dim))
     norm = np.linalg.norm(direction, axis=1, keepdims=True)
     norm[norm == 0] = 1.0

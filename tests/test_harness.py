@@ -542,6 +542,25 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["--extent", "1e300"],
+            ["--extent", "10", "--intensity", "1e300"],
+            ["--extent", "1e300", "--dim", "2"],  # the ball volume overflows
+        ],
+    )
+    def test_oversize_poisson_count_exits_two(self, tmp_path, capsys, argv):
+        assert main(["gen", "--kind", "poisson", *argv, "--out", str(tmp_path / "z.pts")]) == 2
+        assert "exceeds the enumeration budget" in capsys.readouterr().err
+        assert not (tmp_path / "z.pts").exists()
+
+    def test_oversize_l_max_exits_two(self, tmp_path, capsys):
+        src = noise_free_lattice(tmp_path)
+        code = main(["dist", "--kind", "stat", "--a", src, "--b", src, "--l-max", "10000000"])
+        assert code == 2
+        assert "exceed the radius budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["gen", "--kind", "poisson", "--extent", "10", "--out", "x.pts"],
             ["scenario", "--name", "metric-axioms", "--out", "out"],
             ["scenario", "--name", "diffraction-catalog", "--out", "out"],

@@ -21,9 +21,9 @@ from quasidiff.perturb import (
     recover,
     recovery_trial,
 )
-from quasidiff.geometry import min_pairwise_gap
-from quasidiff.pointset import ammann_beenker_config, gen_cut_project, gen_lattice
-from quasidiff.spectral import FrequencyGrid, Spectrum, amplitude_spectrum
+from quasidiff.geometry import min_pairwise_gap, sq_norms, window_mask
+from quasidiff.pointset import ammann_beenker_config, gen_cut_project, gen_lattice, window
+from quasidiff.spectral import FrequencyGrid, Spectrum, amplitude_spectrum, exp_sum
 
 GAUSS01 = NoiseModel.gaussian(1, 0.1)
 MIXTURE = NoiseModel.gaussian_mixture(1, [(0.5, (0.1,), 0.05), (0.5, (-0.1,), 0.2)])
@@ -86,6 +86,23 @@ class TestPerturb:
         c = perturb(x, GAUSS01, seed=4)
         assert np.array_equal(a.points, b.points)
         assert not np.array_equal(a.points, c.points)
+
+    def test_stream_keyed_by_index_within_the_set(self):
+        # same set, label, model and seed: bit-identical.  The draw follows
+        # the canonical index, so a window's point i draws the full set's
+        # draw i, not its own point's: perturbing and windowing do not commute
+        z = gen_lattice(1, 1.0, 200.0)
+        moved = perturb(z, GAUSS01, seed=3)
+        again = perturb(gen_lattice(1, 1.0, 200.0), GAUSS01, seed=3)
+        assert np.array_equal(again.points, moved.points)
+        relabeled = perturb(gen_lattice(1, 1.0, 200.0, label="other"), GAUSS01, seed=3)
+        assert not np.array_equal(relabeled.points, moved.points)
+        w = window(z, 100.0)
+        of_window = perturb(w, GAUSS01, seed=3).points - w.points
+        full = moved.points - z.points  # 1-d noise this small keeps the order
+        # displacements recovered from positions up to 200 carry ~3e-14 rounding
+        assert np.allclose(of_window, full[: len(w.points)], rtol=0, atol=1e-12)
+        assert not np.allclose(of_window, full[window_mask(z.points, 100.0)], rtol=0, atol=0.1)
 
     def test_mean_displacement_half_normal(self):
         # E |xi| = sigma * sqrt(2/pi) = 0.0798 for sigma = 0.1
@@ -252,6 +269,34 @@ class TestBoundaryCrossings:
         # 99.9th percentile of |N(0, 0.1)| is 0.1 * 3.2905
         assert abs(margin - 0.32905) <= 0.01
 
+    def test_counts_match_public_perturb(self):
+        # at integer radii the lattice points on the sphere cross about half
+        # the time, so every record carries counts; 1-d noise this small keeps
+        # the canonical order, so point i of the perturbed set is point i moved
+        lat = gen_lattice(1, 1.0, 1100.0, label="int-lattice")
+        radii = np.arange(1.0, 1001.0)
+        before = sq_norms(lat.points)
+        crossings = 0
+        for seed in range(3):
+            after = sq_norms(perturb(lat, GAUSS01, seed).points)
+            for rec in boundary_crossings(lat, GAUSS01, seed, radii).records:
+                r2 = rec.window_radius**2
+                assert rec.exits == int(((before <= r2) & (after > r2)).sum())
+                assert rec.entries == int(((before > r2) & (after < r2)).sum())
+                crossings += rec.exits + rec.entries
+        assert crossings > 1000
+
+    def test_counts_conserve_window_counts_in_2d(self):
+        x = gen_cut_project(ammann_beenker_config(20.0), label="ammann-beenker")
+        model = NoiseModel.gaussian(2, 0.05)
+        before = sq_norms(x.points)
+        for seed in range(3):
+            after = sq_norms(perturb(x, model, seed).points)
+            for rec in boundary_crossings(x, model, seed, [5.0, 10.0, 15.0]).records:
+                r2 = rec.window_radius**2
+                inside = int((before <= r2).sum()) - rec.exits + rec.entries
+                assert int((after <= r2).sum()) == inside
+
     def test_extent_must_cover_margin(self):
         lat = gen_lattice(1, 1.0, 100.0)
         with pytest.raises(InsufficientExtentError):
@@ -322,6 +367,31 @@ class TestRecoveryTrial:
         med_off = float(np.median([abs(r) for r in off.recovered]))
         assert med_bragg <= 0.05
         assert med_off <= 0.05
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_per_seed_amplitudes_match_public_path(self, dim):
+        # each seed's amplitude is the phase sum over window(perturb(x)); in
+        # 2-d perturb's lex sort reorders the summation, hence the tolerance
+        if dim == 1:
+            x, model, radius = gen_lattice(1, 1.0, 510.0), GAUSS01, 500.0
+            lams = [[1.0], [0.5], [0.25], [0.1]]
+        else:
+            x = gen_cut_project(ammann_beenker_config(25.0), label="ammann-beenker")
+            model, radius = NoiseModel.gaussian(2, 0.05), 20.0
+            lams = [[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0]]
+        seeds = range(4)
+        report = recovery_trial(x, model, seeds, lams, radius)
+        psi = char_fn_grid(model, np.asarray(lams))
+        scale = radius**x.dim
+        for k, seed in enumerate(seeds):
+            w = window(perturb(x, model, seed), radius)
+            expected = np.array([exp_sum(w, lam) for lam in lams]) / scale / psi
+            got = np.array([row.recovered[k] for row in report.rows])
+            if dim == 1:
+                assert np.array_equal(got, expected)
+            else:
+                bound = 1e-12 * len(w.points) / scale / np.abs(psi)
+                assert (np.abs(got - expected) <= bound).all()
 
     def test_zero_noise_exact(self):
         z = gen_lattice(1, 1.0, 10.0)
