@@ -10,20 +10,27 @@ Conventions used everywhere in this package:
 * windows are cut with :func:`window_mask` and guarded by
   :func:`require_extent`, so every module agrees on which boundary points
   belong to a window and on how far a declared extent may be stretched;
-* :func:`nearest` is the one nearest-neighbour primitive: exact Euclidean
-  distances plus the index of the target attaining them.  The 1-d path is
-  one vectorised binary search over the sorted target coordinates; higher
-  dimensions make one scipy cKDTree query;
 * :func:`_close_pairs` is the one fixed-radius pair enumeration, behind the
-  metrics' mismatch counts and the short-range autocorrelation.
+  metrics' mismatch counts, the short-range autocorrelation and, in d >= 2,
+  :func:`nearest` and :func:`min_pairwise_gap`.  The 1-d path is one
+  vectorised binary search over the sorted targets.  Higher dimensions use a
+  cell list: both sets are binned into cubes of side w >= r over their first
+  three axes, the targets are sorted by one int64 cell key, and each query
+  finds the targets of its 3^min(d, 3) neighbouring cells with ``searchsorted``.
+  Every candidate is decided by the same strict Euclidean comparison, and the
+  pairs come in (i, j) order in every dimension;
+* :func:`nearest` is the one nearest-neighbour primitive: exact Euclidean
+  distances plus the index of the target attaining them.  1-d makes the same
+  binary search; higher dimensions grow a pair search radius until every
+  query has a partner.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InsufficientExtentError, InvalidArgumentError
 
@@ -113,20 +120,74 @@ def min_pairwise_gap(points: np.ndarray) -> float:
     if d == 1:
         x = np.sort(pts[:, 0])
         return float(np.min(np.diff(x)))
-    tree = cKDTree(pts)
-    dist, _ = tree.query(pts, k=2)
-    return float(np.min(dist[:, 1]))
+    # the closest lexicographic neighbours give an attained upper bound u, and
+    # every pair at distance <= u passes the strict test at nextafter(u)
+    u = np.sqrt(sq_norms(np.diff(lex_sort(pts), axis=0))).min()
+    i, j = _close_pairs(pts, pts, np.nextafter(u, np.inf))
+    keep = i < j
+    return float(np.sqrt(sq_norms(pts[j[keep]] - pts[i[keep]])).min())
+
+
+# cells are cubes over at most this many leading axes, so a query visits at
+# most 27 cells; the remaining axes are left to the Euclidean test
+_CELL_AXES = 3
+# candidate pairs one enumeration may build; in 2-d each takes about 50 bytes
+# across the index, coordinate and distance arrays, so ~1.7 GB at the budget
+_CANDIDATE_BUDGET = 2**25
+
+
+def _cell_ranges(a: np.ndarray, b: np.ndarray, r: float):
+    """Cell list for ``_close_pairs`` in d >= 2, over the first g = min(d, 3) axes.
+
+    Returns the orders that sort ``a`` and ``b`` by cell key, and the start
+    and length in sorted ``b`` of every candidate run of every sorted query,
+    one block of len(a) runs per shift.  A query has 3^(g-1) runs: the cells
+    of its 3^g neighbourhood that differ only on the first axis are
+    consecutive keys, so one run covers three of them.
+
+    Cells have side w = max(r (1 + 2^-20), m 2^-e), with m the largest
+    |coordinate| on those axes and e = floor(60 / g) - 2:
+
+    * |p / w| <= 2^e, so a cell index c = floor(p / w) lies in [-2^e, 2^e],
+      and c + 2^e + 1 and its two neighbours lie in [0, B) with
+      B = 2^(e+1) + 3.  The key sums those digits in base B, and B^g < 2^59
+      for g = 2 and 3, so no key overflows int64;
+    * the quotient p / w is rounded with an absolute error of at most
+      2^(e-53) <= 2^-25, and a pair that passes the strict test differs by
+      less than r (1 + d 2^-52) < w (1 - 2^-21) on every axis, so its
+      rounded quotients differ by less than 1 and its cells by at most 1 on
+      every axis: every passing pair is among the candidates.
+    """
+    g = min(a.shape[1], _CELL_AXES)
+    e = 60 // g - 2
+    m = max(np.abs(a[:, :g]).max(), np.abs(b[:, :g]).max())
+    w = max(r * (1.0 + 2.0**-20), m * 2.0**-e)
+    digit = (2 ** (e + 1) + 3) ** np.arange(g, dtype=np.int64)
+
+    def keys(p):
+        return (np.floor(p[:, :g] / w).astype(np.int64) + (2**e + 1)) @ digit
+
+    # sorted queries let searchsorted narrow each search from the last hit,
+    # and sorted sets keep the candidates' coordinate reads local
+    ka, kb = keys(a), keys(b)
+    qa, qb = np.argsort(ka, kind="stable"), np.argsort(kb, kind="stable")
+    kb = kb[qb]
+    shifts = np.array(list(itertools.product((-1, 0, 1), repeat=g - 1)), dtype=np.int64)
+    cells = (shifts @ digit[1:])[:, None] + ka[qa]
+    lo = np.searchsorted(kb, cells - 1, side="left")
+    n = np.searchsorted(kb, cells + 1, side="right") - lo
+    return qa, qb, lo.ravel(), n.ravel()
 
 
 def _close_pairs(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) with ``b[j]`` at Euclidean distance strictly below
-    ``r`` from ``a[i]``.
+    ``r`` from ``a[i]``, in (i, j) order.
 
-    In 1-d ``b`` must be sorted (every PointSet is); pairs then come in
-    (i, j) order.  Higher dimensions make one cKDTree sparse distance matrix
-    and return its pairs in no stated order.  Every candidate is decided by
-    the same Euclidean comparison, which is symmetric in a and b, so one
-    enumeration serves both directions.
+    In 1-d ``b`` must be sorted (every PointSet is); higher dimensions take
+    any order.  Every candidate is decided by the same Euclidean comparison,
+    which is symmetric in a and b, so one enumeration serves both directions.
+    More than ``_CANDIDATE_BUDGET`` candidates are refused before any of them
+    is built.
     """
     if len(a) == 0 or len(b) == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
@@ -136,21 +197,34 @@ def _close_pairs(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np
         t, q = b[:, 0], a[:, 0]
         lo = np.searchsorted(t, q - r, side="left")
         n = np.searchsorted(t, q + r, side="right") - lo
-        i = np.repeat(np.arange(len(a)), n)
-        j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(n) - n), n)
+        rows = np.arange(len(a))
     else:
-        cand = cKDTree(a).sparse_distance_matrix(cKDTree(b), r, output_type="ndarray")
-        i, j = cand["i"], cand["j"]
-    strict = np.sqrt(sq_norms(b[j] - a[i])) < r
-    return i[strict], j[strict]
+        qa, qb, lo, n = _cell_ranges(a, b, r)
+        a, b = a[qa], b[qb]
+        rows = np.tile(np.arange(len(a)), len(n) // len(a))
+    total = int(n.sum())
+    if total > _CANDIDATE_BUDGET:
+        raise InvalidArgumentError(
+            f"a pair search at radius {float(r)!r} over {len(a)} x {len(b)} points would test "
+            f"{total} candidates, over the budget of {_CANDIDATE_BUDGET}"
+        )
+    i = np.repeat(rows, n)
+    j = np.arange(total) + np.repeat(lo - (np.cumsum(n) - n), n)
+    # np.take gathers rows several times faster than fancy indexing
+    strict = np.sqrt(sq_norms(np.take(b, j, axis=0) - np.take(a, i, axis=0))) < r
+    i, j = i[strict], j[strict]
+    if a.shape[1] > 1:
+        # back from key order to input indices, in (i, j) order
+        i, j = np.divmod(np.sort(qa[i] * len(b) + qb[j]), len(b))
+    return i, j
 
 
 def nearest(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distance from each query point to its nearest target, and that target's index.
 
-    With no targets every distance is +inf and every index is ``len(targets)``
-    (scipy's marker for a missing neighbour).  In 1-d an exact tie between the
-    left and right neighbours resolves to the right one.
+    With no targets every distance is +inf and every index is ``len(targets)``,
+    which is never a valid index.  An exact tie goes, in 1-d, to the right
+    neighbour, and in higher dimensions to the lowest target index.
     """
     q = as_points(queries)
     t = as_points(targets)
@@ -169,8 +243,29 @@ def nearest(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
         right = np.clip(idx, 0, len(ts) - 1)
         d_left, d_right = np.abs(x - ts[left]), np.abs(x - ts[right])
         return np.minimum(d_left, d_right), order[np.where(d_right <= d_left, right, left)]
-    dist, index = cKDTree(t).query(q, k=1)
-    return np.asarray(dist, dtype=np.float64), np.asarray(index, dtype=np.intp)
+    dist = np.full(len(q), np.inf)
+    index = np.full(len(q), len(t), dtype=np.intp)
+    # start near the targets' mean spacing, taken from their interquartile
+    # box so that one far outlier does not inflate it, then double the radius
+    # for the queries that still have no target strictly inside it; a query
+    # with one has all its targets at distance < r among the pairs, so its
+    # nearest too; once r overflows, only distances that overflow stay inf
+    iqr = np.subtract(*np.quantile(t, [0.75, 0.25], axis=0)).max()
+    r = 2.0 * iqr / len(t) ** (1.0 / t.shape[1]) or 1.0
+    todo = np.arange(len(q))
+    while len(todo) and r < np.inf:
+        i, j = _close_pairs(np.take(q, todo, axis=0), t, r)
+        d = np.sqrt(sq_norms(np.take(t, j, axis=0) - np.take(q, todo[i], axis=0)))
+        first = np.flatnonzero(np.diff(i, prepend=-1))
+        best = np.minimum.reduceat(d, first)
+        # a query's pairs come in increasing j, so its first pair at the
+        # minimum has the lowest tied index
+        at = np.flatnonzero(d == np.repeat(best, np.diff(first, append=len(i))))
+        at = at[np.diff(i[at], prepend=-1) > 0]
+        dist[todo[i[at]]], index[todo[i[at]]] = d[at], j[at]
+        todo = np.delete(todo, i[at])
+        r *= 2.0
+    return dist, index
 
 
 _UNIT_BALL_VOL = {0: 1.0}

@@ -287,8 +287,7 @@ def autocorrelation(
     else:
         # ordered pairs at distance <= max_range (the closed ball), by (row, col)
         rows, cols = _close_pairs(pts, pts, np.nextafter(max_range, np.inf))
-        order = np.lexsort((cols, rows))
-        reps, counts, mixed = _bucket(pts[cols[order]] - pts[rows[order]], bucket_tol)
+        reps, counts, mixed = _bucket(pts[cols] - pts[rows], bucket_tol)
     order = np.lexsort(reps.T[::-1])
     weights = (counts[order] / float(radius) ** x.dim).astype(np.complex128)
     return AtomicMeasure(x.dim, reps[order], weights, bucket_tol, int(mixed.sum()))

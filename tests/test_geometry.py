@@ -1,7 +1,10 @@
-"""The nearest-neighbour and close-pair primitives against O(n*m) brute
-force, and the radius check every window goes through."""
+"""The nearest-neighbour, close-pair and minimum-gap primitives against
+O(n*m) brute force, and the radius check every window goes through."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,18 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import quasidiff
 from quasidiff.errors import InvalidArgumentError
-from quasidiff.geometry import _close_pairs, nearest, require_extent, sq_norms
+from quasidiff.geometry import _close_pairs, min_pairwise_gap, nearest, require_extent, sq_norms
 from quasidiff.measures import autocorrelation
 from quasidiff.metrics import LGrid, mismatch_sets
 from quasidiff.perturb import NoiseModel, boundary_crossings, recovery_trial
 from quasidiff.pointset import gen_lattice, set_stats, splice, window
 from quasidiff.spectral import FrequencyGrid, amplitude_spectrum, singularity_diagnostic
 
-# quarter-integers make exact ties and duplicate targets common
+# quarter-integers make exact ties and duplicate targets common; multiples of
+# 2^-32 put gaps near the smallest radii, and a coordinate up to 1e12 then
+# sets the cell width instead of the radius
 COORDS = st.one_of(
     st.integers(-20, 20).map(lambda k: k / 4),
+    st.integers(-20, 20).map(lambda k: k / 2**32),
     st.floats(-50.0, 50.0, allow_nan=False),
+    st.floats(-1e12, 1e12, allow_nan=False),
 )
 
 
@@ -30,8 +38,17 @@ def point_arrays(dim: int):
     )
 
 
+def brute_distances(q, t):
+    """Distances from every query to every target, computed as the kernels
+    compute them: |t - q| in 1-d, sqrt(sq_norms(t - q)) above."""
+    if q.shape[1] == 1:
+        return np.abs(t[None, :, 0] - q[:, None, 0])
+    diff = (t[None, :, :] - q[:, None, :]).reshape(-1, q.shape[1])
+    return np.sqrt(sq_norms(diff)).reshape(len(q), len(t))
+
+
 @settings(max_examples=300, deadline=None)
-@given(dim=st.sampled_from([1, 2]), data=st.data())
+@given(dim=st.sampled_from([1, 2, 3]), data=st.data())
 def test_nearest_matches_brute_force(dim, data):
     q = data.draw(point_arrays(dim), label="queries")
     t = data.draw(point_arrays(dim), label="targets")
@@ -40,22 +57,19 @@ def test_nearest_matches_brute_force(dim, data):
     if len(t) == 0:
         assert np.isinf(dist).all()
         return
+    brute = brute_distances(q, t)
+    assert np.array_equal(dist, brute.min(axis=1))
     if dim == 1:
-        gaps = np.abs(q[:, None, 0] - t[None, :, 0])
-        assert np.array_equal(dist, gaps.min(axis=1))
         assert np.array_equal(dist, np.abs(q[:, 0] - t[index, 0]))
         for i in range(len(q)):
             # a tie between a left and a right neighbour goes to the right one
-            tied = t[gaps[i] == dist[i], 0]
+            tied = t[brute[i] == dist[i], 0]
             right = tied[tied >= q[i, 0]]
             if len(right):
                 assert t[index[i], 0] == right.min()
     else:
-        brute = np.sqrt(((q[:, None, :] - t[None, :, :]) ** 2).sum(axis=2))
-        np.testing.assert_allclose(dist, brute.min(axis=1), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(
-            dist, np.linalg.norm(q - t[index], axis=1), rtol=1e-12, atol=0
-        )
+        # an exact tie goes to the lowest target index (remove_near reads it)
+        assert np.array_equal(index, brute.argmin(axis=1))
 
 
 def test_nearest_of_no_queries_is_empty():
@@ -65,10 +79,11 @@ def test_nearest_of_no_queries_is_empty():
 
 @settings(max_examples=300, deadline=None)
 @given(
-    dim=st.sampled_from([1, 2]),
+    dim=st.sampled_from([1, 2, 3]),
     r=st.one_of(
         st.integers(1, 40).map(lambda k: k / 4),
-        st.floats(1e-3, 60.0, allow_nan=False),
+        st.integers(1, 40).map(lambda k: k / 2**32),
+        st.floats(1e-9, 60.0, allow_nan=False),
     ),
     data=st.data(),
 )
@@ -80,15 +95,32 @@ def test_close_pairs_match_brute_force(dim, r, data):
     if dim == 1:
         b = np.sort(b, axis=0)  # the 1-d search needs sorted targets
     i, j = _close_pairs(a, b, r)
-    ii = np.repeat(np.arange(len(a)), len(b))
-    jj = np.tile(np.arange(len(b)), len(a))
-    near = np.sqrt(sq_norms(b[jj] - a[ii])) < r
-    brute = list(zip(ii[near].tolist(), jj[near].tolist()))
-    found = list(zip(i.tolist(), j.tolist()))
-    if dim == 1:
-        assert found == brute  # in (i, j) order
-    else:
-        assert sorted(found) == brute
+    ii, jj = np.nonzero(brute_distances(a, b) < r)  # row-major: (i, j) order
+    assert i.tolist() == ii.tolist() and j.tolist() == jj.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), data=st.data())
+def test_min_pairwise_gap_matches_brute_force(dim, data):
+    p = data.draw(point_arrays(dim), label="points")
+    gap = min_pairwise_gap(p)
+    if len(p) < 2:
+        assert gap == math.inf
+        return
+    brute = brute_distances(p, p)
+    assert gap == brute[np.triu_indices(len(p), 1)].min()
+
+
+def test_import_does_not_load_scipy():
+    # the runtime depends on numpy only; scipy is a benchmark extra
+    src = os.path.dirname(os.path.dirname(quasidiff.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", "import quasidiff, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

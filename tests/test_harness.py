@@ -552,6 +552,23 @@ class TestCli:
         assert "exceeds the enumeration budget" in capsys.readouterr().err
         assert not (tmp_path / "z.pts").exists()
 
+    @pytest.mark.parametrize(
+        "gen, autocorr",
+        [
+            # 198,001 window points: a 221 GiB candidate array without the budget
+            (["--kind", "lattice", "--extent", "100000"], ["--radius", "99000", "--max-range", "1e5"]),
+            # the 2-d cell list: 11,352 points, all within max_range of each other
+            (["--kind", "ammann-beenker", "--extent", "60"], ["--radius", "60", "--max-range", "200"]),
+        ],
+    )
+    def test_oversize_pair_search_exits_two(self, tmp_path, capsys, gen, autocorr):
+        path = str(tmp_path / "x.pts")
+        assert main(["gen", *gen, "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["autocorr", "--input", path, *autocorr]) == 2
+        err = capsys.readouterr().err
+        assert "over the budget of 33554432" in err and "Traceback" not in err
+
     def test_oversize_l_max_exits_two(self, tmp_path, capsys):
         src = noise_free_lattice(tmp_path)
         code = main(["dist", "--kind", "stat", "--a", src, "--b", src, "--l-max", "10000000"])
