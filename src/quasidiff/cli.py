@@ -1,8 +1,10 @@
 """Command-line interface.
 
-``quasidiff <subcommand>`` with global flags ``--seed``, ``--out`` and
-``--config`` (JSON file for the scenario runner), accepted before or after
-the subcommand.
+``quasidiff <subcommand> [flags]``.  Each subcommand declares only the flags
+it reads: ``--out`` every one but ``peaks``, ``--seed`` ``gen``, ``perturb``
+and ``scenario``, ``--config`` (JSON file for the scenario runner)
+``scenario`` alone.  A flag that the chosen ``--kind`` of ``gen`` or ``dist``
+does not read is refused.
 
 Exit codes: 0 on success / all criteria passing, 1 when a scenario criterion
 fails, 2 on usage, format, or configuration errors.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 
@@ -81,29 +84,45 @@ def _given(args, *names: str) -> dict:
 
 
 def _require_out(args) -> str:
-    if not args.out:
+    if not getattr(args, "out", None):
         raise InvalidArgumentError("this subcommand needs --out")
     return args.out
 
 
+def _refuse_unread(args, params, *names: str) -> None:
+    """Refuse each named option present on the command line that is not among
+    ``params``, the parameters of the function that ``--kind`` picks."""
+    for name in names:
+        if hasattr(args, name) and name not in params:
+            raise InvalidArgumentError(
+                f"--{name.replace('_', '-')} is not read by --kind {args.kind}"
+            )
+
+
+# each generator's signature names the optional flags it reads
+_GENERATORS = {
+    "lattice": lambda extent, dim=1, spacing=1.0, label=None: gen_lattice(
+        dim, spacing, extent, label
+    ),
+    "fibonacci": gen_fibonacci,
+    "visible": gen_visible,
+    "poisson": lambda extent, dim=1, intensity=1.0, seed=0: gen_poisson(
+        intensity, dim, extent, seed
+    ),
+    "fibonacci-cut-project": lambda extent, label="fibonacci-cut-project": gen_cut_project(
+        fibonacci_cut_project_config(extent), label
+    ),
+    "ammann-beenker": lambda extent, label="ammann-beenker": gen_cut_project(
+        ammann_beenker_config(extent), label
+    ),
+}
+_GEN_FLAGS = ("dim", "spacing", "intensity", "seed", "label")
+
+
 def _cmd_gen(args) -> int:
-    kind = args.kind
-    if kind == "lattice":
-        x = gen_lattice(args.dim, args.spacing, args.extent, label=args.label)
-    elif kind == "fibonacci":
-        x = gen_fibonacci(args.extent, label=args.label or "fibonacci")
-    elif kind == "visible":
-        x = gen_visible(args.extent, label=args.label or "visible")
-    elif kind == "poisson":
-        x = gen_poisson(args.intensity, args.dim, args.extent, seed=args.seed)
-    elif kind == "fibonacci-cut-project":
-        x = gen_cut_project(
-            fibonacci_cut_project_config(args.extent), label=args.label or kind
-        )
-    elif kind == "ammann-beenker":
-        x = gen_cut_project(ammann_beenker_config(args.extent), label=args.label or kind)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidArgumentError(f"unknown generator {kind!r}")
+    make = _GENERATORS[args.kind]
+    _refuse_unread(args, inspect.signature(make).parameters, *_GEN_FLAGS)
+    x = make(args.extent, **_given(args, *_GEN_FLAGS))
     qio.write_points(_require_out(args), x)
     print(f"wrote {len(x)} points to {args.out}")
     return 0
@@ -115,29 +134,35 @@ def _cmd_window(args) -> int:
     return 0
 
 
+_DISTANCES = {
+    "stat": rho_stat,
+    "alignment": rho_gh,
+    "symmetric-difference": rho_aut,
+    "hausdorff": hausdorff_distance,
+}
+
+
 def _cmd_dist(args) -> int:
+    measure = _DISTANCES[args.kind]
+    params = set(inspect.signature(measure).parameters)
+    if "grid" in params:
+        params.add("l_max")  # --l-max sets the window grid 1..l-max
+    _refuse_unread(args, params, "l_max", "eps_tol")
     a = qio.read_points(args.a)
     b = qio.read_points(args.b)
+    options = _given(args, "eps_tol")
+    if "grid" in params:
+        options["grid"] = LGrid.integers(getattr(args, "l_max", 1000))
+    res = measure(a, b, **options)
     if args.kind == "hausdorff":
-        doc = {"kind": "hausdorff", "value": hausdorff_distance(a, b)}
-    elif args.kind == "alignment":
-        res = rho_gh(a, b, **_given(args, "eps_tol"))
-        doc = {"kind": "alignment", "value": res.value, "capped": res.capped}
+        doc = {"kind": "hausdorff", "value": res}
     else:
-        grid = LGrid.integers(args.l_max)
-        if args.kind == "stat":
-            res = rho_stat(a, b, grid, **_given(args, "eps_tol"))
-        else:
-            res = rho_aut(a, b, grid)
-        doc = {
-            "kind": args.kind,
-            "value": res.value,
-            "attained_L": res.attained_L,
-            "capped": res.capped,
-        }
+        doc = {"kind": args.kind, "value": res.value, "capped": res.capped}
+        if "grid" in params:
+            doc["attained_L"] = res.attained_L
     text = json.dumps(doc, sort_keys=True)
     print(text)
-    if args.out:
+    if hasattr(args, "out"):
         qio.atomic_write_text(args.out, text + "\n")
     return 0
 
@@ -154,7 +179,7 @@ def _cmd_autocorr(args) -> int:
             )
         )
     text = "\n".join(lines) + "\n"
-    if args.out:
+    if hasattr(args, "out"):
         qio.atomic_write_text(args.out, text)
         print(f"wrote {len(gamma)} atoms to {args.out}")
     else:
@@ -223,18 +248,18 @@ def _cmd_scenario(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             cfg = ScenarioConfig.from_json(handle.read())
-        if args.name and args.name != cfg.scenario:
-            raise InvalidArgumentError(
-                f"--name {args.name!r} conflicts with config scenario {cfg.scenario!r}"
-            )
-        if args.out and args.out != cfg.out_dir:
+        for flag, field in (("name", "scenario"), ("seed", "seed")):
+            value = getattr(args, flag, None)
+            if value is not None and value != getattr(cfg, field):
+                raise InvalidArgumentError(
+                    f"--{flag} {value!r} conflicts with config {field} {getattr(cfg, field)!r}"
+                )
+        if args.out:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
     else:
         if not args.name:
             raise InvalidArgumentError("scenario needs --name or --config")
-        cfg = ScenarioConfig(
-            scenario=args.name, seed=args.seed, out_dir=args.out or "."
-        )
+        cfg = ScenarioConfig(scenario=args.name, out_dir=args.out or ".", **_given(args, "seed"))
     result = run_scenario(cfg)
     for crit in result.criteria:
         status = "PASS" if crit.passed else "FAIL"
@@ -256,61 +281,39 @@ def _build_parser() -> argparse.ArgumentParser:
             "perturbation/recovery experiments."
         ),
     )
-    parser.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
-    parser.add_argument("--out", default=None, help="output file or directory")
-    parser.add_argument("--config", default=None, help="JSON config file (scenario)")
-
-    # The same flags are accepted after the subcommand; suppressed defaults
-    # keep a subcommand-position flag from clobbering a global-position one.
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out")
-    common.add_argument("--config")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
     # an option left off the command line is absent from the namespace, so
     # the library's own default applies (see _given)
     def add_parser(name, **kwargs):
-        return sub.add_parser(
-            name, parents=[common], argument_default=argparse.SUPPRESS, **kwargs
-        )
+        return sub.add_parser(name, argument_default=argparse.SUPPRESS, **kwargs)
 
     p = add_parser("gen", help="generate a point set and write it to --out")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=[
-            "lattice",
-            "fibonacci",
-            "visible",
-            "poisson",
-            "fibonacci-cut-project",
-            "ammann-beenker",
-        ],
-    )
+    p.add_argument("--kind", required=True, choices=list(_GENERATORS))
     p.add_argument("--extent", type=float, required=True)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--spacing", type=float, default=1.0)
-    p.add_argument("--intensity", type=float, default=1.0)
-    p.add_argument("--label", default=None)
+    p.add_argument("--dim", type=int, help="lattice, poisson (default 1)")
+    p.add_argument("--spacing", type=float, help="lattice (default 1)")
+    p.add_argument("--intensity", type=float, help="poisson (default 1)")
+    p.add_argument("--seed", type=int, help="poisson (default 0)")
+    p.add_argument("--label", help="every kind but poisson")
+    p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 
     p = add_parser("window", help="restrict a point set to a closed ball")
     p.add_argument("--input", required=True)
     p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--out")
     p.set_defaults(func=_cmd_window)
 
     p = add_parser("dist", help="distance between two point-set files")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["stat", "alignment", "symmetric-difference", "hausdorff"],
-    )
+    p.add_argument("--kind", required=True, choices=list(_DISTANCES))
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--l-max", type=int, default=1000, help="window grid 1..l-max")
-    p.add_argument("--eps-tol", type=float)
+    p.add_argument(
+        "--l-max", type=int, help="stat, symmetric-difference: window grid 1..l-max (default 1000)"
+    )
+    p.add_argument("--eps-tol", type=float, help="stat, alignment")
+    p.add_argument("--out", help="also write the JSON here")
     p.set_defaults(func=_cmd_dist)
 
     p = add_parser("autocorr", help="windowed autocorrelation atoms as CSV")
@@ -318,12 +321,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--bucket-tol", type=float)
     p.add_argument("--max-range", type=float)
+    p.add_argument("--out", help="CSV file (default: stdout)")
     p.set_defaults(func=_cmd_autocorr)
 
     p = add_parser("spectrum", help="windowed amplitude spectrum / periodogram")
     p.add_argument("--input", required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--grid", required=True, help="lo:hi:step per axis, ';'-separated")
+    p.add_argument("--out")
     p.set_defaults(func=_cmd_spectrum)
 
     p = add_parser("peaks", help="peak analysis of a stored spectrum")
@@ -336,16 +341,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("perturb", help="displace every point with keyed noise")
     p.add_argument("--input", required=True)
     p.add_argument("--noise", required=True, help="gaussian:<sigma> | uniform:<a> | pareto:<alpha>:<scale>")
+    p.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
+    p.add_argument("--out")
     p.set_defaults(func=_cmd_perturb)
 
     p = add_parser("recover", help="divide a spectrum by the noise characteristic function")
     p.add_argument("--input", required=True)
     p.add_argument("--noise", required=True, help="gaussian:<sigma> | uniform:<a>")
     p.add_argument("--guard", type=float)
+    p.add_argument("--out")
     p.set_defaults(func=_cmd_recover)
 
     p = add_parser("scenario", help="run a registered experiment pipeline")
     p.add_argument("--name", default=None)
+    p.add_argument("--config", default=None, help="JSON config file")
+    p.add_argument("--seed", type=int, help="default 0, or the config's")
+    p.add_argument("--out", default=None, help="output directory (default ., or the config's)")
     p.set_defaults(func=_cmd_scenario)
 
     return parser

@@ -225,6 +225,12 @@ def nearest(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
     With no targets every distance is +inf and every index is ``len(targets)``,
     which is never a valid index.  An exact tie goes, in 1-d, to the right
     neighbour, and in higher dimensions to the lowest target index.
+
+    In d >= 2 one search radius grows for all queries still unanswered, so
+    two large sets that lie far apart are refused through the pair
+    candidate budget (``InvalidArgumentError``, exit 2 from the command
+    line): 10,000 points in [0, 1]^2 against 10,000 in [1000, 1001]^2 would
+    test 10^8 candidates.  Windows centred on the origin never come near it.
     """
     q = as_points(queries)
     t = as_points(targets)
@@ -276,10 +282,12 @@ def ball_volume(dim: int, radius: float = 1.0) -> float:
     if dim < 0:
         raise InvalidArgumentError("dimension must be nonnegative")
     if dim not in _UNIT_BALL_VOL:
-        # omega_d = pi^{d/2} / Gamma(d/2 + 1)
-        from math import gamma, pi
-
-        _UNIT_BALL_VOL[dim] = pi ** (dim / 2) / gamma(dim / 2 + 1)
+        # omega_d = pi^{d/2} / Gamma(d/2 + 1); past d = 341 Gamma overflows,
+        # and the quotient, taken through its logarithm, underflows soon after
+        try:
+            _UNIT_BALL_VOL[dim] = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
+        except OverflowError:
+            _UNIT_BALL_VOL[dim] = math.exp(dim / 2 * math.log(math.pi) - math.lgamma(dim / 2 + 1))
     try:
         return _UNIT_BALL_VOL[dim] * float(radius) ** dim
     except OverflowError:

@@ -82,6 +82,8 @@ def read_points(path: str) -> PointSet:
         extent = float(match.group(3))
     except ValueError as exc:
         raise FormatError(f"{path}: non-numeric header field: {exc}") from exc
+    if dim < 1:
+        raise FormatError(f"{path}: header dimension d={dim} is below 1")
     label = match.group(4) or ""
     rows = []
     for lineno, line in enumerate(raw[1:], start=2):

@@ -57,16 +57,13 @@ class AtomicMeasure:
     """Finite complex measure: weighted atoms at pairwise-separated locations.
 
     ``bucket_tol`` records the merge radius used while accumulating the
-    atoms (0 means only exactly coincident locations were merged), and
-    ``merged_count`` how many surviving atoms absorbed at least two distinct
-    raw locations.
+    atoms (0 means only exactly coincident locations were merged).
     """
 
     dim: int
     locations: np.ndarray
     weights: np.ndarray
     bucket_tol: float = 0.0
-    merged_count: int = 0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -101,7 +98,7 @@ class AtomicMeasure:
     def __repr__(self) -> str:
         return (
             f"AtomicMeasure(dim={self.dim}, atoms={len(self.weights)}, "
-            f"bucket_tol={self.bucket_tol!r}, merged={self.merged_count})"
+            f"bucket_tol={self.bucket_tol!r})"
         )
 
     @property
@@ -119,9 +116,8 @@ class AtomicMeasure:
     def scaled(self, factor: complex) -> "AtomicMeasure":
         if factor == 0:
             return AtomicMeasure(self.dim, np.zeros((0, self.dim)), np.zeros(0, np.complex128),
-                                 self.bucket_tol, self.merged_count)
-        return AtomicMeasure(self.dim, self.locations, self.weights * factor,
-                             self.bucket_tol, self.merged_count)
+                                 self.bucket_tol)
+        return AtomicMeasure(self.dim, self.locations, self.weights * factor, self.bucket_tol)
 
 
 @dataclass(frozen=True)
@@ -222,15 +218,14 @@ def _quantize(vals: np.ndarray, tol: float) -> np.ndarray:
     return scaled.astype(np.int64)
 
 
-def _bucket(vecs: np.ndarray, tol: float, counts=None, mixed=None):
+def _bucket(vecs: np.ndarray, tol: float, counts=None):
     """Merge vectors whose keys agree (quantized to width ``tol``; exact
     equality when ``tol`` is 0).
 
-    Returns, per bucket in key order: the first-seen vector, the summed
-    count, and whether two distinct raw vectors met in it.  ``counts`` and
-    ``mixed`` carry those of an earlier bucketing, so bucketing the
-    concatenated results of blocks, in enumeration order, gives the result
-    of their union with the same first-seen representatives.
+    Returns, per bucket in key order, the first-seen vector and the summed
+    count.  ``counts`` carries those of an earlier bucketing, so bucketing
+    the concatenated results of blocks, in enumeration order, gives the
+    result of their union with the same first-seen representatives.
     """
     keys = _quantize(vecs, tol) if tol > 0 else vecs
     order = np.lexsort(keys.T[::-1])  # stable: equal keys stay in input order
@@ -240,15 +235,9 @@ def _bucket(vecs: np.ndarray, tol: float, counts=None, mixed=None):
     first = np.flatnonzero(starts)
     if len(first) > _ATOM_BUDGET:
         raise InvalidArgumentError("autocorrelation atom budget exceeded")
-    reps = vecs[order[first]]
-    bucket = np.cumsum(starts) - 1
-    differs = (vecs[order] != reps[bucket]).any(axis=1)
-    if mixed is not None:
-        differs |= mixed[order]
     if counts is None:
         counts = np.ones(len(vecs), dtype=np.int64)
-    merged = np.bincount(bucket, weights=differs, minlength=len(first)) > 0
-    return reps, np.add.reduceat(counts[order], first), merged
+    return vecs[order[first]], np.add.reduceat(counts[order], first)
 
 
 def autocorrelation(
@@ -282,15 +271,15 @@ def autocorrelation(
             _bucket((pts[s : s + chunk, None, :] - pts[None, :, :]).reshape(-1, x.dim), bucket_tol)
             for s in range(0, max(n, 1), chunk)
         ]
-        vecs, counts, mixed = map(np.concatenate, zip(*blocks))
-        reps, counts, mixed = _bucket(vecs, bucket_tol, counts, mixed)
+        vecs, counts = map(np.concatenate, zip(*blocks))
+        reps, counts = _bucket(vecs, bucket_tol, counts)
     else:
         # ordered pairs at distance <= max_range (the closed ball), by (row, col)
         rows, cols = _close_pairs(pts, pts, np.nextafter(max_range, np.inf))
-        reps, counts, mixed = _bucket(pts[cols] - pts[rows], bucket_tol)
+        reps, counts = _bucket(pts[cols] - pts[rows], bucket_tol)
     order = np.lexsort(reps.T[::-1])
     weights = (counts[order] / float(radius) ** x.dim).astype(np.complex128)
-    return AtomicMeasure(x.dim, reps[order], weights, bucket_tol, int(mixed.sum()))
+    return AtomicMeasure(x.dim, reps[order], weights, bucket_tol)
 
 
 # ---------------------------------------------------------------------------

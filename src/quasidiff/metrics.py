@@ -3,9 +3,9 @@
 All comparisons happen on centered closed balls ("windows") of radii taken
 from an explicit :class:`LGrid`; the grid is the finite surrogate for the
 supremum over all window sizes that the underlying definitions use, and its
-lower end is a real modelling choice (a lone mismatched point close to the
-origin dominates small windows because the distance to an empty window is
-+infinity), so ``l_min`` is a visible field rather than a constant.
+smallest radius is a real modelling choice (a lone mismatched point close to
+the origin dominates small windows because the distance to an empty window
+is +infinity), made by whoever builds the grid.
 
 Conventions, applied uniformly and without floating-point slack:
 
@@ -48,7 +48,6 @@ class LGrid:
     """Strictly increasing window radii over which suprema are taken."""
 
     values: tuple[float, ...]
-    l_min: float = 1.0
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -58,8 +57,6 @@ class LGrid:
         arr = np.asarray(vals)
         if not ((arr > 0).all() and (np.diff(arr) > 0).all()):
             raise InvalidArgumentError("LGrid radii must be positive and strictly increasing")
-        if vals[0] < self.l_min - 1e-12:
-            raise InvalidArgumentError(f"smallest radius {vals[0]!r} below l_min={self.l_min!r}")
 
     @classmethod
     def integers(cls, hi: int) -> "LGrid":

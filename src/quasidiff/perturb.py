@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,15 @@ __all__ = [
 ]
 
 
+# the parameter fields each kind reads; the others must keep their defaults
+_PARAMETERS = {
+    "gaussian": ("sigmas",),
+    "uniform": ("half_widths",),
+    "gaussian_mixture": ("components",),
+    "pareto_radial": ("alpha", "scale"),
+}
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Displacement law for independent per-point noise.
@@ -65,7 +74,8 @@ class NoiseModel:
       radius scale * ((1-u)^(-1/alpha) - 1) — heavy tail of index alpha, so
       the moment E |xi|^m is finite exactly when m < alpha.
 
-    Every parameter must be finite.  ``finite_moment`` records whether
+    A parameter field that the kind does not read must keep its default, and
+    every parameter must be finite.  ``finite_moment`` records whether
     E |xi|^(dim + 1/2) is finite; construction warns when it is not.
     """
 
@@ -117,6 +127,9 @@ class NoiseModel:
         object.__setattr__(
             self, "components", tuple((w, tuple(mean), s) for w, mean, s in self.components)
         )
+        for f in fields(self)[2:]:
+            if f.name not in _PARAMETERS[self.kind] and getattr(self, f.name) != f.default:
+                raise InvalidArgumentError(f"{self.kind} model does not read {f.name}")
         if not self.finite_moment:
             warnings.warn(
                 f"noise model has infinite E|xi|^(d+eps) moment: alpha={self.alpha!r} "

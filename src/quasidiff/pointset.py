@@ -111,12 +111,16 @@ class PointSet:
             raise DuplicatePointError(f"{self.label or 'point set'}: coincident points")
         if not ordered:
             raise InvalidArgumentError("points must be in increasing lexicographic order")
-        if len(pts):
+        # every window test compares squared norms, so the extent must square
+        # finitely; an infinite limit would admit any point
+        try:
             limit = (self.extent * (1.0 + _EXTENT_SLACK)) ** 2
-            if sq_norms(pts).max() > limit:
-                raise InvalidArgumentError(
-                    f"{self.label or 'point set'}: point outside the extent ball"
-                )
+        except OverflowError:
+            raise InvalidArgumentError(
+                f"extent {self.extent!r} is too large: its square overflows"
+            ) from None
+        if len(pts) and sq_norms(pts).max() > limit:
+            raise InvalidArgumentError(f"{self.label or 'point set'}: point outside the extent ball")
         if self.sep_radius > 0 and len(pts) >= 2:
             gap = min_pairwise_gap(pts)
             if gap < self.sep_radius - _GAP_SLACK:
@@ -245,6 +249,12 @@ def gen_fibonacci(extent: float, label: str = "fibonacci") -> PointSet:
     therefore extends to the left of 0 as well: window(X, 2) contains -tau.
     """
     _require_positive_finite(extent, "extent")
+    # tiles a and b occur with frequencies 1/tau and 1/tau^2: mean length 3 - tau
+    count = 2.0 * extent / (3.0 - TAU)
+    if count > _ENUM_BUDGET:
+        raise InvalidArgumentError(
+            f"the expected Fibonacci count {count!r} exceeds the enumeration budget of {_ENUM_BUDGET}"
+        )
     word = _fibonacci_word(extent + 2.0 * TAU)
     right = _tile_positions(word)
     left = -_tile_positions(word[::-1])

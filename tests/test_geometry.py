@@ -14,7 +14,14 @@ from hypothesis.extra.numpy import arrays
 
 import quasidiff
 from quasidiff.errors import InvalidArgumentError
-from quasidiff.geometry import _close_pairs, min_pairwise_gap, nearest, require_extent, sq_norms
+from quasidiff.geometry import (
+    _close_pairs,
+    ball_volume,
+    min_pairwise_gap,
+    nearest,
+    require_extent,
+    sq_norms,
+)
 from quasidiff.measures import autocorrelation
 from quasidiff.metrics import LGrid, mismatch_sets
 from quasidiff.perturb import NoiseModel, boundary_crossings, recovery_trial
@@ -121,6 +128,16 @@ def test_import_does_not_load_scipy():
         capture_output=True, text=True, env=env, check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_ball_volume_keeps_the_closed_form_and_survives_gamma_overflow():
+    for dim in range(1, 342):
+        assert ball_volume(dim) == math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
+    with pytest.raises(OverflowError):
+        math.gamma(342 / 2 + 1)
+    assert 0.0 < ball_volume(342) < ball_volume(341)
+    assert ball_volume(342) == pytest.approx(ball_volume(340) * 2 * math.pi / 342, rel=1e-12)
+    assert ball_volume(2000) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,21 @@
 """File formats, plotting, scenario configs, the scenario runner, and the CLI."""
 
+import argparse
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from quasidiff.cli import main
+try:
+    import resource
+except ImportError:  # not POSIX
+    resource = None
+
+import quasidiff
+from quasidiff.cli import _build_parser, main
 from quasidiff.errors import (
     ConfigError,
     DuplicatePointError,
@@ -90,6 +99,13 @@ class TestPointsIO:
         path = tmp_path / "nonfinite.pts"
         path.write_text(f"# d=2 r0=1.0 extent=5.0\n0.0,0.0\n1.0,{value}\n")
         with pytest.raises(FormatError, match=":3: non-finite coordinate"):
+            read_points(str(path))
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_header_dimension_below_one_rejected(self, tmp_path, dim):
+        path = tmp_path / "nodim.pts"
+        path.write_text(f"# d={dim} r0=1 extent=5\n")
+        with pytest.raises(FormatError, match=f"dimension d={dim} is below 1"):
             read_points(str(path))
 
     def test_empty_file_rejected(self, tmp_path):
@@ -622,3 +638,177 @@ class TestCli:
         cfg.write_text(json.dumps({"scenario": "completeness", **fields}))
         assert main(["scenario", "--config", str(cfg)]) == 2
         assert f"config key {next(iter(fields))!r}" in capsys.readouterr().err
+
+    # every flag a subcommand declares is read on the path it configures
+    FLAGS = {
+        "gen": {"--kind", "--extent", "--dim", "--spacing", "--intensity", "--seed", "--label",
+                "--out"},
+        "window": {"--input", "--radius", "--out"},
+        "dist": {"--kind", "--a", "--b", "--l-max", "--eps-tol", "--out"},
+        "autocorr": {"--input", "--radius", "--bucket-tol", "--max-range", "--out"},
+        "spectrum": {"--input", "--radius", "--grid", "--out"},
+        "peaks": {"--input", "--width", "--threshold-ratio", "--svg"},
+        "perturb": {"--input", "--noise", "--seed", "--out"},
+        "recover": {"--input", "--noise", "--guard", "--out"},
+        "scenario": {"--name", "--config", "--seed", "--out"},
+    }
+
+    def test_each_subcommand_declares_only_the_flags_it_reads(self):
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        declared = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert declared == self.FLAGS
+        assert sum(map(len, declared.values())) == 42
+        assert {s for a in parser._actions for s in a.option_strings} == {"-h", "--help"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", "3", "perturb", "--input", "z.pts", "--noise", "gaussian:0.1",
+             "--out", "n.pts"],
+            ["--out", "n.pts", "perturb", "--input", "z.pts", "--noise", "gaussian:0.1"],
+            ["--config", "c.json", "scenario"],
+            ["peaks", "--input", "s.csv", "--out", "p.json"],
+            ["window", "--input", "z.pts", "--radius", "5", "--seed", "3", "--out", "w.pts"],
+            ["gen", "--kind", "lattice", "--extent", "5", "--config", "c.json", "--out", "x.pts"],
+        ],
+        ids=["global-seed", "global-out", "global-config", "peaks-out", "window-seed",
+             "gen-config"],
+    )
+    def test_undeclared_flag_exits_two(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert len([ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]) == 1
+        assert not list(tmp_path.iterdir())
+
+    # the optional flags each generator reads; the signatures decide
+    GEN_READS = {
+        "lattice": {"--dim", "--spacing", "--label"},
+        "fibonacci": {"--label"},
+        "visible": {"--label"},
+        "poisson": {"--dim", "--intensity", "--seed"},
+        "fibonacci-cut-project": {"--label"},
+        "ammann-beenker": {"--label"},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GEN_READS))
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--dim", "2"), ("--spacing", "2"), ("--intensity", "2"), ("--seed", "3"),
+         ("--label", "x")],
+    )
+    def test_gen_flag_is_read_or_refused(self, tmp_path, capsys, kind, flag, value):
+        plain, flagged = str(tmp_path / "plain.pts"), str(tmp_path / "flagged.pts")
+        assert main(["gen", "--kind", kind, "--extent", "6", "--out", plain]) == 0
+        code = main(["gen", "--kind", kind, "--extent", "6", flag, value, "--out", flagged])
+        if flag in self.GEN_READS[kind]:
+            assert code == 0
+            with open(plain) as a, open(flagged) as b:
+                assert a.read() != b.read()
+        else:
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {flag} is not read by --kind {kind}\n"
+            assert not os.path.exists(flagged)
+
+    DIST_READS = {
+        "stat": {"--l-max", "--eps-tol"},
+        "alignment": {"--eps-tol"},
+        "symmetric-difference": {"--l-max"},
+        "hausdorff": set(),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DIST_READS))
+    @pytest.mark.parametrize("flag, value", [("--l-max", "5"), ("--eps-tol", "0.01")])
+    def test_dist_flag_is_read_or_refused(self, tmp_path, capsys, kind, flag, value):
+        src = noise_free_lattice(tmp_path)
+        out = str(tmp_path / "d.json")
+        code = main(["dist", "--kind", kind, "--a", src, "--b", src, flag, value, "--out", out])
+        if flag in self.DIST_READS[kind]:
+            assert code == 0
+        else:
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {flag} is not read by --kind {kind}\n"
+            assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("config", [{}, {"seed": 0}])
+    def test_scenario_seed_conflicting_with_config_exits_two(self, tmp_path, capsys, config):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "completeness", **config}))
+        out = tmp_path / "out"
+        assert main(["scenario", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed 7 conflicts with config seed 0\n"
+        assert not out.exists()
+
+    def test_scenario_name_conflicting_with_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "completeness"}))
+        out = tmp_path / "out"
+        assert main(["scenario", "--config", str(cfg), "--name", "boundary",
+                     "--out", str(out)]) == 2
+        assert "--name 'boundary' conflicts with config scenario 'completeness'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_scenario_seed_agreeing_with_config_runs_that_seed(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "completeness", "seed": 5}))
+        for argv, out in ((["--seed", "5"], "a"), ([], "b")):
+            assert main(["scenario", "--config", str(cfg), *argv,
+                         "--out", str(tmp_path / out)]) == 0
+            doc = json.loads((tmp_path / out / "completeness-result.json").read_text())
+            assert doc["config"]["seed"] == 5
+
+
+# The command line under a hard address-space limit: each extreme input
+# exits 0 or 2, never 1 and never with a traceback.
+_LIMIT = 2**30
+_MAIN = "import sys; from quasidiff.cli import main; sys.exit(main())"
+
+
+def _limit_address_space():  # runs in the child only, between fork and exec
+    resource.setrlimit(resource.RLIMIT_AS, (_LIMIT, _LIMIT))
+
+
+@pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gen", "--kind", "fibonacci", "--extent", "1e9", "--out", "f.pts"], 2),
+        # an extent whose square overflows
+        (["gen", "--kind", "lattice", "--extent", "1e300", "--spacing", "1e300",
+          "--out", "z.pts"], 2),
+        (["window", "--input", "huge.pts", "--radius", "5", "--out", "w.pts"], 2),
+        # the unit-ball volume underflows: an empty sample
+        (["gen", "--kind", "poisson", "--dim", "342", "--extent", "1", "--out", "p.pts"], 0),
+        (["window", "--input", "nodim.pts", "--radius", "1", "--out", "w.pts"], 2),
+        # 198,001 window points: a 221 GiB candidate array without the budget
+        (["autocorr", "--input", "lattice.pts", "--radius", "99000", "--max-range", "1e5"], 2),
+    ],
+    ids=["fibonacci-1e9", "lattice-1e300", "read-extent-1e300", "poisson-d342",
+         "read-d-1", "autocorr-221GiB"],
+)
+def test_extreme_input_exits_cleanly_under_a_memory_limit(tmp_path, argv, code):
+    (tmp_path / "huge.pts").write_text("# d=1 r0=1 extent=1e300\n-1e300\n0.0\n1e300\n")
+    (tmp_path / "nodim.pts").write_text("# d=-1 r0=1 extent=5\n")
+    if "lattice.pts" in argv:
+        write_points(str(tmp_path / "lattice.pts"), gen_lattice(1, 1.0, 100000.0))
+    src = os.path.dirname(os.path.dirname(quasidiff.__file__))
+    # one BLAS thread keeps the interpreter's own reservations far below the limit
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _MAIN, *argv], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300, preexec_fn=_limit_address_space,
+    )
+    assert "Traceback" not in run.stderr
+    assert run.returncode == code, run.stderr
+    if code == 2:
+        assert run.stderr.startswith("error: ")

@@ -164,7 +164,6 @@ class TestAutocorrelation:
         keys = sorted(diffs)
         assert np.array_equal(gamma.locations, np.array(keys).reshape(-1, dim))
         assert np.array_equal(gamma.weights, [diffs[k] / radius**dim for k in keys])
-        assert gamma.merged_count == 0
 
     @pytest.mark.parametrize("bucket_tol", [1e-9, 0.0])
     @pytest.mark.parametrize(
@@ -179,7 +178,6 @@ class TestAutocorrelation:
         assert len(window(x, radius).points) ** 2 > 2 * 1000  # several blocks
         assert whole.locations.tobytes() == blocks.locations.tobytes()
         assert whole.weights.tobytes() == blocks.weights.tobytes()
-        assert whole.merged_count == blocks.merged_count
 
 
 # ---------------------------------------------------------------------------

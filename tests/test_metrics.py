@@ -121,7 +121,7 @@ class TestRatioSup:
 # ratio_sup and mismatch_sets against an O(n^2) brute force
 
 SMALL_EXTENT = 8.0
-SMALL_GRID = LGrid((0.5, 1.0, 2.0, 3.5, 5.0, 8.0), l_min=0.5)
+SMALL_GRID = LGrid((0.5, 1.0, 2.0, 3.5, 5.0, 8.0))
 # quarter-integers make exact ties at eps = 0.25 and 0.5 common
 SMALL_COORDS = st.one_of(
     st.integers(-20, 20).map(lambda k: k / 4),

@@ -50,6 +50,24 @@ class TestNoiseModel:
             NoiseModel(1, "cauchy")
 
     @pytest.mark.parametrize(
+        "kind, read, unread",
+        [
+            ("gaussian", {"sigmas": (0.1,)}, {"alpha": 3.0}),
+            ("gaussian", {"sigmas": (0.1,)}, {"half_widths": (0.1,)}),
+            ("uniform", {"half_widths": (0.1,)}, {"sigmas": (0.1,)}),
+            ("uniform", {"half_widths": (0.1,)}, {"components": ((1.0, (0.0,), 0.1),)}),
+            ("gaussian_mixture", {"components": ((1.0, (0.0,), 0.1),)}, {"scale": 0.1}),
+            ("pareto_radial", {"alpha": 3.0, "scale": 0.1}, {"sigmas": (0.1,)}),
+            ("pareto_radial", {"alpha": 3.0, "scale": 0.1}, {"half_widths": (0.1,)}),
+        ],
+    )
+    def test_field_the_kind_does_not_read_rejected(self, kind, read, unread):
+        NoiseModel(1, kind, **read)
+        (field,) = unread
+        with pytest.raises(InvalidArgumentError, match=f"{kind} model does not read {field}"):
+            NoiseModel(1, kind, **read, **unread)
+
+    @pytest.mark.parametrize(
         "kind, args, name",
         [
             ("gaussian", (1, math.nan), "sigma"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasidiff import pointset
 from quasidiff.errors import (
     DuplicatePointError,
     InsufficientExtentError,
@@ -141,6 +142,22 @@ def test_fibonacci_density():
     x = gen_fibonacci(1001.0)
     count = int((np.abs(x.points[:, 0]) <= 1000.0).sum())
     assert abs(count / 1000.0 - 1.447) / 1.447 < 0.01
+
+
+def test_fibonacci_count_over_the_enumeration_budget_refused(monkeypatch):
+    # about 1,447 points expected on [-1000, 1000]: refused before the word is built
+    monkeypatch.setattr(pointset, "_ENUM_BUDGET", 1000)
+    with pytest.raises(InvalidArgumentError, match="exceeds the enumeration budget"):
+        gen_fibonacci(1000.0)
+    assert len(gen_fibonacci(600.0)) < 1000
+
+
+@pytest.mark.parametrize("points", [[[0.0]], np.zeros((0, 1))])
+def test_extent_whose_square_overflows_refused(points):
+    # with an infinite squared limit, a window of radius 1e200 would keep 1e300
+    with pytest.raises(InvalidArgumentError, match="its square overflows"):
+        PointSet(1, 0.0, 1e300, points)
+    assert PointSet(1, 0.0, 1e154, points).extent == 1e154
 
 
 # ---------------------------------------------------------------------------
