@@ -11,7 +11,8 @@ Conventions used everywhere in this package:
   :func:`require_extent`, so every module agrees on which boundary points
   belong to a window and on how far a declared extent may be stretched;
 * :func:`_close_pairs` is the one fixed-radius pair enumeration, behind the
-  metrics' mismatch counts, the short-range autocorrelation and, in d >= 2,
+  metrics' mismatch counts, the short-range autocorrelation, the merge of
+  bucketed autocorrelation atoms and, in d >= 2,
   :func:`nearest` and :func:`min_pairwise_gap`.  The 1-d path is one
   vectorised binary search over the sorted targets.  Higher dimensions use a
   cell list: both sets are binned into cubes of side w >= r over their first
@@ -19,6 +20,10 @@ Conventions used everywhere in this package:
   finds the targets of its 3^min(d, 3) neighbouring cells with ``searchsorted``.
   Every candidate is decided by the same strict Euclidean comparison, and the
   pairs come in (i, j) order in every dimension;
+* one budget, ``_CANDIDATE_BUDGET`` = 2^25 pairs, bounds every pair
+  enumeration in the package: :func:`_close_pairs` and the full-window
+  autocorrelation both check it through :func:`_require_pair_budget` before
+  they build a pair;
 * :func:`nearest` is the one nearest-neighbour primitive: exact Euclidean
   distances plus the index of the target attaining them.  1-d makes the same
   binary search; higher dimensions grow a pair search radius until every
@@ -136,6 +141,17 @@ _CELL_AXES = 3
 _CANDIDATE_BUDGET = 2**25
 
 
+def _require_pair_budget(pairs: int, what: str) -> None:
+    """Refuse an enumeration of more than ``_CANDIDATE_BUDGET`` pairs before
+    any of them is built; ``what`` names the enumeration."""
+    if pairs > _CANDIDATE_BUDGET:
+        raise InvalidArgumentError(
+            f"{what} would build {pairs} candidate pairs, over the budget of "
+            f"{_CANDIDATE_BUDGET}; an autocorrelation bounds its pairs with max_range "
+            "(--max-range)"
+        )
+
+
 def _cell_ranges(a: np.ndarray, b: np.ndarray, r: float):
     """Cell list for ``_close_pairs`` in d >= 2, over the first g = min(d, 3) axes.
 
@@ -203,11 +219,9 @@ def _close_pairs(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np
         a, b = a[qa], b[qb]
         rows = np.tile(np.arange(len(a)), len(n) // len(a))
     total = int(n.sum())
-    if total > _CANDIDATE_BUDGET:
-        raise InvalidArgumentError(
-            f"a pair search at radius {float(r)!r} over {len(a)} x {len(b)} points would test "
-            f"{total} candidates, over the budget of {_CANDIDATE_BUDGET}"
-        )
+    _require_pair_budget(
+        total, f"a pair search at radius {float(r)!r} over {len(a)} x {len(b)} points"
+    )
     i = np.repeat(rows, n)
     j = np.arange(total) + np.repeat(lo - (np.cumsum(n) - n), n)
     # np.take gathers rows several times faster than fancy indexing

@@ -4,8 +4,8 @@ The continuum notions (Radon measures, vague convergence, Portmanteau
 inequalities) are replaced by their exact finite counterparts:
 
 * an :class:`AtomicMeasure` is a finite list of weighted atoms in canonical
-  lexicographic order, with a recorded ``bucket_tol`` stating how close two
-  raw atoms were allowed to be before being merged into one;
+  lexicographic order, with a recorded ``bucket_tol``: no two of its atoms
+  lie closer than that;
 * test functions are radial tents — continuous, compactly supported, and
   with closed-form pairings, so no quadrature appears anywhere;
 * vague closeness of two measures is the maximum pairing gap over a declared
@@ -14,7 +14,10 @@ inequalities) are replaced by their exact finite counterparts:
 
 The autocorrelation of a point set X on the radius-L window is the measure
 (1/L^d) * sum of point-mass at p - q over all ordered pairs p, q in the
-window; its total mass is exactly (#window)^2 / L^d.
+window; its total mass is exactly (#window)^2 / L^d.  The pairs are
+enumerated once, all of them or those within ``max_range``, under the one
+pair budget of :mod:`quasidiff.geometry`, and bucketed once: an atom's
+weight is the run length of its key among the sorted differences.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .geometry import (
     _close_pairs,
+    _require_pair_budget,
     as_points,
     lex_sorted_strictly,
     min_pairwise_gap,
@@ -35,8 +39,9 @@ from .geometry import (
 )
 from .pointset import PointSet
 
-_PAIR_BUDGET = 4_000_000       # difference vectors materialized per block
-_ATOM_BUDGET = 20_000_000      # distinct atoms an accumulation may reach
+# atoms closer than bucket_tol times this are one atom: the bucketing merges
+# them, and AtomicMeasure refuses them
+_MERGE_GAP = 1.0 - 1e-12
 
 __all__ = [
     "AtomicMeasure",
@@ -57,7 +62,9 @@ class AtomicMeasure:
     """Finite complex measure: weighted atoms at pairwise-separated locations.
 
     ``bucket_tol`` records the merge radius used while accumulating the
-    atoms (0 means only exactly coincident locations were merged).
+    atoms: locations closer than it (up to a 1e-12 relative slack) were
+    merged into one, and are refused here (0 means only exactly coincident
+    locations were merged).
     """
 
     dim: int
@@ -82,7 +89,7 @@ class AtomicMeasure:
         if (w == 0).any():
             raise InvalidArgumentError("zero-weight atoms are not stored")
         if self.bucket_tol > 0 and len(locs) >= 2:
-            if min_pairwise_gap(locs) < self.bucket_tol * (1.0 - 1e-12):
+            if min_pairwise_gap(locs) < self.bucket_tol * _MERGE_GAP:
                 raise InvalidArgumentError(
                     "atoms closer than bucket_tol survived merging; "
                     "choose a different bucket_tol"
@@ -218,14 +225,16 @@ def _quantize(vals: np.ndarray, tol: float) -> np.ndarray:
     return scaled.astype(np.int64)
 
 
-def _bucket(vecs: np.ndarray, tol: float, counts=None):
+def _bucket(vecs: np.ndarray, tol: float):
     """Merge vectors whose keys agree (quantized to width ``tol``; exact
     equality when ``tol`` is 0).
 
-    Returns, per bucket in key order, the first-seen vector and the summed
-    count.  ``counts`` carries those of an earlier bucketing, so bucketing
-    the concatenated results of blocks, in enumeration order, gives the
-    result of their union with the same first-seen representatives.
+    Returns, per bucket in key order, the first-seen vector and the run
+    length of its key.  Copies of one difference that rounding puts on both
+    sides of a bucket edge land in neighbouring buckets; so buckets whose
+    representatives lie closer than the :class:`AtomicMeasure` separation
+    check allows are merged into the one with the lowest key, along with
+    every bucket linked to them by such pairs.
     """
     keys = _quantize(vecs, tol) if tol > 0 else vecs
     order = np.lexsort(keys.T[::-1])  # stable: equal keys stay in input order
@@ -233,11 +242,21 @@ def _bucket(vecs: np.ndarray, tol: float, counts=None):
     starts = np.ones(len(keys), dtype=bool)
     starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     first = np.flatnonzero(starts)
-    if len(first) > _ATOM_BUDGET:
-        raise InvalidArgumentError("autocorrelation atom budget exceeded")
-    if counts is None:
-        counts = np.ones(len(vecs), dtype=np.int64)
-    return vecs[order[first]], np.add.reduceat(counts[order], first)
+    reps, counts = vecs[order[first]], np.diff(first, append=len(keys))
+    if tol == 0:
+        return reps, counts
+    # in 1-d the key order sorts the representatives, as _close_pairs needs;
+    # its pairs come in both orders, so lowering each j's label to its i's,
+    # until nothing moves, labels every linked group with its lowest index
+    i, j = _close_pairs(reps, reps, tol * _MERGE_GAP)
+    label, last = np.arange(len(reps)), None
+    while not np.array_equal(label, last):
+        last = label.copy()
+        np.minimum.at(label, j, label[i])
+    merged = np.zeros_like(counts)
+    np.add.at(merged, label, counts)
+    root = label == np.arange(len(reps))
+    return reps[root], merged[root]
 
 
 def autocorrelation(
@@ -250,10 +269,13 @@ def autocorrelation(
 
     Atoms sit at the difference vectors p - q of points in the closed
     radius-window, merged within ``bucket_tol``, each weighted by its
-    multiplicity divided by radius^dim.  With ``max_range`` set, only
-    differences of length <= max_range are accumulated — the restriction of
-    the same measure to a ball, at a fraction of the cost — which is the
-    honest thing to pair against a test family supported in that ball.
+    multiplicity divided by radius^dim.  The full window enumerates every
+    ordered pair at once, so it is refused (``InvalidArgumentError``) above
+    2^25 pairs, a window of more than 5,792 points.  With ``max_range``
+    set, only differences of length <= max_range are accumulated — the
+    restriction of the same measure to a ball, at a fraction of the cost,
+    under the same pair budget — which is the honest thing to pair against
+    a test family supported in that ball.
     """
     r0 = x.require_separation()
     if not (0 <= bucket_tol <= r0 / 4):
@@ -264,19 +286,15 @@ def autocorrelation(
     pts = x.points[window_mask(x.points, radius)]
     n = len(pts)
     if max_range is None:
-        # row blocks of at most _PAIR_BUDGET differences; an empty window
-        # still makes one (empty) block
-        chunk = max(1, _PAIR_BUDGET // max(n, 1))
-        blocks = [
-            _bucket((pts[s : s + chunk, None, :] - pts[None, :, :]).reshape(-1, x.dim), bucket_tol)
-            for s in range(0, max(n, 1), chunk)
-        ]
-        vecs, counts = map(np.concatenate, zip(*blocks))
-        reps, counts = _bucket(vecs, bucket_tol, counts)
+        _require_pair_budget(n * n, f"an autocorrelation window of {n} points")
+        # every ordered pair as p_row - p_col, row-major: the order that
+        # picks each atom's first-seen representative
+        vecs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, x.dim)
     else:
         # ordered pairs at distance <= max_range (the closed ball), by (row, col)
         rows, cols = _close_pairs(pts, pts, np.nextafter(max_range, np.inf))
-        reps, counts = _bucket(pts[cols] - pts[rows], bucket_tol)
+        vecs = pts[cols] - pts[rows]
+    reps, counts = _bucket(vecs, bucket_tol)
     order = np.lexsort(reps.T[::-1])
     weights = (counts[order] / float(radius) ** x.dim).astype(np.complex128)
     return AtomicMeasure(x.dim, reps[order], weights, bucket_tol)

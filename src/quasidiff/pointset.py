@@ -247,6 +247,12 @@ def gen_fibonacci(extent: float, label: str = "fibonacci") -> PointSet:
     stable on both ends) from the legal seed ``a|a``; tiles have length tau
     ("a") and 1 ("b"), and one tile endpoint sits at the origin.  The chain
     therefore extends to the left of 0 as well: window(X, 2) contains -tau.
+
+    The declared separation is the b-tile length 1 while every measured gap
+    is within the separation check's slack of it, which holds for every
+    extent up to 2^21.  Beyond that, float64 spacing shortens some b-tiles
+    by up to an ulp of their position, and the smallest measured gap is
+    declared instead.
     """
     _require_positive_finite(extent, "extent")
     # tiles a and b occur with frequencies 1/tau and 1/tau^2: mean length 3 - tau
@@ -260,7 +266,9 @@ def gen_fibonacci(extent: float, label: str = "fibonacci") -> PointSet:
     left = -_tile_positions(word[::-1])
     pts = np.concatenate([left[::-1], [0.0], right])
     pts = pts[np.abs(pts) <= extent]
-    return PointSet(1, 1.0, extent, pts.reshape(-1, 1), label)
+    gap = np.diff(pts).min(initial=1.0)
+    sep = 1.0 if gap >= 1.0 - _GAP_SLACK else float(gap)
+    return PointSet(1, sep, extent, pts.reshape(-1, 1), label)
 
 
 def gen_visible(extent: float, label: str = "visible") -> PointSet:

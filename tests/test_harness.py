@@ -584,6 +584,25 @@ class TestCli:
         assert main(["autocorr", "--input", path, *autocorr]) == 2
         err = capsys.readouterr().err
         assert "over the budget of 33554432" in err and "Traceback" not in err
+        assert "--max-range" in err
+
+    def test_bucket_edge_copies_merge_on_the_command_line(self, tmp_path, capsys):
+        # copies of k + sqrt(5) straddle a 1e-9 rounding edge at this window
+        src, dst = str(tmp_path / "fib.pts"), str(tmp_path / "gamma.csv")
+        assert main(["gen", "--kind", "fibonacci", "--extent", "4100", "--out", src]) == 0
+        assert main(["autocorr", "--input", src, "--radius", "4000", "--max-range", "6",
+                     "--out", dst]) == 0
+        rows = np.loadtxt(dst, delimiter=",", skiprows=1, ndmin=2)
+        p = window(read_points(src), 4000.0).points[:, 0]
+        pairs = (np.searchsorted(p, p + 6.0, side="right") - np.searchsorted(p, p - 6.0)).sum()
+        assert len(rows) == 17 and round(rows[:, 1].sum() * 4000.0) == pairs
+
+    def test_fibonacci_past_two_to_the_21_generates(self, tmp_path, capsys):
+        # the tile crossing 2^21 reads 1 - 2.3e-10 in float64
+        path = tmp_path / "f.pts"
+        assert main(["gen", "--kind", "fibonacci", "--extent", "2097153", "--out", str(path)]) == 0
+        with open(path, encoding="utf-8") as handle:
+            assert handle.readline().startswith("# d=1 r0=0.9999999997671694 ")
 
     def test_oversize_l_max_exits_two(self, tmp_path, capsys):
         src = noise_free_lattice(tmp_path)
@@ -791,9 +810,11 @@ def _limit_address_space():  # runs in the child only, between fork and exec
         (["window", "--input", "nodim.pts", "--radius", "1", "--out", "w.pts"], 2),
         # 198,001 window points: a 221 GiB candidate array without the budget
         (["autocorr", "--input", "lattice.pts", "--radius", "99000", "--max-range", "1e5"], 2),
+        # the same window in full: 3.9e10 ordered pairs
+        (["autocorr", "--input", "lattice.pts", "--radius", "99000"], 2),
     ],
     ids=["fibonacci-1e9", "lattice-1e300", "read-extent-1e300", "poisson-d342",
-         "read-d-1", "autocorr-221GiB"],
+         "read-d-1", "autocorr-221GiB", "autocorr-full-window"],
 )
 def test_extreme_input_exits_cleanly_under_a_memory_limit(tmp_path, argv, code):
     (tmp_path / "huge.pts").write_text("# d=1 r0=1 extent=1e300\n-1e300\n0.0\n1e300\n")
@@ -812,3 +833,5 @@ def test_extreme_input_exits_cleanly_under_a_memory_limit(tmp_path, argv, code):
     assert run.returncode == code, run.stderr
     if code == 2:
         assert run.stderr.startswith("error: ")
+    if argv[0] == "autocorr":  # one line, naming the way out
+        assert run.stderr.count("\n") == 1 and "--max-range" in run.stderr

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quasidiff import measures
+from quasidiff import geometry, measures
 from quasidiff.errors import InvalidArgumentError
 from quasidiff.geometry import nearest, sq_norms
 from quasidiff.measures import (
@@ -165,19 +165,34 @@ class TestAutocorrelation:
         assert np.array_equal(gamma.locations, np.array(keys).reshape(-1, dim))
         assert np.array_equal(gamma.weights, [diffs[k] / radius**dim for k in keys])
 
-    @pytest.mark.parametrize("bucket_tol", [1e-9, 0.0])
-    @pytest.mark.parametrize(
-        "x, radius",
-        [(gen_fibonacci(120.0), 100.0), (gen_cut_project(ammann_beenker_config(8.0)), 6.0)],
-        ids=["fibonacci", "ammann-beenker"],
-    )
-    def test_row_blocks_match_single_block(self, monkeypatch, x, radius, bucket_tol):
-        whole = autocorrelation(x, radius, bucket_tol=bucket_tol)
-        monkeypatch.setattr(measures, "_PAIR_BUDGET", 1000)
-        blocks = autocorrelation(x, radius, bucket_tol=bucket_tol)
-        assert len(window(x, radius).points) ** 2 > 2 * 1000  # several blocks
-        assert whole.locations.tobytes() == blocks.locations.tobytes()
-        assert whole.weights.tobytes() == blocks.weights.tobytes()
+    def test_full_window_over_the_pair_budget_refused(self, monkeypatch):
+        # one budget, and one wording, for the full window and the max_range search
+        monkeypatch.setattr(geometry, "_CANDIDATE_BUDGET", 121)
+        x = gen_lattice(1, 1.0, 10.0)
+        assert len(autocorrelation(x, 5.0)) == 21  # 11 points: 121 pairs
+        refusal = r"candidate pairs, over the budget of 121; .* max_range \(--max-range\)$"
+        with pytest.raises(InvalidArgumentError, match="13 points would build 169 " + refusal):
+            autocorrelation(x, 6.0)
+        with pytest.raises(InvalidArgumentError, match=refusal):
+            autocorrelation(x, 10.0, max_range=10.0)
+
+    def test_copies_straddling_a_bucket_edge_are_one_atom(self):
+        # sqrt(5) = 2236067977.4998e-9 lies 2e-13 below an edge of the 1e-9
+        # grid, so the copies of k + sqrt(5) at L = 4000 fall on both sides of it
+        x = gen_fibonacci(4100.0)
+        gamma = autocorrelation(x, 4000.0, max_range=5.0)
+        p = window(x, 4000.0).points[:, 0]
+        pairs = (np.searchsorted(p, p + 5.0, side="right") - np.searchsorted(p, p - 5.0)).sum()
+        assert round(gamma.total_mass.real * 4000.0) == pairs
+        assert len(gamma) == 13  # 0 and +-1, tau, tau^2, 2 tau, tau + 2, tau^3
+
+    def test_bucket_merges_chains_into_the_lowest_key(self):
+        # keys 1, 0, 2, 1, 5: the first three buckets' representatives lie
+        # 0.51e-9 apart in a chain, the outer two 1.02e-9 apart
+        vecs = np.array([[1.0e-9], [0.49e-9], [1.51e-9], [1.2e-9], [5e-9]])
+        reps, counts = measures._bucket(vecs, 1e-9)
+        assert reps.tolist() == [[0.49e-9], [5e-9]]
+        assert counts.tolist() == [4, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,13 @@ def test_fibonacci_count_over_the_enumeration_budget_refused(monkeypatch):
     assert len(gen_fibonacci(600.0)) < 1000
 
 
+def test_fibonacci_declares_its_measured_gap_past_two_to_the_21():
+    # the b-tile that crosses 2^21 lands on a coarser float grid
+    assert gen_fibonacci(2097152.0).sep_radius == 1.0
+    x = gen_fibonacci(2097153.0)
+    assert x.sep_radius == np.diff(x.points[:, 0]).min() == 0.9999999997671694
+
+
 @pytest.mark.parametrize("points", [[[0.0]], np.zeros((0, 1))])
 def test_extent_whose_square_overflows_refused(points):
     # with an infinite squared limit, a window of radius 1e200 would keep 1e300
