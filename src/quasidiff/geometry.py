@@ -27,7 +27,8 @@ Conventions used everywhere in this package:
 * :func:`nearest` is the one nearest-neighbour primitive: exact Euclidean
   distances plus the index of the target attaining them.  1-d makes the same
   binary search; higher dimensions grow a pair search radius until every
-  query has a partner.
+  query has a partner, in query chunks that keep each enumeration within
+  the budget.
 """
 
 from __future__ import annotations
@@ -239,12 +240,6 @@ def nearest(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
     With no targets every distance is +inf and every index is ``len(targets)``,
     which is never a valid index.  An exact tie goes, in 1-d, to the right
     neighbour, and in higher dimensions to the lowest target index.
-
-    In d >= 2 one search radius grows for all queries still unanswered, so
-    two large sets that lie far apart are refused through the pair
-    candidate budget (``InvalidArgumentError``, exit 2 from the command
-    line): 10,000 points in [0, 1]^2 against 10,000 in [1000, 1001]^2 would
-    test 10^8 candidates.  Windows centred on the origin never come near it.
     """
     q = as_points(queries)
     t = as_points(targets)
@@ -272,18 +267,21 @@ def nearest(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
     # nearest too; once r overflows, only distances that overflow stay inf
     iqr = np.subtract(*np.quantile(t, [0.75, 0.25], axis=0)).max()
     r = 2.0 * iqr / len(t) ** (1.0 / t.shape[1]) or 1.0
+    # a query has at most len(t) candidates, so no chunk exceeds the budget
+    chunk = max(1, _CANDIDATE_BUDGET // len(t))
     todo = np.arange(len(q))
     while len(todo) and r < np.inf:
-        i, j = _close_pairs(np.take(q, todo, axis=0), t, r)
-        d = np.sqrt(sq_norms(np.take(t, j, axis=0) - np.take(q, todo[i], axis=0)))
-        first = np.flatnonzero(np.diff(i, prepend=-1))
-        best = np.minimum.reduceat(d, first)
-        # a query's pairs come in increasing j, so its first pair at the
-        # minimum has the lowest tied index
-        at = np.flatnonzero(d == np.repeat(best, np.diff(first, append=len(i))))
-        at = at[np.diff(i[at], prepend=-1) > 0]
-        dist[todo[i[at]]], index[todo[i[at]]] = d[at], j[at]
-        todo = np.delete(todo, i[at])
+        for part in np.split(todo, range(chunk, len(todo), chunk)):
+            i, j = _close_pairs(np.take(q, part, axis=0), t, r)
+            d = np.sqrt(sq_norms(np.take(t, j, axis=0) - np.take(q, part[i], axis=0)))
+            first = np.flatnonzero(np.diff(i, prepend=-1))
+            best = np.minimum.reduceat(d, first)
+            # a query's pairs come in increasing j, so its first pair at the
+            # minimum has the lowest tied index
+            at = np.flatnonzero(d == np.repeat(best, np.diff(first, append=len(i))))
+            at = at[np.diff(i[at], prepend=-1) > 0]
+            dist[part[i[at]]], index[part[i[at]]] = d[at], j[at]
+        todo = todo[index[todo] == len(t)]
         r *= 2.0
     return dist, index
 

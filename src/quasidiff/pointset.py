@@ -99,6 +99,10 @@ class PointSet:
         if self.sep_radius < 0:
             raise InvalidArgumentError("sep_radius must be >= 0")
         pts = as_points(self.points, self.dim)
+        if not pts.flags.owndata:
+            # a view could still be written through its base, so the set
+            # keeps a copy it alone owns and marks read-only below
+            pts = pts.copy()
         object.__setattr__(self, "points", pts)
         if not np.isfinite(pts).all():
             i, j = np.argwhere(~np.isfinite(pts))[0]

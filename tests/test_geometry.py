@@ -84,6 +84,20 @@ def test_nearest_of_no_queries_is_empty():
     assert dist.shape == index.shape == (0,)
 
 
+def test_nearest_of_far_apart_sets_in_chunks_under_the_budget(monkeypatch):
+    # the radius reaches the far set for every query at once, so one
+    # enumeration would test all 400 x 400 candidates, one over the budget;
+    # quarter-integer coordinates repeat, so ties are common
+    monkeypatch.setattr(quasidiff.geometry, "_CANDIDATE_BUDGET", 400 * 400 - 1)
+    rng = np.random.default_rng(7)
+    q = rng.integers(0, 20, size=(400, 2)) / 4
+    t = 1000.0 + rng.integers(0, 20, size=(400, 2)) / 4
+    dist, index = nearest(q, t)
+    brute = brute_distances(q, t)
+    assert np.array_equal(dist, brute.min(axis=1))
+    assert np.array_equal(index, brute.argmin(axis=1))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     dim=st.sampled_from([1, 2, 3]),

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from quasidiff import metrics
 from quasidiff.errors import (
     InsufficientExtentError,
     InvalidArgumentError,
@@ -23,7 +24,7 @@ from quasidiff.metrics import (
     rho_stat,
 )
 from quasidiff.geometry import lex_sort, min_pairwise_gap
-from quasidiff.pointset import PointSet, gen_lattice, gen_poisson, window
+from quasidiff.pointset import PointSet, gen_lattice, gen_poisson, remove_near, window
 
 from conftest import remove_points, shifted_lattice
 
@@ -255,6 +256,87 @@ class TestRhoStat:
         y = shifted_lattice(0.2, 50.0)
         with pytest.raises(InsufficientExtentError):
             rho_stat(x, y, LGrid.integers(60))
+
+
+# ---------------------------------------------------------------------------
+# the pair table that ratio_sup keeps between calls
+
+
+def moved_lattice(dim: int, extent: float, seed: int) -> PointSet:
+    """The unit lattice with eight points moved by up to 0.2 per axis and
+    eight dropped, so mismatch counts change at many eps below the cap."""
+    rng = np.random.default_rng(seed)
+    pts = gen_lattice(dim, 1.0, extent).points.copy()
+    pick = rng.choice(len(pts), size=16, replace=False)
+    pts[pick[:8]] += rng.uniform(-0.2, 0.2, size=(8, dim))
+    pts = lex_sort(np.delete(pts, pick[8:], axis=0))
+    return PointSet(dim, min_pairwise_gap(pts), extent + 0.5, pts)
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The number of pair enumerations the metrics have made so far."""
+    calls = []
+    inner = metrics._close_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(metrics, "_close_pairs", counted)
+    monkeypatch.setattr(metrics, "_slot", None, raising=False)
+    return calls
+
+
+class TestPairTable:
+    @pytest.mark.parametrize("dim, extent", [(1, 60.0), (2, 9.0)])
+    def test_results_are_those_of_a_cleared_table(self, dim, extent, enumerations):
+        x, y = moved_lattice(dim, extent, 1), moved_lattice(dim, extent, 2)
+        same_x = PointSet(x.dim, x.sep_radius, x.extent, x.points.copy(), x.label)
+        grid = LGrid.integers(int(extent))
+        same_grid = LGrid(grid.values)
+        # the lattice points of x and of this copy lie exactly 0.25 apart
+        quarter = PointSet(dim, x.sep_radius, x.extent, x.points + np.eye(dim)[0] / 4)
+        d = float(dim)
+        cap = min(x.sep_radius, y.sep_radius) / 2
+        # (call, whether it enumerates pairs anew)
+        steps = [
+            (lambda: ratio_sup(x, y, 0.3, d, grid), True),
+            (lambda: ratio_sup(x, y, 0.2, d, grid), False),
+            (lambda: ratio_sup(x, y, 0.05, d, grid), False),
+            (lambda: ratio_sup(x, y, 0.3, d, grid), False),
+            (lambda: ratio_sup(x, y, 0.3, d / 2, grid), False),
+            (lambda: ratio_sup(x, y, 0.45, d, grid), True),
+            (lambda: ratio_sup(x, y, 0.1, d, grid), False),
+            (lambda: ratio_sup(y, x, 0.1, d, grid), True),
+            (lambda: ratio_sup(y, x, 0.1, d, same_grid), True),
+            (lambda: ratio_sup(same_x, y, 0.1, d, same_grid), True),
+            (lambda: ratio_sup(x, y, 0.1, d, same_grid), True),
+            (lambda: ratio_sup(x, quarter, 0.45, d, grid), True),
+            (lambda: ratio_sup(x, quarter, 0.25, d, grid), False),  # ties mismatch
+            (lambda: rho_stat(x, y, grid, eps_tol=1e-5), True),
+            (lambda: ratio_sup(x, y, cap / 3, d, grid), False),
+            (lambda: ratio_sup(x, y, 2 * cap, d, grid), True),
+        ]
+        values = set()
+        for step, (call, enumerates) in enumerate(steps):
+            before = len(enumerations)
+            kept = call()
+            assert (len(enumerations) > before) == enumerates, step
+            held = metrics._slot
+            metrics._slot = None
+            assert repr(call()) == repr(kept), step
+            metrics._slot = held
+            values.add(kept.value)
+        assert len(values) >= 5  # the sequence sees distinct ratios
+
+    def test_one_enumeration_per_rho_stat(self, enumerations):
+        # the bisection makes ten probes here, and all read one pair table
+        lattice = gen_lattice(1, 1.0, 60.0)
+        defect = remove_near(lattice, [(55.0,), (-57.0,)], tol=0.25)
+        res = rho_stat(lattice, defect, LGrid.integers(60), eps_tol=1e-3)
+        assert not res.capped
+        assert len(enumerations) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,17 @@ def test_non_finite_coordinate_rejected(points):
         PointSet(len(points[0]), 1.0, 5.0, np.array(points))
 
 
+def test_points_cannot_change_through_a_writable_base():
+    # the metrics key their pair table on the PointSet object, so its points
+    # must not change after the checks; a view shared them with its base
+    base = np.arange(-5.0, 6.0).reshape(-1, 1)
+    x = PointSet(1, 1.0, 5.0, base[:])
+    base[7, 0] = 2.5
+    assert np.array_equal(x.points[:, 0], np.arange(-5.0, 6.0))
+    with pytest.raises(ValueError):
+        x.points[7, 0] = 2.5
+
+
 def test_lattice_spacing_scales_sep_radius():
     x = gen_lattice(1, 0.5, 1.0)
     assert x.sep_radius == 0.5
