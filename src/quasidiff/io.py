@@ -63,8 +63,8 @@ _HEADER = re.compile(r"^# d=(\S+) r0=(\S+) extent=(\S+)(?: label=(.*))?$")
 
 def write_points(path: str, x: PointSet) -> None:
     lines = [f"# d={x.dim} r0={x.sep_radius!r} extent={x.extent!r} label={x.label}"]
-    for row in x.points:
-        lines.append(",".join(repr(float(v)) for v in row))
+    # tolist() gives Python floats, whose repr is the shortest round-trip decimal
+    lines.extend(",".join(map(repr, row)) for row in x.points.tolist())
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

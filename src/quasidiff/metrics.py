@@ -21,16 +21,19 @@ Mismatch ratios are read from one pair table per ``(x, y, grid)``: the
 in-window counts and the close pairs of one enumeration, sorted by distance,
 so the pairs closer than a smaller eps are a prefix of them.  The module
 keeps the last table built, and :func:`ratio_sup` reuses it for the same
-objects at any eps up to the one it was enumerated at.  Each bisection probe
-of :func:`rho_stat` therefore stays one public :func:`ratio_sup` call, which
-is what perfbench's tracer counts as a probe, yet only its first probe
-enumerates pairs.
+objects at any eps up to the one it was enumerated at.  A ratio depends on
+eps only through the length of that prefix, so each prefix's ratio is kept
+with its table and counted once per exponent.  Each bisection probe of
+:func:`rho_stat` therefore stays one public :func:`ratio_sup` call, which is
+what perfbench's tracer counts as a probe, yet only its first probe
+enumerates pairs and only a probe that selects a new prefix counts
+mismatches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,6 +117,12 @@ class _PairTable:
     close pairs (i, j) of an enumeration at some eps ceiling come with their
     distances ``d``, stably sorted by ``d``, so the pairs closer than any eps
     up to the ceiling are a prefix of them.
+
+    ``ratios`` keeps the largest ratio of each prefix already counted and its
+    first maximizing radius, so it holds at most len(d) + 1 entries per
+    exponent.  It is the one part of a table that changes; two threads that
+    count the same prefix at once store identical values, so their inserts
+    are benign.
     """
 
     radii: np.ndarray
@@ -124,6 +133,8 @@ class _PairTable:
     i: np.ndarray
     j: np.ndarray
     d: np.ndarray
+    # (prefix length k, exponent) -> (value, attained_L) of that prefix's ratio
+    ratios: dict = field(default_factory=dict)
 
 
 # the last table built: (x, y, grid, eps ceiling, table), replaced whole
@@ -139,7 +150,8 @@ def _pair_table(x: PointSet, y: PointSet, eps: float, grid: LGrid) -> _PairTable
     arrays read-only, and the slot keeps them alive, so no id is reused.
     """
     global _slot
-    # read once: another thread may replace the slot, never alter a table in it
+    # read once: another thread may replace the slot; it only ever adds to
+    # a table's ratios, and what it adds is what this thread would compute
     slot = _slot
     if slot is not None and slot[0] is x and slot[1] is y and slot[2] is grid and eps <= slot[3]:
         return slot[4]
@@ -210,8 +222,10 @@ def ratio_sup(
 
     The pairs closer than eps are a prefix of the pair table of
     ``(x, y, grid)``, enumerated once at the first eps asked for and again
-    only when a larger eps or other objects come; the result is the same
-    bit for bit as with a fresh enumeration at eps.
+    only when a larger eps or other objects come.  The ratio of a prefix is
+    counted at its first call and kept with the table for every later eps
+    that selects the same prefix at the same exponent.  The result is the
+    same bit for bit as with a fresh enumeration at eps.
     """
     _check_pair(x, y)
     if not (eps > 0):
@@ -220,16 +234,16 @@ def ratio_sup(
         raise InvalidArgumentError("exponent must lie in (0, dim]")
     grid.require_within(x, y)
     t = _pair_table(x, y, eps, grid)
-    k = np.searchsorted(t.d, eps, side="left")
-    i, j = t.i[:k], t.j[:k]
-    matched = _matched_counts(t.nx, i, t.ny[j], t.r2) + _matched_counts(t.ny, j, t.nx[i], t.r2)
-    ratios = (t.inside - matched) / t.radii**exponent
-    best = int(np.argmax(ratios))  # first maximizer -> deterministic attained_L
-    return MetricResult(
-        value=float(ratios[best]),
-        attained_L=float(t.radii[best]),
-        attained_eps=float(eps),
-    )
+    k = int(np.searchsorted(t.d, eps, side="left"))
+    key = (k, float(exponent))
+    kept = t.ratios.get(key)
+    if kept is None:
+        i, j = t.i[:k], t.j[:k]
+        matched = _matched_counts(t.nx, i, t.ny[j], t.r2) + _matched_counts(t.ny, j, t.nx[i], t.r2)
+        ratios = (t.inside - matched) / t.radii**exponent
+        best = int(np.argmax(ratios))  # first maximizer -> deterministic attained_L
+        kept = t.ratios[key] = (float(ratios[best]), float(t.radii[best]))
+    return MetricResult(value=kept[0], attained_L=kept[1], attained_eps=float(eps))
 
 
 def rho_stat(
@@ -248,7 +262,9 @@ def rho_stat(
 
     Every probe is a :func:`ratio_sup` call.  The first probes the cap and
     enumerates the pairs of ``(x, y, grid)`` there; every later probe has a
-    smaller eps and reads a prefix of that one enumeration.
+    smaller eps and reads a prefix of that one enumeration.  Most probes of
+    a fine bisection fall between the same two pair distances as an earlier
+    probe, and those read the ratio already counted for that prefix.
     """
     _check_pair(x, y)
     if not (0 < eps_tol < math.inf):

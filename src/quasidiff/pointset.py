@@ -116,13 +116,12 @@ class PointSet:
         if not ordered:
             raise InvalidArgumentError("points must be in increasing lexicographic order")
         # every window test compares squared norms, so the extent must square
-        # finitely; an infinite limit would admit any point
-        try:
-            limit = (self.extent * (1.0 + _EXTENT_SLACK)) ** 2
-        except OverflowError:
-            raise InvalidArgumentError(
-                f"extent {self.extent!r} is too large: its square overflows"
-            ) from None
+        # finitely; an infinite limit would admit any point.  The square is a
+        # product, correctly rounded everywhere, not libm's pow
+        reach = self.extent * (1.0 + _EXTENT_SLACK)
+        limit = reach * reach
+        if math.isinf(limit):
+            raise InvalidArgumentError(f"extent {self.extent!r} is too large: its square overflows")
         if len(pts) and sq_norms(pts).max() > limit:
             raise InvalidArgumentError(f"{self.label or 'point set'}: point outside the extent ball")
         if self.sep_radius > 0 and len(pts) >= 2:

@@ -26,7 +26,7 @@ from quasidiff.errors import (
 )
 from quasidiff.io import read_points, read_spectrum, sidecar_path, write_points, write_spectrum
 from quasidiff.perturb import NoiseModel, recover
-from quasidiff.pointset import gen_fibonacci, gen_lattice, window
+from quasidiff.pointset import PointSet, gen_fibonacci, gen_lattice, window
 from quasidiff.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 from quasidiff.spectral import FrequencyGrid, amplitude_spectrum
 from quasidiff.svg import Table, plot_emit
@@ -60,6 +60,24 @@ class TestPointsIO:
         back = read_points(path)
         # shortest round-trip decimals reproduce every double bit for bit
         assert np.array_equal(back.points, x.points)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[-2.5e15], [-0.0], [5e-324], [0.1], [1234567890123456.7]],
+            [[-1.5e15, -0.0], [-0.0, 5e-324], [0.1, -0.0], [0.1, 2.5e15]],
+        ],
+    )
+    def test_bytes_are_the_per_coordinate_reprs(self, tmp_path, points):
+        # negative zero, a subnormal and a coordinate past 1e15
+        x = PointSet(len(points[0]), 0.0, 3e15, points, label="edge")
+        path = tmp_path / "edge.pts"
+        write_points(str(path), x)
+        rows = [",".join(repr(float(v)) for v in row) for row in x.points]
+        expected = "\n".join([f"# d={x.dim} r0=0.0 extent=3000000000000000.0 label=edge", *rows])
+        assert path.read_bytes() == (expected + "\n").encode()
+        back = read_points(str(path))
+        assert back.points.tobytes() == x.points.tobytes()
 
     def test_label_free_header_reads_with_empty_label(self, tmp_path):
         path = tmp_path / "bare.pts"

@@ -178,6 +178,21 @@ def test_extent_whose_square_overflows_refused(points):
     assert PointSet(1, 0.0, 1e154, points).extent == 1e154
 
 
+@pytest.mark.parametrize(
+    "extent",
+    # glibc 2.36's pow on x86-64 gives reach ** 2 one ulp below reach * reach
+    # for the first and one ulp above it for the second
+    [19.723746422474584, 113.4664026760873],
+)
+def test_extent_limit_is_the_correctly_rounded_square(extent):
+    reach = extent * (1.0 + 1e-9)
+    assert PointSet(1, 0.0, extent, [[reach]]).extent == extent
+    beyond = math.nextafter(reach, math.inf)
+    assert beyond * beyond > reach * reach
+    with pytest.raises(InvalidArgumentError, match="outside the extent ball"):
+        PointSet(1, 0.0, extent, [[beyond]])
+
+
 # ---------------------------------------------------------------------------
 # visible lattice points
 
