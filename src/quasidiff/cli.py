@@ -170,15 +170,8 @@ def _cmd_dist(args) -> int:
 def _cmd_autocorr(args) -> int:
     x = qio.read_points(args.input)
     gamma = autocorrelation(x, args.radius, **_given(args, "bucket_tol", "max_range"))
-    lines = [",".join([f"offset_{i + 1}" for i in range(gamma.dim)] + ["re", "im"])]
-    for loc, w in zip(gamma.locations, gamma.weights):
-        lines.append(
-            ",".join(
-                [repr(float(v)) for v in loc]
-                + [repr(float(w.real)), repr(float(w.imag))]
-            )
-        )
-    text = "\n".join(lines) + "\n"
+    header = ",".join([f"offset_{i + 1}" for i in range(gamma.dim)] + ["re", "im"])
+    text = qio._format_rows(header, gamma.locations, gamma.weights.real, gamma.weights.imag)
     if hasattr(args, "out"):
         qio.atomic_write_text(args.out, text)
         print(f"wrote {len(gamma)} atoms to {args.out}")
@@ -216,15 +209,8 @@ def _cmd_peaks(args) -> int:
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.svg:
-        nodes = spec.grid.axis_values(0)
-        table = Table(
-            ("frequency", "power"),
-            tuple(
-                (float(nodes[i]), float(spec.power[i]))
-                for i in range(len(nodes))
-                if spec.valid[i]
-            ),
-        )
+        rows = qio._rows(spec.grid.axis_values(0)[spec.valid], spec.power[spec.valid])
+        table = Table(("frequency", "power"), tuple(map(tuple, rows)))
         plot_emit(table, "line", args.svg, title="periodogram")
         print(f"wrote plot to {args.svg}", file=sys.stderr)
     return 0

@@ -43,7 +43,7 @@ from .errors import InsufficientExtentError, InvalidArgumentError
 __all__ = [
     "as_points",
     "lex_sort",
-    "lex_sorted_strictly",
+    "lex_order_faults",
     "sq_norms",
     "window_mask",
     "require_extent",
@@ -74,20 +74,18 @@ def lex_sort(points: np.ndarray) -> np.ndarray:
     return pts[order]
 
 
-def lex_sorted_strictly(points: np.ndarray) -> tuple[bool, bool]:
-    """Check lexicographic order; returns (is_sorted, has_duplicates)."""
+def lex_order_faults(points: np.ndarray) -> tuple[int | None, int | None]:
+    """Indices of the first point below, and of the first equal to, its
+    predecessor in lexicographic order (None if none); NaN counts as below."""
     pts = as_points(points)
-    if len(pts) < 2:
-        return True, False
     a, b = pts[:-1], pts[1:]
-    # first coordinate where consecutive rows differ decides the order
+    # the first coordinate where consecutive points differ decides the order
     neq = a != b
-    any_neq = neq.any(axis=1)
-    has_dup = bool((~any_neq).any())
-    first = np.argmax(neq, axis=1)
     rows = np.arange(len(a))
-    ordered = np.where(any_neq, a[rows, first] < b[rows, first], True)
-    return bool(ordered.all()), has_dup
+    first = np.argmax(neq, axis=1)
+    duplicated = ~neq[rows, first]
+    inverted = ~(duplicated | (a[rows, first] < b[rows, first]))
+    return tuple(int(np.argmax(m)) + 1 if m.any() else None for m in (inverted, duplicated))
 
 
 def sq_norms(points: np.ndarray) -> np.ndarray:
@@ -105,6 +103,14 @@ def _require_positive_finite(value: float, what: str) -> None:
     # infinite extent or intensity would overflow, loop or enumerate nothing
     if not (0 < value < np.inf):
         raise InvalidArgumentError(f"{what} must be a positive finite number, got {value!r}")
+
+
+def _power(x: float, d: int) -> float:
+    """``x ** d`` as Python floats compute it, +inf where that overflows."""
+    try:
+        return float(x) ** d
+    except OverflowError:
+        return math.inf
 
 
 def require_extent(radius: float, extent: float, what: str) -> None:
@@ -267,6 +273,13 @@ def nearest(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
     # nearest too; once r overflows, only distances that overflow stay inf
     iqr = np.subtract(*np.quantile(t, [0.75, 0.25], axis=0)).max()
     r = 2.0 * iqr / len(t) ** (1.0 / t.shape[1]) or 1.0
+    # nor below the gap between the two sets' bounding boxes, which no
+    # query-target distance undercuts: far-apart sets skip the empty rounds.
+    # numpy reduces the rows of a transposed copy far faster than the
+    # columns of an (n, d) array
+    (q_lo, q_hi), (t_lo, t_hi) = [(p.min(axis=1), p.max(axis=1)) for p in (q.T.copy(), t.T.copy())]
+    apart = np.maximum(q_lo - t_hi, t_lo - q_hi).clip(min=0.0)
+    r = max(r, math.sqrt(apart @ apart))
     # a query has at most len(t) candidates, so no chunk exceeds the budget
     chunk = max(1, _CANDIDATE_BUDGET // len(t))
     todo = np.arange(len(q))
@@ -300,7 +313,4 @@ def ball_volume(dim: int, radius: float = 1.0) -> float:
             _UNIT_BALL_VOL[dim] = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
         except OverflowError:
             _UNIT_BALL_VOL[dim] = math.exp(dim / 2 * math.log(math.pi) - math.lgamma(dim / 2 + 1))
-    try:
-        return _UNIT_BALL_VOL[dim] * float(radius) ** dim
-    except OverflowError:
-        return math.inf
+    return _UNIT_BALL_VOL[dim] * _power(radius, dim)

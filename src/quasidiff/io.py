@@ -7,12 +7,19 @@ order and uniqueness).
 
 Spectrum file: CSV with header ``lambda_1,..,lambda_d,re,im,power,L`` plus a
 JSON sidecar (same path + ".json") carrying the grid axes and source
-metadata.  Invalid nodes store nan.  The reader recomputes power from the
-amplitudes and refuses files where the stored column disagrees.
+metadata.  Invalid nodes store nan.  The reader rebuilds the ``Spectrum``,
+which derives the power from the amplitudes, and refuses files where the
+stored column disagrees.
+
+Every row of both files, and of the command line's autocorrelation CSV, goes
+through one row codec: ``_format_rows`` writes the columns as Python float
+reprs, and ``_parse_rows`` casts all rows at once.  Blank lines are skipped,
+and every error names ``path:line``, the file line of the first bad row.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -25,6 +32,7 @@ from .errors import (
     EmptySpectrumError,
     FormatError,
 )
+from .geometry import lex_order_faults
 from .pointset import PointSet
 from .spectral import FrequencyGrid, Spectrum
 
@@ -52,20 +60,54 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _is_nan(v: float) -> bool:
-    return v != v
-
-
 # label is optional on read (an omitted label means ""); the writer always
 # emits it.
 _HEADER = re.compile(r"^# d=(\S+) r0=(\S+) extent=(\S+)(?: label=(.*))?$")
 
 
+def _rows(*columns) -> list[list[float]]:
+    """The rows of the stacked columns, as Python floats."""
+    return np.column_stack(columns).tolist()
+
+
+def _format_rows(header: str, *columns) -> str:
+    """The header, then the rows as comma-separated float reprs: shortest
+    round-trip decimals, and ``nan`` for a missing value."""
+    lines = [header]
+    lines.extend(",".join(map(repr, row)) for row in _rows(*columns))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_rows(path: str, lines: list[str], width: int, columns: str, cell: str):
+    """The non-blank ``lines`` (file lines 2 on) as an (n, width) array, and
+    the file line of each row.  numpy's str cast is Python's ``float``, so
+    only the error path, which finds the bad number's line, loops."""
+    keep = list(map(bool, map(str.strip, lines)))
+    body = list(itertools.compress(lines, keep))
+    linenos = np.flatnonzero(keep) + 2
+    counts = np.fromiter(map(str.count, body, itertools.repeat(",")), np.intp, len(body)) + 1
+    k = _first(counts != width)
+    if k is not None:
+        raise FormatError(f"{path}:{linenos[k]}: expected {width} {columns}, got {counts[k]}")
+    try:
+        values = np.array(",".join(body).split(",") if body else [], dtype=np.float64)
+    except ValueError:
+        for lineno, line in zip(linenos, body):
+            try:
+                list(map(float, line.split(",")))
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: bad {cell}: {exc}") from exc
+        raise
+    return values.reshape(len(body), width), linenos
+
+
+def _first(mask: np.ndarray) -> int | None:
+    return int(np.argmax(mask)) if mask.any() else None
+
+
 def write_points(path: str, x: PointSet) -> None:
-    lines = [f"# d={x.dim} r0={x.sep_radius!r} extent={x.extent!r} label={x.label}"]
-    # tolist() gives Python floats, whose repr is the shortest round-trip decimal
-    lines.extend(",".join(map(repr, row)) for row in x.points.tolist())
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = f"# d={x.dim} r0={x.sep_radius!r} extent={x.extent!r} label={x.label}"
+    atomic_write_text(path, _format_rows(header, x.points))
 
 
 def read_points(path: str) -> PointSet:
@@ -85,27 +127,17 @@ def read_points(path: str) -> PointSet:
     if dim < 1:
         raise FormatError(f"{path}: header dimension d={dim} is below 1")
     label = match.group(4) or ""
-    rows = []
-    for lineno, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != dim:
-            raise FormatError(f"{path}:{lineno}: expected {dim} coordinates, got {len(parts)}")
-        try:
-            row = [float(p) for p in parts]
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
-        if not np.isfinite(row).all():
-            raise FormatError(f"{path}:{lineno}: non-finite coordinate in {line!r}")
-        rows.append(row)
-    pts = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
-    for i in range(1, len(pts)):
-        a, b = pts[i - 1], pts[i]
-        if tuple(a) == tuple(b):
-            raise DuplicatePointError(f"{path}: duplicate point on line {i + 2}")
-        if tuple(a) > tuple(b):
-            raise FormatError(f"{path}: points not lexicographically sorted at line {i + 2}")
+    pts, linenos = _parse_rows(path, raw[1:], dim, "coordinates", "coordinate")
+    k = _first(~np.isfinite(pts).all(axis=1))
+    if k is not None:
+        raise FormatError(f"{path}:{linenos[k]}: non-finite coordinate in {raw[linenos[k] - 1]!r}")
+    inverted, duplicated = lex_order_faults(pts)
+    if duplicated is not None and (inverted is None or duplicated < inverted):
+        raise DuplicatePointError(f"{path}: duplicate point on line {linenos[duplicated]}")
+    if inverted is not None:
+        raise FormatError(
+            f"{path}: points not lexicographically sorted at line {linenos[inverted]}"
+        )
     return PointSet(dim, sep, extent, pts, label)
 
 
@@ -113,21 +145,17 @@ def sidecar_path(path: str) -> str:
     return path + ".json"
 
 
+def _spectrum_header(d: int) -> str:
+    return ",".join([f"lambda_{i + 1}" for i in range(d)] + ["re", "im", "power", "L"])
+
+
 def write_spectrum(path: str, spec: Spectrum) -> None:
-    d = spec.grid.dim
-    header = ",".join([f"lambda_{i + 1}" for i in range(d)] + ["re", "im", "power", "L"])
     nodes = spec.grid.nodes()
-    lines = [header]
-    for i in range(len(nodes)):
-        coords = [repr(float(v)) for v in nodes[i]]
-        if spec.valid[i]:
-            re_s = repr(float(spec.amplitude[i].real))
-            im_s = repr(float(spec.amplitude[i].imag))
-            pw_s = repr(float(spec.power[i]))
-        else:
-            re_s = im_s = pw_s = "nan"
-        lines.append(",".join(coords + [re_s, im_s, pw_s, repr(float(spec.window_radius))]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    # an invalid node's power is nan already; its amplitude is blanked here
+    parts = np.where(spec.valid, [spec.amplitude.real, spec.amplitude.imag], np.nan)
+    radius = np.full(len(nodes), float(spec.window_radius))
+    text = _format_rows(_spectrum_header(spec.grid.dim), nodes, *parts, spec.power, radius)
+    atomic_write_text(path, text)
     sidecar = {
         "axes": [[lo, hi, step] for lo, hi, step in spec.grid.axes],
         "window_radius": spec.window_radius,
@@ -157,45 +185,37 @@ def read_spectrum(path: str) -> Spectrum:
     if not raw:
         raise FormatError(f"{path}: empty file")
     d = grid.dim
-    expected_header = ",".join([f"lambda_{i + 1}" for i in range(d)] + ["re", "im", "power", "L"])
-    if raw[0] != expected_header:
+    if raw[0] != _spectrum_header(d):
         raise FormatError(f"{path}: unexpected header {raw[0]!r}")
-    body = [line for line in raw[1:] if line.strip()]
-    if not body:
+    vals, linenos = _parse_rows(path, raw[1:], d + 4, "columns", "number")
+    if not len(vals):
         raise EmptySpectrumError(f"{path}: no spectrum rows")
-    if len(body) != grid.node_count:
+    if len(vals) != grid.node_count:
         raise FormatError(
-            f"{path}: {len(body)} rows but the grid declares {grid.node_count} nodes"
+            f"{path}: {len(vals)} rows but the grid declares {grid.node_count} nodes"
         )
     nodes = grid.nodes()
-    amp = np.empty(len(body), dtype=np.complex128)
-    valid = np.empty(len(body), dtype=bool)
-    for i, line in enumerate(body):
-        parts = line.split(",")
-        if len(parts) != d + 4:
-            raise FormatError(f"{path}:{i + 2}: expected {d + 4} columns, got {len(parts)}")
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise FormatError(f"{path}:{i + 2}: bad number: {exc}") from exc
-        if any(abs(vals[j] - nodes[i, j]) > 1e-15 * max(1.0, abs(nodes[i, j])) for j in range(d)):
-            raise FormatError(f"{path}:{i + 2}: frequency row does not match the declared grid")
-        if abs(vals[d + 3] - radius) > 1e-15 * max(1.0, radius):
-            raise FormatError(f"{path}:{i + 2}: window radius differs from the sidecar")
-        re_v, im_v, pw_v = vals[d], vals[d + 1], vals[d + 2]
-        if _is_nan(re_v) or _is_nan(im_v) or _is_nan(pw_v):
-            if not (_is_nan(re_v) and _is_nan(im_v) and _is_nan(pw_v)):
-                raise FormatError(f"{path}:{i + 2}: partially-nan row")
-            amp[i] = np.nan + 0j
-            valid[i] = False
-            continue
-        expect = radius**d * (re_v * re_v + im_v * im_v)
-        if abs(pw_v - expect) > 1e-9 * max(1.0, abs(expect)):
-            raise FormatError(
-                f"{path}:{i + 2}: stored power {pw_v!r} disagrees with recomputed {expect!r}"
-            )
-        amp[i] = complex(re_v, im_v)
-        valid[i] = True
-    return Spectrum(grid, radius, label, amp, valid)
-
-
+    real, imag, power, radii = vals[:, d:].T
+    blank = np.isnan(vals[:, d : d + 3])
+    valid = ~blank[:, 0]
+    # a nan value fails every comparison, so it is never reported as a mismatch
+    off_grid = (np.abs(vals[:, :d] - nodes) > 1e-15 * np.maximum(1.0, np.abs(nodes))).any(axis=1)
+    off_radius = np.abs(radii - radius) > 1e-15 * max(1.0, radius)
+    for bad, what in (
+        (off_grid, "frequency row does not match the declared grid"),
+        (off_radius, "window radius differs from the sidecar"),
+        (blank.any(axis=1) & ~blank.all(axis=1), "partially-nan row"),
+    ):
+        k = _first(bad)
+        if k is not None:
+            raise FormatError(f"{path}:{linenos[k]}: {what}")
+    amp = np.empty(len(vals), dtype=np.complex128)
+    amp.real, amp.imag = real, np.where(valid, imag, 0.0)
+    spec = Spectrum(grid, radius, label, amp, valid)
+    k = _first(np.abs(power - spec.power) > 1e-9 * np.maximum(1.0, np.abs(spec.power)))
+    if k is not None:
+        raise FormatError(
+            f"{path}:{linenos[k]}: stored power {float(power[k])!r} disagrees with recomputed "
+            f"{float(spec.power[k])!r}"
+        )
+    return spec

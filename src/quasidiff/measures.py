@@ -31,7 +31,7 @@ from .geometry import (
     _close_pairs,
     _require_pair_budget,
     as_points,
-    lex_sorted_strictly,
+    lex_order_faults,
     min_pairwise_gap,
     require_extent,
     sq_norms,
@@ -81,10 +81,10 @@ class AtomicMeasure:
         w = np.asarray(self.weights, dtype=np.complex128).reshape(-1)
         if len(w) != len(locs):
             raise InvalidArgumentError("weights and locations must have equal length")
-        ordered, dup = lex_sorted_strictly(locs)
-        if dup:
+        inverted, duplicated = lex_order_faults(locs)
+        if duplicated is not None:
             raise InvalidArgumentError("atom locations must be distinct")
-        if not ordered:
+        if inverted is not None:
             raise InvalidArgumentError("atom locations must be in lexicographic order")
         if (w == 0).any():
             raise InvalidArgumentError("zero-weight atoms are not stored")

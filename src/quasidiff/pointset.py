@@ -36,11 +36,12 @@ from .errors import (
     SeamViolationError,
 )
 from .geometry import (
+    _power,
     _require_positive_finite,
     as_points,
     ball_volume,
+    lex_order_faults,
     lex_sort,
-    lex_sorted_strictly,
     min_pairwise_gap,
     nearest,
     require_extent,
@@ -96,8 +97,11 @@ class PointSet:
         if self.dim < 1:
             raise InvalidArgumentError("dim must be >= 1")
         _require_positive_finite(self.extent, "extent")
-        if self.sep_radius < 0:
-            raise InvalidArgumentError("sep_radius must be >= 0")
+        # an infinite separation would make every search radius infinite
+        if not (0 <= self.sep_radius < math.inf):
+            raise InvalidArgumentError(
+                f"sep_radius must be >= 0 and finite, got {self.sep_radius!r}"
+            )
         pts = as_points(self.points, self.dim)
         if not pts.flags.owndata:
             # a view could still be written through its base, so the set
@@ -110,10 +114,10 @@ class PointSet:
                 f"{self.label or 'point set'}: non-finite coordinate {float(pts[i, j])!r} "
                 f"in point {i}"
             )
-        ordered, dup = lex_sorted_strictly(pts)
-        if dup:
+        inverted, duplicated = lex_order_faults(pts)
+        if duplicated is not None:
             raise DuplicatePointError(f"{self.label or 'point set'}: coincident points")
-        if not ordered:
+        if inverted is not None:
             raise InvalidArgumentError("points must be in increasing lexicographic order")
         # every window test compares squared norms, so the extent must square
         # finitely; an infinite limit would admit any point.  The square is a
@@ -122,6 +126,11 @@ class PointSet:
         limit = reach * reach
         if math.isinf(limit):
             raise InvalidArgumentError(f"extent {self.extent!r} is too large: its square overflows")
+        # every window weight divides by radius ** dim, for radii up to reach
+        if math.isinf(_power(reach, self.dim)):
+            raise InvalidArgumentError(
+                f"extent {self.extent!r} is too large: its power {self.dim} overflows"
+            )
         if len(pts) and sq_norms(pts).max() > limit:
             raise InvalidArgumentError(f"{self.label or 'point set'}: point outside the extent ball")
         if self.sep_radius > 0 and len(pts) >= 2:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySpectrumError, InvalidArgumentError
-from .geometry import require_extent, window_mask
+from .geometry import _power, require_extent, window_mask
 from .pointset import PointSet
 
 _NODE_BUDGET = 4_194_304  # nodes a FrequencyGrid may hold
@@ -146,7 +146,12 @@ class Spectrum:
             raise InvalidArgumentError("window_radius must be a positive finite number")
         if not np.isfinite(amp[valid]).all():
             raise InvalidArgumentError("valid nodes must carry finite values")
-        scale = self.window_radius**self.grid.dim
+        scale = _power(self.window_radius, self.grid.dim)
+        if math.isinf(scale):
+            raise InvalidArgumentError(
+                f"window_radius {self.window_radius!r} is too large: its power "
+                f"{self.grid.dim} overflows"
+            )
         pw = np.where(valid, scale * (amp.real**2 + amp.imag**2), np.nan)
         for arr in (amp, pw, valid):
             arr.flags.writeable = False

@@ -98,6 +98,26 @@ def test_nearest_of_far_apart_sets_in_chunks_under_the_budget(monkeypatch):
     assert np.array_equal(index, brute.argmin(axis=1))
 
 
+def test_nearest_of_far_apart_sets_starts_at_their_bounding_box_gap(monkeypatch):
+    # a radius below the gap between the sets' boxes pairs no query: starting
+    # from the targets' spacing took 17 rounds here
+    radii = []
+
+    def counting(a, b, r):
+        radii.append(r)
+        return _close_pairs(a, b, r)
+
+    monkeypatch.setattr(quasidiff.geometry, "_close_pairs", counting)
+    rng = np.random.default_rng(0)
+    q = rng.random((2000, 2))
+    t = 1000.0 + rng.random((2000, 2))
+    dist, index = nearest(q, t)
+    assert len(radii) <= 2
+    brute = brute_distances(q, t)
+    assert np.array_equal(dist, brute.min(axis=1))
+    assert np.array_equal(index, brute.argmin(axis=1))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     dim=st.sampled_from([1, 2, 3]),

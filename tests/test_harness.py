@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +25,12 @@ from quasidiff.errors import (
     InvalidArgumentError,
     UnknownScenarioError,
 )
+from quasidiff.measures import autocorrelation
 from quasidiff.io import read_points, read_spectrum, sidecar_path, write_points, write_spectrum
 from quasidiff.perturb import NoiseModel, recover
 from quasidiff.pointset import PointSet, gen_fibonacci, gen_lattice, window
 from quasidiff.scenarios import SCENARIOS, ScenarioConfig, run_scenario
-from quasidiff.spectral import FrequencyGrid, amplitude_spectrum
+from quasidiff.spectral import FrequencyGrid, Spectrum, amplitude_spectrum
 from quasidiff.svg import Table, plot_emit
 
 
@@ -200,6 +202,141 @@ class TestSpectrumIO:
         (tmp_path / "short.csv").write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(FormatError, match="rows"):
             read_spectrum(path)
+
+
+def _per_element_text(header, columns, blank=None):
+    """The row format as one repr(float(v)) per element, blank rows' values
+    (all but the first and last columns) written as nan."""
+    lines = [header]
+    for k, row in enumerate(zip(*columns)):
+        cells = [repr(float(v)) for v in row]
+        if blank is not None and blank[k]:
+            cells[1:-1] = ["nan"] * (len(cells) - 2)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _edge_spectrum():
+    # negative zero, a subnormal and a value past 1e15 in both parts
+    amp = np.array([complex(-0.0, 5e-324), complex(1234567890123456.7, -0.0), complex(5e-324, 2.5e15)])
+    return Spectrum(FrequencyGrid(axes=((-0.5, 0.5, 0.5),)), 3.0, "edge", amp)
+
+
+class TestRowCodec:
+    @pytest.mark.parametrize("make", ["recovered", "planar", "edge"])
+    def test_spectrum_bytes_are_the_per_element_reprs(self, tmp_path, make):
+        if make == "recovered":  # uniform noise blanks the node at frequency 2
+            spec = amplitude_spectrum(gen_lattice(1, 1.0, 10.0), 5.0,
+                                      FrequencyGrid(axes=((0.0, 2.0, 0.25),)))
+            spec = recover(spec, NoiseModel.uniform(1, 0.25))
+            assert not spec.valid.all()
+        elif make == "planar":
+            spec = amplitude_spectrum(gen_lattice(2, 1.0, 6.0), 5.5,
+                                      FrequencyGrid(axes=((-0.5, 0.5, 0.125), (0.0, 1.0, 0.25))))
+        else:
+            spec = _edge_spectrum()
+        path = tmp_path / "spec.csv"
+        write_spectrum(str(path), spec)
+        d = spec.grid.dim
+        nodes = spec.grid.nodes()
+        columns = [*nodes.T, spec.amplitude.real, spec.amplitude.imag, spec.power,
+                   np.full(len(nodes), spec.window_radius)]
+        header = ",".join([f"lambda_{i + 1}" for i in range(d)] + ["re", "im", "power", "L"])
+        if d == 1:
+            expected = _per_element_text(header, columns, ~spec.valid)
+        else:  # every node valid
+            expected = _per_element_text(header, columns)
+        assert path.read_bytes() == expected.encode()
+        back = read_spectrum(str(path))
+        assert np.array_equal(back.valid, spec.valid)
+        assert back.amplitude[spec.valid].tobytes() == spec.amplitude[spec.valid].tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_autocorr_bytes_are_the_per_element_reprs(self, tmp_path, dim):
+        x = gen_lattice(dim, 0.75, 8.0)
+        path = tmp_path / "x.pts"
+        write_points(str(path), x)
+        out = tmp_path / "gamma.csv"
+        assert main(["autocorr", "--input", str(path), "--radius", "4", "--max-range", "2",
+                     "--out", str(out)]) == 0
+        gamma = autocorrelation(x, 4.0, max_range=2.0)
+        header = ",".join([f"offset_{i + 1}" for i in range(dim)] + ["re", "im"])
+        columns = [*gamma.locations.T, gamma.weights.real, gamma.weights.imag]
+        assert out.read_bytes() == _per_element_text(header, columns).encode()
+
+    P1 = "# d=1 r0=0.5 extent=5.0 label=t\n"
+    P2 = "# d=2 r0=0.5 extent=5.0 label=t\n"
+
+    # one fault per file; the messages are those of the per-row reader, but a
+    # blank line before the fault no longer shifts the reported line
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (P2 + "0.0,0.0\n1.0\n", FormatError, "{path}:3: expected 2 coordinates, got 1"),
+            (P2 + "0.0,0.0\n1.0,x1\n", FormatError,
+             "{path}:3: bad coordinate: could not convert string to float: 'x1'"),
+            (P2 + "0.0,0.0\n1.0,inf\n", FormatError,
+             "{path}:3: non-finite coordinate in '1.0,inf'"),
+            (P1 + "1.0\n0.0\n", FormatError,
+             "{path}: points not lexicographically sorted at line 3"),
+            (P1 + "0.0\n1.0\n1.0\n", DuplicatePointError, "{path}: duplicate point on line 4"),
+            (P2 + "0.0,0.0\n  \n1.0\n", FormatError, "{path}:4: expected 2 coordinates, got 1"),
+            (P1 + "1.0\n\n0.0\n", FormatError,
+             "{path}: points not lexicographically sorted at line 4"),
+            (P1 + "0.0\n\n1.0\n1.0\n", DuplicatePointError,
+             "{path}: duplicate point on line 5"),
+        ],
+        ids=["columns", "number", "non-finite", "unsorted", "duplicate",
+             "blank-columns", "blank-unsorted", "blank-duplicate"],
+    )
+    def test_points_fault_names_its_line(self, tmp_path, text, error, message):
+        path = tmp_path / "fault.pts"
+        path.write_text(text)
+        with pytest.raises(error) as info:
+            read_points(str(path))
+        assert type(info.value) is error
+        assert str(info.value) == message.format(path=path)
+
+    SPEC_ROWS = ("0.0,0.5,0.0,0.5,2.0", "0.5,0.25,-0.5,0.625,2.0", "1.0,0.5,0.0,0.5,2.0")
+
+    @pytest.mark.parametrize(
+        "row, fault, blank, message",
+        [
+            (1, "0.75,0.25,-0.5,0.625,2.0", False,
+             "{path}:3: frequency row does not match the declared grid"),
+            (1, "0.5,0.25,-0.5,0.625,3.0", False,
+             "{path}:3: window radius differs from the sidecar"),
+            (1, "0.5,nan,-0.5,nan,2.0", False, "{path}:3: partially-nan row"),
+            (2, "1.0,0.5,0.0,999.0,2.0", False,
+             "{path}:4: stored power 999.0 disagrees with recomputed 0.5"),
+            (1, "0.5,0.25,-0.5,0.625", False, "{path}:3: expected 5 columns, got 4"),
+            (1, "0.5,0.25,-0.5,0.625,two", False,
+             "{path}:3: bad number: could not convert string to float: 'two'"),
+            (1, "0.75,0.25,-0.5,0.625,2.0", True,
+             "{path}:4: frequency row does not match the declared grid"),
+            (1, "0.5,0.25,-0.5,0.625,3.0", True,
+             "{path}:4: window radius differs from the sidecar"),
+            (1, "0.5,nan,-0.5,nan,2.0", True, "{path}:4: partially-nan row"),
+            (2, "1.0,0.5,0.0,999.0,2.0", True,
+             "{path}:5: stored power 999.0 disagrees with recomputed 0.5"),
+        ],
+        ids=["frequency", "radius", "partial-nan", "power", "columns", "number",
+             "blank-frequency", "blank-radius", "blank-partial-nan", "blank-power"],
+    )
+    def test_spectrum_fault_names_its_line(self, tmp_path, row, fault, blank, message):
+        rows = list(self.SPEC_ROWS)
+        rows[row] = fault
+        if blank:  # a blank line after the first row
+            rows[0] += "\n"
+        path = tmp_path / "fault.csv"
+        path.write_text("lambda_1,re,im,power,L\n" + "\n".join(rows) + "\n")
+        Path(sidecar_path(str(path))).write_text(
+            json.dumps({"axes": [[0.0, 1.0, 0.5]], "window_radius": 2.0, "label": "t"})
+        )
+        with pytest.raises(FormatError) as info:
+            read_spectrum(str(path))
+        assert type(info.value) is FormatError
+        assert str(info.value) == message.format(path=path)
 
 
 LINE_TABLE = Table(("x", "y"), ((0.0, 1.0), (1.0, 3.0), (2.0, 2.0)))
@@ -830,13 +967,30 @@ def _limit_address_space():  # runs in the child only, between fork and exec
         (["autocorr", "--input", "lattice.pts", "--radius", "99000", "--max-range", "1e5"], 2),
         # the same window in full: 3.9e10 ordered pairs
         (["autocorr", "--input", "lattice.pts", "--radius", "99000"], 2),
+        # an infinite declared separation: rho_stat bisected up to r = inf
+        (["dist", "--kind", "stat", "--a", "sep-inf.pts", "--b", "sep-inf-b.pts",
+          "--l-max", "1"], 2),
+        # L^d overflows: in the spectrum's power, and in the window weight
+        (["peaks", "--input", "wide.csv"], 2),
+        (["spectrum", "--input", "cube.pts", "--radius", "1e120",
+          "--grid=0:1:1;0:1:1;0:1:1", "--out", "s.csv"], 2),
     ],
     ids=["fibonacci-1e9", "lattice-1e300", "read-extent-1e300", "poisson-d342",
-         "read-d-1", "autocorr-221GiB", "autocorr-full-window"],
+         "read-d-1", "autocorr-221GiB", "autocorr-full-window", "dist-sep-inf",
+         "peaks-radius-1e200-d2", "spectrum-extent-1e120-d3"],
 )
 def test_extreme_input_exits_cleanly_under_a_memory_limit(tmp_path, argv, code):
     (tmp_path / "huge.pts").write_text("# d=1 r0=1 extent=1e300\n-1e300\n0.0\n1e300\n")
     (tmp_path / "nodim.pts").write_text("# d=-1 r0=1 extent=5\n")
+    (tmp_path / "sep-inf.pts").write_text("# d=1 r0=inf extent=5\n0.0\n")
+    (tmp_path / "sep-inf-b.pts").write_text("# d=1 r0=inf extent=5\n1.0\n")
+    (tmp_path / "cube.pts").write_text("# d=3 r0=0 extent=1e120\n0.0,0.0,0.0\n")
+    (tmp_path / "wide.csv").write_text(
+        "lambda_1,lambda_2,re,im,power,L\n0.0,0.0,1.0,0.0,inf,1e+200\n"
+    )
+    (tmp_path / "wide.csv.json").write_text(
+        json.dumps({"axes": [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], "window_radius": 1e200})
+    )
     if "lattice.pts" in argv:
         write_points(str(tmp_path / "lattice.pts"), gen_lattice(1, 1.0, 100000.0))
     src = os.path.dirname(os.path.dirname(quasidiff.__file__))

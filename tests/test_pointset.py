@@ -178,6 +178,21 @@ def test_extent_whose_square_overflows_refused(points):
     assert PointSet(1, 0.0, 1e154, points).extent == 1e154
 
 
+@pytest.mark.parametrize("dim, extent", [(3, 1e120), (5, 1e70)])
+def test_extent_whose_power_dim_overflows_refused(dim, extent):
+    # every window weight divides by radius ** dim
+    with pytest.raises(InvalidArgumentError, match=f"its power {dim} overflows"):
+        PointSet(dim, 0.0, extent, np.zeros((1, dim)))
+    assert PointSet(dim, 0.0, extent / 1e30, np.zeros((1, dim))).extent == extent / 1e30
+
+
+@pytest.mark.parametrize("sep", [math.inf, math.nan, -1.0])
+def test_sep_radius_must_be_finite_and_nonnegative(sep):
+    # an infinite separation made rho_stat bisect up to an infinite radius
+    with pytest.raises(InvalidArgumentError, match="sep_radius must be >= 0 and finite"):
+        PointSet(1, sep, 5.0, [[0.0]])
+
+
 @pytest.mark.parametrize(
     "extent",
     # glibc 2.36's pow on x86-64 gives reach ** 2 one ulp below reach * reach

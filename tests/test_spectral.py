@@ -180,6 +180,12 @@ class TestAmplitudeSpectrum:
         with pytest.raises(InvalidArgumentError, match="positive finite"):
             Spectrum(self.GRID, radius, "x", np.ones(self.GRID.node_count))
 
+    def test_spectrum_refuses_a_radius_whose_power_dim_overflows(self):
+        grid = FrequencyGrid(axes=((0.0, 1.0, 1.0), (0.0, 1.0, 1.0)))
+        with pytest.raises(InvalidArgumentError, match="its power 2 overflows"):
+            Spectrum(grid, 1e200, "x", np.ones(grid.node_count))
+        assert Spectrum(self.GRID, 1e200, "x", np.ones(self.GRID.node_count)).power[0] == 1e200
+
     @pytest.mark.parametrize("a, b", [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1)])
     def test_fibonacci_amplitudes_match_closed_form(self, fibonacci_1000, a, b):
         # Bragg peak of the model set at k, with (k, k*) = S^-T (a, b) for the
