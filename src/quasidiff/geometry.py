@@ -20,10 +20,10 @@ Conventions used everywhere in this package:
   finds the targets of its 3^min(d, 3) neighbouring cells with ``searchsorted``.
   Every candidate is decided by the same strict Euclidean comparison, and the
   pairs come in (i, j) order in every dimension;
-* one budget, ``_CANDIDATE_BUDGET`` = 2^25 pairs, bounds every pair
-  enumeration in the package: :func:`_close_pairs` and the full-window
-  autocorrelation both check it through :func:`_require_pair_budget` before
-  they build a pair;
+* every budget is declared in one block below, with its unit and the reason
+  for its value: candidate pairs, window radii, generated points, grid nodes
+  and phase-table entries.  :func:`_require_budget` is the one check, and it
+  refuses a count over its budget before anything of that size is built;
 * :func:`nearest` is the one nearest-neighbour primitive: exact Euclidean
   distances plus the index of the target attaining them.  1-d makes the same
   binary search; higher dimensions grow a pair search radius until every
@@ -143,20 +143,32 @@ def min_pairwise_gap(points: np.ndarray) -> float:
 # cells are cubes over at most this many leading axes, so a query visits at
 # most 27 cells; the remaining axes are left to the Euclidean test
 _CELL_AXES = 3
-# candidate pairs one enumeration may build; in 2-d each takes about 50 bytes
+
+# The budgets: how much one call may build, each checked by _require_budget
+# before any of it exists.
+# candidate pairs of one pair enumeration; in 2-d each takes about 50 bytes
 # across the index, coordinate and distance arrays, so ~1.7 GB at the budget
 _CANDIDATE_BUDGET = 2**25
+# window radii of one scan: LGrid.integers keeps each as a Python float,
+# ~140 MB at the budget, and rho_gh takes one windowed Hausdorff distance each
+_RADIUS_BUDGET = 2**22
+# points (or integer candidates) one generator enumerates; a cut-and-project
+# candidate holds n float64 lattice coordinates, ~0.8 GB at n = 5
+_ENUM_BUDGET = 20_000_000
+# nodes of one FrequencyGrid; a spectrum's amplitude, power and valid mask
+# take 25 bytes a node, ~105 MB at the budget
+_NODE_BUDGET = 2**22
+# phase-table entries of one grid spectrum, table rows times window points;
+# complex128, so 256 MB at the budget.  In d <= 2 the rows number at least
+# 2 sqrt(nodes), so this bounds the (node, point) products at 2^34 too
+_TABLE_BUDGET = 2**24
 
 
-def _require_pair_budget(pairs: int, what: str) -> None:
-    """Refuse an enumeration of more than ``_CANDIDATE_BUDGET`` pairs before
-    any of them is built; ``what`` names the enumeration."""
-    if pairs > _CANDIDATE_BUDGET:
-        raise InvalidArgumentError(
-            f"{what} would build {pairs} candidate pairs, over the budget of "
-            f"{_CANDIDATE_BUDGET}; an autocorrelation bounds its pairs with max_range "
-            "(--max-range)"
-        )
+def _require_budget(count, budget: int, what: str) -> None:
+    """Refuse a ``count`` of ``what`` over ``budget``, or a NaN count; callers
+    work the count out from sizes, before anything it counts exists."""
+    if not count <= budget:
+        raise InvalidArgumentError(f"{count!r} {what}, over the budget of {budget}")
 
 
 def _cell_ranges(a: np.ndarray, b: np.ndarray, r: float):
@@ -226,9 +238,8 @@ def _close_pairs(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np
         a, b = a[qa], b[qb]
         rows = np.tile(np.arange(len(a)), len(n) // len(a))
     total = int(n.sum())
-    _require_pair_budget(
-        total, f"a pair search at radius {float(r)!r} over {len(a)} x {len(b)} points"
-    )
+    _require_budget(total, _CANDIDATE_BUDGET, f"candidate pairs at radius {float(r)!r} over "
+                    f"{len(a)} x {len(b)} points (max_range, --max-range, bounds them)")
     i = np.repeat(rows, n)
     j = np.arange(total) + np.repeat(lo - (np.cumsum(n) - n), n)
     # np.take gathers rows several times faster than fancy indexing
@@ -275,11 +286,15 @@ def nearest(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
     r = 2.0 * iqr / len(t) ** (1.0 / t.shape[1]) or 1.0
     # nor below the gap between the two sets' bounding boxes, which no
     # query-target distance undercuts: far-apart sets skip the empty rounds.
+    # When even their farthest corners lie within twice that gap, start just
+    # past those corners instead, where one round pairs every query.
     # numpy reduces the rows of a transposed copy far faster than the
     # columns of an (n, d) array
     (q_lo, q_hi), (t_lo, t_hi) = [(p.min(axis=1), p.max(axis=1)) for p in (q.T.copy(), t.T.copy())]
     apart = np.maximum(q_lo - t_hi, t_lo - q_hi).clip(min=0.0)
-    r = max(r, math.sqrt(apart @ apart))
+    span = np.maximum(q_hi - t_lo, t_hi - q_lo)
+    gap, far = math.sqrt(apart @ apart), math.sqrt(span @ span) * (1.0 + 2.0**-20)
+    r = far if far < 2.0 * gap else max(r, gap)
     # a query has at most len(t) candidates, so no chunk exceeds the budget
     chunk = max(1, _CANDIDATE_BUDGET // len(t))
     todo = np.arange(len(q))

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .errors import InvalidArgumentError
 from .geometry import (
     _close_pairs,
-    _require_pair_budget,
+    _require_budget,
     as_points,
     lex_order_faults,
     min_pairwise_gap,
@@ -286,7 +287,9 @@ def autocorrelation(
     pts = x.points[window_mask(x.points, radius)]
     n = len(pts)
     if max_range is None:
-        _require_pair_budget(n * n, f"an autocorrelation window of {n} points")
+        # geometry's pair budget, read at call time as _close_pairs reads it
+        _require_budget(n * n, geometry._CANDIDATE_BUDGET, f"candidate pairs in an autocorrelation "
+                        f"window of {n} points (max_range, --max-range, bounds them)")
         # every ordered pair as p_row - p_col, row-major: the order that
         # picks each atom's first-seen representative
         vecs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, x.dim)

@@ -40,8 +40,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .pointset import PointSet
 from .geometry import _close_pairs, as_points, nearest, require_extent, sq_norms, window_mask
-
-_RADIUS_BUDGET = 4_194_304  # radii LGrid.integers may build
+from .geometry import _RADIUS_BUDGET, _require_budget
 
 __all__ = [
     "LGrid",
@@ -75,8 +74,7 @@ class LGrid:
         """The radii 1, 2, ..., hi."""
         if hi < 1:
             raise InvalidArgumentError("need hi >= 1")
-        if hi > _RADIUS_BUDGET:
-            raise InvalidArgumentError(f"{hi} radii exceed the radius budget of {_RADIUS_BUDGET}")
+        _require_budget(hi, _RADIUS_BUDGET, "window radii in an LGrid")
         return cls(tuple(float(v) for v in range(1, hi + 1)))
 
     def require_within(self, *sets: PointSet) -> None:
@@ -327,12 +325,13 @@ def rho_gh(x: PointSet, y: PointSet, eps_tol: float = 1e-4) -> MetricResult:
     if x == y:
         return MetricResult(0.0)
     require_extent(1.0 / eps_tol, min(x.extent, y.extent), "scan start radius 1/eps_tol")
+    steps = int(math.floor(0.25 / eps_tol + 1e-9))
+    _require_budget(steps, _RADIUS_BUDGET, f"window radii in a scan at eps_tol {eps_tol!r}")
     # each window is a prefix of the points in order of norm
     nx, ny = sq_norms(x.points), sq_norms(y.points)
     ox, oy = np.argsort(nx, kind="stable"), np.argsort(ny, kind="stable")
     px, sx = x.points[ox], nx[ox]
     py, sy = y.points[oy], ny[oy]
-    steps = int(math.floor(0.25 / eps_tol + 1e-9))
     for k in range(1, steps + 1):
         eps = k * eps_tol
         radius = 1.0 / eps

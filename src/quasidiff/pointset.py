@@ -36,7 +36,9 @@ from .errors import (
     SeamViolationError,
 )
 from .geometry import (
+    _ENUM_BUDGET,
     _power,
+    _require_budget,
     _require_positive_finite,
     as_points,
     ball_volume,
@@ -55,7 +57,6 @@ TAU = (1.0 + np.sqrt(5.0)) / 2.0  # long tile of the Fibonacci chain
 
 _GAP_SLACK = 1e-12          # absolute slack when checking declared separation
 _EXTENT_SLACK = 1e-9        # relative slack when checking points against extent
-_ENUM_BUDGET = 20_000_000   # cut-and-project enumeration guard
 
 __all__ = [
     "TAU",
@@ -204,11 +205,7 @@ def _box_half_width(reach: float, dim: int) -> int:
     ball, refused (an infinite reach too) when the box holds more candidates
     than the enumeration budget; counted in Python ints, nothing is allocated."""
     k = math.floor(reach * (1.0 + 1e-12)) if reach < _ENUM_BUDGET else _ENUM_BUDGET
-    if (2 * k + 1) ** dim > _ENUM_BUDGET:
-        raise InvalidArgumentError(
-            f"the {dim}-d candidate box of reach {reach!r} exceeds the enumeration "
-            f"budget of {_ENUM_BUDGET}"
-        )
+    _require_budget((2 * k + 1) ** dim, _ENUM_BUDGET, f"points in a {dim}-d box of reach {reach!r}")
     return k
 
 
@@ -268,11 +265,7 @@ def gen_fibonacci(extent: float, label: str = "fibonacci") -> PointSet:
     """
     _require_positive_finite(extent, "extent")
     # tiles a and b occur with frequencies 1/tau and 1/tau^2: mean length 3 - tau
-    count = 2.0 * extent / (3.0 - TAU)
-    if count > _ENUM_BUDGET:
-        raise InvalidArgumentError(
-            f"the expected Fibonacci count {count!r} exceeds the enumeration budget of {_ENUM_BUDGET}"
-        )
+    _require_budget(2.0 * extent / (3.0 - TAU), _ENUM_BUDGET, "expected Fibonacci points")
     word = _fibonacci_word(extent + 2.0 * TAU)
     right = _tile_positions(word)
     left = -_tile_positions(word[::-1])
@@ -304,10 +297,7 @@ def gen_poisson(intensity: float, dim: int, extent: float, seed: int) -> PointSe
     if int(seed) < 0:
         raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
     mean = intensity * ball_volume(dim, extent)
-    if not mean <= _ENUM_BUDGET:
-        raise InvalidArgumentError(
-            f"the expected Poisson count {mean!r} exceeds the enumeration budget of {_ENUM_BUDGET}"
-        )
+    _require_budget(mean, _ENUM_BUDGET, "expected Poisson points")
     rng = np.random.default_rng(int(seed))
     n = int(rng.poisson(mean))
     direction = rng.standard_normal((n, dim))
@@ -412,8 +402,7 @@ def gen_cut_project(cfg: CutProjectConfig, label: str | None = None) -> PointSet
         z_hi = np.floor(hi_k - offset[k]).astype(np.int64)
         counts = np.maximum(z_hi - z_lo + 1, 0)
         total = int(counts.sum())
-        if total > _ENUM_BUDGET:
-            raise InvalidArgumentError("cut-and-project enumeration budget exceeded")
+        _require_budget(total, _ENUM_BUDGET, f"cut-and-project candidates on {k + 1} of {n} axes")
         keep = counts > 0
         partial, counts, z_lo = partial[keep], counts[keep], z_lo[keep]
         starts = np.repeat(np.cumsum(counts) - counts, counts)

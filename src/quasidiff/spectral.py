@@ -42,9 +42,8 @@ import numpy as np
 
 from .errors import EmptySpectrumError, InvalidArgumentError
 from .geometry import _power, require_extent, window_mask
+from .geometry import _NODE_BUDGET, _TABLE_BUDGET, _require_budget
 from .pointset import PointSet
-
-_NODE_BUDGET = 4_194_304  # nodes a FrequencyGrid may hold
 
 __all__ = [
     "FrequencyGrid",
@@ -78,10 +77,7 @@ class FrequencyGrid:
                 raise InvalidArgumentError("each axis needs max > min and step > 0")
             if not math.isfinite((hi - lo) / step):
                 raise InvalidArgumentError("grid axis would hold a non-finite number of nodes")
-        if self.node_count > _NODE_BUDGET:
-            raise InvalidArgumentError(
-                f"grid would hold {self.node_count} nodes, over the budget of {_NODE_BUDGET}"
-            )
+        _require_budget(self.node_count, _NODE_BUDGET, "nodes in a frequency grid")
 
     @property
     def dim(self) -> int:
@@ -194,6 +190,9 @@ def _grid_sums(points: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
         axes = [(step * k2 * np.arange(k1), p), (lo + step * np.arange(k2), p)]
     else:
         axes = [(grid.axis_values(i), points[:, i]) for i in range(grid.dim)]
+    # one table row per axis value, counted before any table exists
+    _require_budget(sum(len(v) for v, _ in axes) * len(points), _TABLE_BUDGET,
+                    f"phase-table entries for {m} nodes over {len(points)} window points")
     *lead, inner, last = [_phases(np.multiply.outer(v, c)) for v, c in axes]
     blocks = []
     for rows in itertools.product(*lead):

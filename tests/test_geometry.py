@@ -55,7 +55,7 @@ def brute_distances(q, t):
 
 
 @settings(max_examples=300, deadline=None)
-@given(dim=st.sampled_from([1, 2, 3]), data=st.data())
+@given(dim=st.sampled_from([1, 2, 3, 4]), data=st.data())
 def test_nearest_matches_brute_force(dim, data):
     q = data.draw(point_arrays(dim), label="queries")
     t = data.draw(point_arrays(dim), label="targets")
@@ -100,7 +100,8 @@ def test_nearest_of_far_apart_sets_in_chunks_under_the_budget(monkeypatch):
 
 def test_nearest_of_far_apart_sets_starts_at_their_bounding_box_gap(monkeypatch):
     # a radius below the gap between the sets' boxes pairs no query: starting
-    # from the targets' spacing took 17 rounds here
+    # from the targets' spacing took 17 rounds here, and from the gap 2; the
+    # boxes' farthest corners lie within twice the gap, so one round pairs all
     radii = []
 
     def counting(a, b, r):
@@ -112,7 +113,7 @@ def test_nearest_of_far_apart_sets_starts_at_their_bounding_box_gap(monkeypatch)
     q = rng.random((2000, 2))
     t = 1000.0 + rng.random((2000, 2))
     dist, index = nearest(q, t)
-    assert len(radii) <= 2
+    assert len(radii) == 1
     brute = brute_distances(q, t)
     assert np.array_equal(dist, brute.min(axis=1))
     assert np.array_equal(index, brute.argmin(axis=1))
@@ -120,7 +121,7 @@ def test_nearest_of_far_apart_sets_starts_at_their_bounding_box_gap(monkeypatch)
 
 @settings(max_examples=300, deadline=None)
 @given(
-    dim=st.sampled_from([1, 2, 3]),
+    dim=st.sampled_from([1, 2, 3, 4]),
     r=st.one_of(
         st.integers(1, 40).map(lambda k: k / 4),
         st.integers(1, 40).map(lambda k: k / 2**32),
@@ -141,7 +142,7 @@ def test_close_pairs_match_brute_force(dim, r, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(dim=st.sampled_from([1, 2, 3]), data=st.data())
+@given(dim=st.sampled_from([1, 2, 3, 4]), data=st.data())
 def test_min_pairwise_gap_matches_brute_force(dim, data):
     p = data.draw(point_arrays(dim), label="points")
     gap = min_pairwise_gap(p)

@@ -16,6 +16,7 @@ except ImportError:  # not POSIX
     resource = None
 
 import quasidiff
+from quasidiff import scenarios
 from quasidiff.cli import _build_parser, main
 from quasidiff.errors import (
     ConfigError,
@@ -427,6 +428,26 @@ class TestScenarioConfig:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", True), ("seed", 1.5), ("seed", "7"), ("out_dir", None),
+         ("tolerances", {"eps_tol": float("nan")}), ("tolerances", {1: 1.0})],
+    )
+    def test_api_and_json_configs_are_checked_alike(self, key, value):
+        with pytest.raises(ConfigError, match=f"config key {key!r}"):
+            ScenarioConfig(scenario="completeness", **{key: value})
+        if isinstance(value, dict) and not all(isinstance(k, str) for k in value):
+            return  # JSON object keys are always strings
+        with pytest.raises(ConfigError, match=f"config key {key!r}"):
+            ScenarioConfig.from_json(json.dumps({"scenario": "completeness", key: value}))
+
+    def test_integer_values_are_kept_as_their_numbers(self):
+        cfg = ScenarioConfig(scenario="completeness", seed=np.int64(3), tolerances={"eps_tol": 1})
+        assert type(cfg.seed) is int and cfg.tolerances == {"eps_tol": 1.0}
+        assert cfg.config_hash() == ScenarioConfig.from_json(
+            '{"scenario": "completeness", "seed": 3, "tolerances": {"eps_tol": 1.0}}'
+        ).config_hash()
+
 
 class TestRunScenario:
     def test_unknown_scenario_lists_registered_names(self, tmp_path):
@@ -463,6 +484,19 @@ class TestRunScenario:
         assert names_a == sorted(os.listdir(out_b))
         for fname in names_a:
             assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes(), fname
+
+    def test_gh_vs_vague_checks_each_sequence_in_its_own_criterion(self, tmp_path, monkeypatch):
+        # a constant vague gap never shrinks, while every distance still does
+        monkeypatch.setattr(scenarios, "vague_gap", lambda *args: 0.5)
+        cfg = ScenarioConfig(
+            scenario="gh-vs-vague", out_dir=str(tmp_path), tolerances={"pairing_tol": 1.0}
+        )
+        verdicts = {c.name: c.passed for c in run_scenario(cfg).criteria}
+        assert verdicts == {
+            "distance-shrinks": True,
+            "gap-shrinks-with-distance": False,
+            "control-stays-apart": True,
+        }
 
 
 def noise_free_lattice(tmp_path, extent=60.0):
@@ -707,7 +741,8 @@ class TestCli:
     )
     def test_oversize_lattice_box_exits_two(self, tmp_path, capsys, argv):
         assert main(["gen", *argv, "--out", str(tmp_path / "z.pts")]) == 2
-        assert "exceeds the enumeration budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "-d box of reach " in err and "over the budget of 20000000" in err
         assert not (tmp_path / "z.pts").exists()
 
     @pytest.mark.parametrize(
@@ -720,7 +755,7 @@ class TestCli:
     )
     def test_oversize_poisson_count_exits_two(self, tmp_path, capsys, argv):
         assert main(["gen", "--kind", "poisson", *argv, "--out", str(tmp_path / "z.pts")]) == 2
-        assert "exceeds the enumeration budget" in capsys.readouterr().err
+        assert "expected Poisson points, over the budget of 20000000" in capsys.readouterr().err
         assert not (tmp_path / "z.pts").exists()
 
     @pytest.mark.parametrize(
@@ -763,7 +798,7 @@ class TestCli:
         src = noise_free_lattice(tmp_path)
         code = main(["dist", "--kind", "stat", "--a", src, "--b", src, "--l-max", "10000000"])
         assert code == 2
-        assert "exceed the radius budget" in capsys.readouterr().err
+        assert "window radii in an LGrid, over the budget of 4194304" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -805,7 +840,15 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"seed": "x"}, {"seed": None}, {"tolerances": {"a": None}}, {"tolerances": {"a": "b"}}],
+        [
+            {"seed": "x"}, {"seed": None}, {"tolerances": {"a": None}}, {"tolerances": {"a": "b"}},
+            {"seed": 1.5}, {"seed": True}, {"seed": "7"}, {"seed": -1},
+            {"out_dir": None}, {"out_dir": 5}, {"scenario": 3}, {"tolerances": None},
+            {"tolerances": {"eps_tol": "nan"}}, {"tolerances": {"eps_tol": True}},
+            # JSON's NaN and Infinity literals, as json.dumps writes them
+            {"tolerances": {"eps_tol": float("nan")}}, {"tolerances": {"eps_tol": float("inf")}},
+            {"tolerances": {"eps_tol": 10**400}},  # an int past the float range
+        ],
     )
     def test_scenario_config_value_of_wrong_type_exits_two(self, tmp_path, capsys, fields):
         cfg = tmp_path / "bad.json"
@@ -974,10 +1017,18 @@ def _limit_address_space():  # runs in the child only, between fork and exec
         (["peaks", "--input", "wide.csv"], 2),
         (["spectrum", "--input", "cube.pts", "--radius", "1e120",
           "--grid=0:1:1;0:1:1;0:1:1", "--out", "s.csv"], 2),
+        # 4,000,001 nodes over 198,001 window points: 4,001 table rows of
+        # 198,001 entries, 12 GiB of phase tables without the table budget
+        (["spectrum", "--input", "lattice.pts", "--radius", "99000",
+          "--grid", "0:1:2.5e-7", "--out", "s.csv"], 2),
+        # a rho_gh scan of 2.5e11 window radii
+        (["dist", "--kind", "alignment", "--a", "two.pts", "--b", "two-b.pts",
+          "--eps-tol", "1e-12"], 2),
     ],
     ids=["fibonacci-1e9", "lattice-1e300", "read-extent-1e300", "poisson-d342",
          "read-d-1", "autocorr-221GiB", "autocorr-full-window", "dist-sep-inf",
-         "peaks-radius-1e200-d2", "spectrum-extent-1e120-d3"],
+         "peaks-radius-1e200-d2", "spectrum-extent-1e120-d3", "spectrum-12GiB-tables",
+         "alignment-scan-2.5e11"],
 )
 def test_extreme_input_exits_cleanly_under_a_memory_limit(tmp_path, argv, code):
     (tmp_path / "huge.pts").write_text("# d=1 r0=1 extent=1e300\n-1e300\n0.0\n1e300\n")
@@ -985,6 +1036,8 @@ def test_extreme_input_exits_cleanly_under_a_memory_limit(tmp_path, argv, code):
     (tmp_path / "sep-inf.pts").write_text("# d=1 r0=inf extent=5\n0.0\n")
     (tmp_path / "sep-inf-b.pts").write_text("# d=1 r0=inf extent=5\n1.0\n")
     (tmp_path / "cube.pts").write_text("# d=3 r0=0 extent=1e120\n0.0,0.0,0.0\n")
+    (tmp_path / "two.pts").write_text("# d=1 r0=1 extent=1e12\n0.0\n1.0\n")
+    (tmp_path / "two-b.pts").write_text("# d=1 r0=1 extent=1e12\n0.0\n2.0\n")
     (tmp_path / "wide.csv").write_text(
         "lambda_1,lambda_2,re,im,power,L\n0.0,0.0,1.0,0.0,inf,1e+200\n"
     )
@@ -1003,7 +1056,7 @@ def test_extreme_input_exits_cleanly_under_a_memory_limit(tmp_path, argv, code):
     )
     assert "Traceback" not in run.stderr
     assert run.returncode == code, run.stderr
-    if code == 2:
-        assert run.stderr.startswith("error: ")
-    if argv[0] == "autocorr":  # one line, naming the way out
-        assert run.stderr.count("\n") == 1 and "--max-range" in run.stderr
+    if code == 2:  # one line
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    if argv[0] == "autocorr":  # naming the way out
+        assert "--max-range" in run.stderr

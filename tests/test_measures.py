@@ -170,8 +170,9 @@ class TestAutocorrelation:
         monkeypatch.setattr(geometry, "_CANDIDATE_BUDGET", 121)
         x = gen_lattice(1, 1.0, 10.0)
         assert len(autocorrelation(x, 5.0)) == 21  # 11 points: 121 pairs
-        refusal = r"candidate pairs, over the budget of 121; .* max_range \(--max-range\)$"
-        with pytest.raises(InvalidArgumentError, match="13 points would build 169 " + refusal):
+        refusal = r" points \(max_range, --max-range, bounds them\), over the budget of 121$"
+        full = "^169 candidate pairs in an autocorrelation window of 13" + refusal
+        with pytest.raises(InvalidArgumentError, match=full):
             autocorrelation(x, 6.0)
         with pytest.raises(InvalidArgumentError, match=refusal):
             autocorrelation(x, 10.0, max_range=10.0)

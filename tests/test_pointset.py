@@ -158,7 +158,8 @@ def test_fibonacci_density():
 def test_fibonacci_count_over_the_enumeration_budget_refused(monkeypatch):
     # about 1,447 points expected on [-1000, 1000]: refused before the word is built
     monkeypatch.setattr(pointset, "_ENUM_BUDGET", 1000)
-    with pytest.raises(InvalidArgumentError, match="exceeds the enumeration budget"):
+    refusal = "expected Fibonacci points, over the budget of 1000$"
+    with pytest.raises(InvalidArgumentError, match=refusal):
         gen_fibonacci(1000.0)
     assert len(gen_fibonacci(600.0)) < 1000
 

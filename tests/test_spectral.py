@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import quasidiff
+from quasidiff import spectral
 from quasidiff.errors import (
     EmptySpectrumError,
     InsufficientExtentError,
@@ -260,6 +261,38 @@ class TestAmplitudeSpectrum:
         spec = amplitude_spectrum(ammann_beenker_60, 55.0, grid)
         closed = math.pi * abs(np.prod(2 * np.sinc(2 * k_star))) / 4
         assert abs(abs(spec.amplitude[0]) - closed) <= 1e-2
+
+    def test_three_axis_grid_matches_a_direct_float64_sum(self):
+        # each row of the leading table is multiplied into the second one,
+        # one leading node at a time; every phase is below 3 * 1.2 * 5 = 18,
+        # so the unreduced direct sum loses under 1e-13 a term
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-5.0, 5.0, size=(200, 3))
+        grid = FrequencyGrid(((-0.3, 0.9, 0.3), (0.1, 1.1, 0.25), (-1.2, 0.0, 0.2)))
+        assert grid.shape == (5, 5, 7)
+        direct = np.exp(-2j * np.pi * (grid.nodes() @ pts.T)).sum(axis=1)
+        assert np.abs(spectral._grid_sums(pts, grid) - direct).max() <= 1e-13 * len(pts)
+
+    @pytest.mark.parametrize(
+        "axes, rows",
+        [
+            (((0.0, 0.99, 0.01),), 10 + 10),  # 100 nodes, split as 10 x 10
+            (((0.0, 2.0, 1.0), (0.0, 3.0, 1.0)), 3 + 4),
+        ],
+    )
+    def test_table_budget_admits_its_size_and_refuses_one_entry_more(
+        self, monkeypatch, axes, rows
+    ):
+        x = gen_lattice(len(axes), 1.0, 3.0)
+        entries = rows * len(x)  # every point lies in the radius-3 window
+        grid = FrequencyGrid(axes)
+        monkeypatch.setattr(spectral, "_TABLE_BUDGET", entries)
+        amplitude = amplitude_spectrum(x, 3.0, grid).amplitude[0]
+        assert amplitude == pytest.approx(len(x) / 3.0 ** len(axes), rel=1e-15)
+        monkeypatch.setattr(spectral, "_TABLE_BUDGET", entries - 1)
+        refusal = f"^{entries} phase-table entries .*, over the budget of {entries - 1}$"
+        with pytest.raises(InvalidArgumentError, match=refusal):
+            amplitude_spectrum(x, 3.0, grid)
 
     def test_amplitudes_do_not_depend_on_blas_threads(self):
         src = os.path.dirname(os.path.dirname(quasidiff.__file__))
