@@ -24,6 +24,8 @@ Conventions used everywhere in this package:
   for its value: candidate pairs, window radii, generated points, grid nodes
   and phase-table entries.  :func:`_require_budget` is the one check, and it
   refuses a count over its budget before anything of that size is built;
+* so is each argument rule: :func:`_require_positive_finite`,
+  :func:`_require_integer` and :func:`_require_radii` (lists of radii);
 * :func:`nearest` is the one nearest-neighbour primitive: exact Euclidean
   distances plus the index of the target attaining them.  1-d makes the same
   binary search; higher dimensions grow a pair search radius until every
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -101,8 +104,26 @@ def window_mask(points: np.ndarray, radius: float) -> np.ndarray:
 def _require_positive_finite(value: float, what: str) -> None:
     # NaN fails the comparison too; the generators also call this, because an
     # infinite extent or intensity would overflow, loop or enumerate nothing
-    if not (0 < value < np.inf):
+    if isinstance(value, (bool, np.bool_)) or not (0 < value < np.inf):
         raise InvalidArgumentError(f"{what} must be a positive finite number, got {value!r}")
+
+
+def _require_integer(value, what: str, low: int = 0) -> int:
+    """``value`` as an int if it is an integer >= ``low``; a bool or float (even 3.0) is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        wanted = f"an integer >= {low}" if low else "a non-negative integer"
+        raise InvalidArgumentError(f"{what} must be {wanted}, got {value!r}")
+    return int(value)
+
+
+def _require_radii(values, what: str) -> tuple[float, ...]:
+    """Nonempty, positive, finite and strictly increasing radii, as a tuple of floats."""
+    radii = np.asarray(values, dtype=np.float64)
+    # every comparison with a NaN is False, so a NaN anywhere fails this chain
+    if not (radii.ndim == 1 and len(radii) and 0 < radii[0] and radii[-1] < np.inf
+            and (radii[:-1] < radii[1:]).all()):
+        raise InvalidArgumentError(f"{what} must be a list 0 < r_1 < ... < r_n < inf, n >= 1")
+    return tuple(radii.tolist())
 
 
 def _power(x: float, d: int) -> float:
@@ -319,8 +340,7 @@ _UNIT_BALL_VOL = {0: 1.0}
 
 def ball_volume(dim: int, radius: float = 1.0) -> float:
     """Lebesgue volume of the d-ball, via the even/odd closed forms; inf on overflow."""
-    if dim < 0:
-        raise InvalidArgumentError("dimension must be nonnegative")
+    _require_integer(dim, "dim")
     if dim not in _UNIT_BALL_VOL:
         # omega_d = pi^{d/2} / Gamma(d/2 + 1); past d = 341 Gamma overflows,
         # and the quotient, taken through its logarithm, underflows soon after

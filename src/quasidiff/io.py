@@ -31,6 +31,7 @@ from .errors import (
     DuplicatePointError,
     EmptySpectrumError,
     FormatError,
+    QuasidiffError,
 )
 from .geometry import lex_order_faults
 from .pointset import PointSet
@@ -128,6 +129,12 @@ def read_points(path: str) -> PointSet:
         raise FormatError(f"{path}: header dimension d={dim} is below 1")
     label = match.group(4) or ""
     pts, linenos = _parse_rows(path, raw[1:], dim, "coordinates", "coordinate")
+    try:
+        return PointSet(dim, sep, extent, pts, label)
+    except QuasidiffError as exc:
+        refused = exc
+    # the set checks finiteness and order itself; only once it refuses are
+    # they checked again here, to name the file line of the fault
     k = _first(~np.isfinite(pts).all(axis=1))
     if k is not None:
         raise FormatError(f"{path}:{linenos[k]}: non-finite coordinate in {raw[linenos[k] - 1]!r}")
@@ -138,7 +145,7 @@ def read_points(path: str) -> PointSet:
         raise FormatError(
             f"{path}: points not lexicographically sorted at line {linenos[inverted]}"
         )
-    return PointSet(dim, sep, extent, pts, label)
+    raise refused
 
 
 def sidecar_path(path: str) -> str:

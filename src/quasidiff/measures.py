@@ -31,6 +31,8 @@ from .errors import InvalidArgumentError
 from .geometry import (
     _close_pairs,
     _require_budget,
+    _require_integer,
+    _require_positive_finite,
     as_points,
     lex_order_faults,
     min_pairwise_gap,
@@ -74,8 +76,7 @@ class AtomicMeasure:
     bucket_tol: float = 0.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidArgumentError("dim must be >= 1")
+        _require_integer(self.dim, "dim", 1)
         if self.bucket_tol < 0:
             raise InvalidArgumentError("bucket_tol must be >= 0")
         locs = as_points(self.locations, self.dim)
@@ -143,8 +144,7 @@ class TestFunction:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise InvalidArgumentError("radius must be positive")
+        _require_positive_finite(self.radius, "radius")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     @property
@@ -176,8 +176,7 @@ class TestFamily:
             raise InvalidArgumentError("a TestFamily must contain a function")
         object.__setattr__(self, "functions", tuple(self.functions))
         object.__setattr__(self, "region_center", tuple(float(c) for c in self.region_center))
-        if not (self.region_radius > 0):
-            raise InvalidArgumentError("region_radius must be positive")
+        _require_positive_finite(self.region_radius, "region_radius")
         rc = np.asarray(self.region_center)
         for f in self.functions:
             if f.dim != len(self.region_center):
@@ -193,9 +192,8 @@ class TestFamily:
     def tents_1d(
         cls, lo: float, hi: float, count: int, radius: float, amplitude: float = 1.0
     ) -> "TestFamily":
-        """Evenly spaced tents with centers from lo to hi inclusive."""
-        if count < 1 or not (hi >= lo):
-            raise InvalidArgumentError("need count >= 1 and hi >= lo")
+        """Evenly spaced tents with centers from lo to hi inclusive; the family refuses hi < lo."""
+        _require_integer(count, "count", 1)
         centers = np.linspace(lo, hi, count) if count > 1 else np.array([(lo + hi) / 2])
         funcs = tuple(TestFunction((float(c),), radius, amplitude) for c in centers)
         return cls(
@@ -282,8 +280,6 @@ def autocorrelation(
     if not (0 <= bucket_tol <= r0 / 4):
         raise InvalidArgumentError(f"bucket_tol must lie in [0, sep_radius/4] = [0, {r0 / 4!r}]")
     require_extent(radius, x.extent, "autocorrelation window")
-    if max_range is not None and not (max_range > 0):
-        raise InvalidArgumentError("max_range must be positive")
     pts = x.points[window_mask(x.points, radius)]
     n = len(pts)
     if max_range is None:
@@ -294,6 +290,7 @@ def autocorrelation(
         # picks each atom's first-seen representative
         vecs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, x.dim)
     else:
+        _require_positive_finite(max_range, "max_range")
         # ordered pairs at distance <= max_range (the closed ball), by (row, col)
         rows, cols = _close_pairs(pts, pts, np.nextafter(max_range, np.inf))
         vecs = pts[cols] - pts[rows]

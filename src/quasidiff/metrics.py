@@ -40,7 +40,8 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .pointset import PointSet
 from .geometry import _close_pairs, as_points, nearest, require_extent, sq_norms, window_mask
-from .geometry import _RADIUS_BUDGET, _require_budget
+from .geometry import _RADIUS_BUDGET, _require_budget, _require_integer, _require_positive_finite
+from .geometry import _require_radii
 
 __all__ = [
     "LGrid",
@@ -61,21 +62,14 @@ class LGrid:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not vals:
-            raise InvalidArgumentError("LGrid needs at least one radius")
-        arr = np.asarray(vals)
-        if not ((arr > 0).all() and (np.diff(arr) > 0).all()):
-            raise InvalidArgumentError("LGrid radii must be positive and strictly increasing")
+        object.__setattr__(self, "values", _require_radii(self.values, "LGrid radii"))
 
     @classmethod
     def integers(cls, hi: int) -> "LGrid":
         """The radii 1, 2, ..., hi."""
-        if hi < 1:
-            raise InvalidArgumentError("need hi >= 1")
+        hi = _require_integer(hi, "hi", 1)
         _require_budget(hi, _RADIUS_BUDGET, "window radii in an LGrid")
-        return cls(tuple(float(v) for v in range(1, hi + 1)))
+        return cls(range(1, hi + 1))
 
     def require_within(self, *sets: PointSet) -> None:
         require_extent(self.values[-1], min(s.extent for s in sets), "grid radius")
@@ -197,8 +191,7 @@ def mismatch_sets(x: PointSet, y: PointSet, radius: float, eps: float):
     empty window every point is mismatched.
     """
     _check_pair(x, y)
-    if not (eps > 0):
-        raise InvalidArgumentError("eps must be positive")
+    _require_positive_finite(eps, "eps")
     require_extent(radius, min(x.extent, y.extent), "window radius")
 
     def side(a: PointSet, b: PointSet) -> np.ndarray:
@@ -226,8 +219,7 @@ def ratio_sup(
     same bit for bit as with a fresh enumeration at eps.
     """
     _check_pair(x, y)
-    if not (eps > 0):
-        raise InvalidArgumentError("eps must be positive")
+    _require_positive_finite(eps, "eps")
     if not (0 < exponent <= x.dim):
         raise InvalidArgumentError("exponent must lie in (0, dim]")
     grid.require_within(x, y)
@@ -265,8 +257,7 @@ def rho_stat(
     probe, and those read the ratio already counted for that prefix.
     """
     _check_pair(x, y)
-    if not (0 < eps_tol < math.inf):
-        raise InvalidArgumentError(f"eps_tol must be positive and finite, got {eps_tol!r}")
+    _require_positive_finite(eps_tol, "eps_tol")
     r0 = min(x.require_separation(), y.require_separation())
     if x == y:
         return MetricResult(0.0)
@@ -320,8 +311,7 @@ def rho_gh(x: PointSet, y: PointSet, eps_tol: float = 1e-4) -> MetricResult:
     window of radius 1/eps_tol, so both extents must reach that far.
     """
     _check_pair(x, y)
-    if not (0 < eps_tol < math.inf):
-        raise InvalidArgumentError(f"eps_tol must be positive and finite, got {eps_tol!r}")
+    _require_positive_finite(eps_tol, "eps_tol")
     if x == y:
         return MetricResult(0.0)
     require_extent(1.0 / eps_tol, min(x.extent, y.extent), "scan start radius 1/eps_tol")

@@ -26,9 +26,10 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateTrialError, InvalidArgumentError
+from .geometry import _require_integer, _require_positive_finite, _require_radii
 from .geometry import lex_sort, require_extent, sq_norms, window_mask
 from .pointset import PointSet, _with_measured_gap
-from .spectral import Spectrum, _phases
+from .spectral import Spectrum, _free_sums, _phases
 
 _MARGIN_SAMPLES = 200_000
 _MARGIN_PERCENTILE = 99.9
@@ -88,8 +89,7 @@ class NoiseModel:
     scale: float = 0.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidArgumentError("dim must be >= 1")
+        _require_integer(self.dim, "dim", 1)
         if self.kind == "gaussian":
             _require_finite("sigma", self.sigmas)
             if len(self.sigmas) != self.dim or any(s < 0 for s in self.sigmas):
@@ -227,11 +227,9 @@ def perturb(x: PointSet, model: NoiseModel, seed: int) -> PointSet:
     """
     if model.dim != x.dim:
         raise InvalidArgumentError("noise model and set dimensions differ")
-    if len(x.points) == 0:
-        return x
     moved = x.points + _displacements(model, seed, x.label, len(x.points))
     pts = lex_sort(moved)
-    reach = float(np.sqrt(sq_norms(pts).max()))
+    reach = float(np.sqrt(sq_norms(pts).max(initial=0.0)))
     extent = x.extent if reach <= x.extent * (1.0 + 1e-9) else reach * (1.0 + 1e-12)
     return _with_measured_gap(x.dim, extent, pts, x.label, x.sep_radius)
 
@@ -266,11 +264,10 @@ def char_fn_grid(model: NoiseModel, freqs: np.ndarray) -> np.ndarray:
 
 
 def char_fn_mc(model: NoiseModel, lam, mc_samples: int, seed: int = 0) -> tuple[complex, float]:
-    """Monte Carlo psi estimate and its standard error."""
-    if not (mc_samples and mc_samples > 0):
-        raise InvalidArgumentError("Monte Carlo estimation needs a positive sample count")
+    """Monte Carlo psi estimate and its standard error (ddof=1: two samples at least)."""
+    mc_samples = _require_integer(mc_samples, "mc_samples", 2)
     lam = np.asarray(lam, dtype=np.float64).reshape(model.dim)
-    xi = _displacements(model, seed, f"charfn:{model.kind}:{model.dim}", int(mc_samples))
+    xi = _displacements(model, seed, f"charfn:{model.kind}:{model.dim}", mc_samples)
     vals = _phases(xi @ lam)
     value = complex(vals.mean())
     spread = (vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / len(vals)
@@ -298,8 +295,7 @@ def recover(spec: Spectrum, model: NoiseModel, guard: float = _GUARD) -> Spectru
     dividing by a Monte Carlo estimate would inject its sampling noise into
     every downstream comparison.
     """
-    if not (0 < guard < math.inf):
-        raise InvalidArgumentError(f"guard must be positive and finite, got {guard!r}")
+    _require_positive_finite(guard, "guard")
     if model.dim != spec.grid.dim:
         raise InvalidArgumentError("noise model and spectrum dimensions differ")
     psi = char_fn_grid(model, spec.grid.nodes())
@@ -349,9 +345,7 @@ def boundary_crossings(x: PointSet, model: NoiseModel, seed: int, l_list) -> Bou
     """
     if model.dim != x.dim:
         raise InvalidArgumentError("noise model and set dimensions differ")
-    radii = [float(v) for v in l_list]
-    if not (radii and radii[0] > 0 and all(b > a for a, b in zip(radii, radii[1:]))):
-        raise InvalidArgumentError("l_list must be positive and strictly increasing")
+    radii = _require_radii(l_list, "l_list")
     margin = displacement_margin(model)
     require_extent(max(radii) + margin, x.extent, "max radius + displacement margin")
     before = sq_norms(x.points)
@@ -400,7 +394,7 @@ def recovery_trial(
     """
     if model.dim != x.dim:
         raise InvalidArgumentError("noise model and set dimensions differ")
-    seeds = [int(s) for s in seeds]
+    seeds = [_require_integer(s, "seed") for s in seeds]
     if not seeds:
         raise InvalidArgumentError("need at least one seed")
     lams = np.asarray(lambdas, dtype=np.float64).reshape(-1, x.dim)
@@ -410,7 +404,7 @@ def recovery_trial(
     require_extent(radius, x.extent - margin, "window radius")
     scale = radius**x.dim
     base = x.points[window_mask(x.points, radius)]
-    truth = _phases(lams @ base.T).sum(axis=1) / scale
+    truth = _free_sums(base, lams) / scale
     psi = char_fn_grid(model, lams)
     usable = np.abs(psi) >= _GUARD
     if not usable.any():
@@ -419,7 +413,7 @@ def recovery_trial(
     for seed in seeds:
         moved = x.points + _displacements(model, seed, x.label, len(x.points))
         pts = moved[window_mask(moved, radius)]
-        per_seed.append(_phases(lams @ pts.T).sum(axis=1) / scale)
+        per_seed.append(_free_sums(pts, lams) / scale)
     rows = []
     for i, lam in enumerate(lams):
         if usable[i]:

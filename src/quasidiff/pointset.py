@@ -39,7 +39,9 @@ from .geometry import (
     _ENUM_BUDGET,
     _power,
     _require_budget,
+    _require_integer,
     _require_positive_finite,
+    _require_radii,
     as_points,
     ball_volume,
     lex_order_faults,
@@ -95,8 +97,7 @@ class PointSet:
     label: str = ""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidArgumentError("dim must be >= 1")
+        _require_integer(self.dim, "dim", 1)
         _require_positive_finite(self.extent, "extent")
         # an infinite separation would make every search radius infinite
         if not (0 <= self.sep_radius < math.inf):
@@ -211,8 +212,7 @@ def _box_half_width(reach: float, dim: int) -> int:
 
 def gen_lattice(dim: int, spacing: float, extent: float, label: str | None = None) -> PointSet:
     """spacing * Z^d intersected with the closed extent ball."""
-    if dim < 1:
-        raise InvalidArgumentError("dim must be >= 1")
+    _require_integer(dim, "dim", 1)
     _require_positive_finite(spacing, "spacing")
     _require_positive_finite(extent, "extent")
     k = _box_half_width(extent / spacing, dim)
@@ -291,14 +291,12 @@ def gen_visible(extent: float, label: str = "visible") -> PointSet:
 def gen_poisson(intensity: float, dim: int, extent: float, seed: int) -> PointSet:
     """Homogeneous Poisson sample on the extent ball; sep_radius 0 by definition."""
     _require_positive_finite(intensity, "intensity")
-    if dim < 1:
-        raise InvalidArgumentError("dim must be >= 1")
+    _require_integer(dim, "dim", 1)
     _require_positive_finite(extent, "extent")
-    if int(seed) < 0:
-        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _require_integer(seed, "seed")
     mean = intensity * ball_volume(dim, extent)
     _require_budget(mean, _ENUM_BUDGET, "expected Poisson points")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     n = int(rng.poisson(mean))
     direction = rng.standard_normal((n, dim))
     norm = np.linalg.norm(direction, axis=1, keepdims=True)
@@ -526,11 +524,7 @@ def remove_near(x: PointSet, targets, tol: float) -> PointSet:
 
 def set_stats(x: PointSet, l_values) -> SetStats:
     """Per-window counts and densities plus the exact minimum gap."""
-    ls = np.asarray(l_values, dtype=np.float64)
-    if ls.ndim != 1 or len(ls) == 0:
-        raise InvalidArgumentError("l_values must be a nonempty 1-d sequence")
-    if not ((ls > 0).all() and (np.diff(ls) > 0).all()):
-        raise InvalidArgumentError("l_values must be positive and strictly increasing")
+    ls = np.asarray(_require_radii(l_values, "l_values"))
     require_extent(ls[-1], x.extent, "stats window")
     sq = np.sort(sq_norms(x.points))
     counts = np.searchsorted(sq, ls * ls, side="right")

@@ -21,6 +21,8 @@ import hashlib
 
 import numpy as np
 
+from .geometry import _require_integer
+
 __all__ = ["stream_key", "uniforms", "normals"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -30,8 +32,8 @@ _SLOT_SALT = np.uint64(0xD6E8FEB86659FD93)
 
 
 def stream_key(seed: int, label: str) -> int:
-    """Collapse (seed, label) into a 64-bit stream key."""
-    material = f"{int(seed)}\x1f{label}".encode("utf-8")
+    """Collapse (seed, label) into a 64-bit stream key; every draw's seed is checked here."""
+    material = f"{_require_integer(seed, 'seed')}\x1f{label}".encode("utf-8")
     return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "little")
 
 

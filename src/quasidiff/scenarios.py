@@ -48,7 +48,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, UnknownScenarioError
+from .errors import ConfigError, InvalidArgumentError, UnknownScenarioError
+from .geometry import _require_integer
 from .measures import (
     TestFamily,
     TestFunction,
@@ -118,15 +119,15 @@ class ScenarioConfig:
         for key in ("scenario", "out_dir"):
             if not isinstance(getattr(self, key), str):
                 refuse(key, "a string")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            refuse("seed", "a non-negative integer")
+        try:
+            object.__setattr__(self, "seed", _require_integer(self.seed, "seed"))
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"config key 'seed': {exc}") from None
         if not (
             isinstance(self.tolerances, dict)
             and all(isinstance(k, str) and _finite_real(v) for k, v in self.tolerances.items())
         ):
             refuse("tolerances", "an object of named finite numbers")
-        object.__setattr__(self, "seed", int(seed))
         object.__setattr__(self, "tolerances", {k: float(v) for k, v in self.tolerances.items()})
 
     @classmethod

@@ -27,8 +27,8 @@ tables of about sqrt(M) x n entries.  The kernel thus makes about
 einsum loops, not in a threaded BLAS, so amplitudes are bit-identical run
 to run and for any BLAS thread count.  Sums at a free list of frequencies
 (``exp_sum``, the noise-recovery trials) take the phases
-``freqs @ points.T`` and sum each row over the points; those lists hold a
-few frequencies, so the table stays a few times the point count.
+``freqs @ points.T`` and sum each row over the points, under the same
+table budget as the grid sums.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySpectrumError, InvalidArgumentError
-from .geometry import _power, require_extent, window_mask
+from .geometry import _power, _require_positive_finite, _require_radii, require_extent, window_mask
 from .geometry import _NODE_BUDGET, _TABLE_BUDGET, _require_budget
 from .pointset import PointSet
 
@@ -71,10 +71,9 @@ class FrequencyGrid:
         if not axes:
             raise InvalidArgumentError("FrequencyGrid needs at least one axis")
         for lo, hi, step in axes:
-            if not all(math.isfinite(v) for v in (lo, hi, step)):
-                raise InvalidArgumentError("grid bounds and steps must be finite")
-            if not (step > 0) or not (hi > lo):
-                raise InvalidArgumentError("each axis needs max > min and step > 0")
+            _require_positive_finite(step, "grid step")
+            if not (math.isfinite(lo) and lo < hi < math.inf):
+                raise InvalidArgumentError("each axis needs finite bounds with max > min")
             if not math.isfinite((hi - lo) / step):
                 raise InvalidArgumentError("grid axis would hold a non-finite number of nodes")
         _require_budget(self.node_count, _NODE_BUDGET, "nodes in a frequency grid")
@@ -138,8 +137,7 @@ class Spectrum:
         )
         if len(amp) != m or len(valid) != m:
             raise InvalidArgumentError("spectrum arrays must match the grid's node count")
-        if not (0 < self.window_radius < math.inf):
-            raise InvalidArgumentError("window_radius must be a positive finite number")
+        _require_positive_finite(self.window_radius, "window_radius")
         if not np.isfinite(amp[valid]).all():
             raise InvalidArgumentError("valid nodes must carry finite values")
         scale = _power(self.window_radius, self.grid.dim)
@@ -203,10 +201,16 @@ def _grid_sums(points: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     return np.concatenate(blocks, axis=None)[:m]
 
 
+def _free_sums(points: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """sum_p e^(-2 pi i <p, lambda>) at each row of ``lams``, under the table budget."""
+    _require_budget(len(lams) * len(points), _TABLE_BUDGET, "free-frequency phase-table entries")
+    return _phases(lams @ points.T).sum(axis=1)
+
+
 def exp_sum(x: PointSet, lam) -> complex:
     """Exponential sum of the whole set at one frequency; |result| <= #points."""
     lam = np.asarray(lam, dtype=np.float64).reshape(1, x.dim)
-    return complex(_phases(lam @ x.points.T).sum())
+    return complex(_free_sums(x.points, lam)[0])
 
 
 def amplitude_spectrum(x: PointSet, radius: float, grid: FrequencyGrid) -> Spectrum:
@@ -410,9 +414,9 @@ def singularity_diagnostic(x: PointSet, l_list, grid: FrequencyGrid) -> Singular
 
     All raw numbers and thresholds ride along in the report.
     """
-    radii = [float(v) for v in l_list]
-    if len(radii) < 3 or not all(b > a for a, b in zip(radii, radii[1:])):
-        raise InvalidArgumentError("need at least three strictly increasing window radii")
+    radii = _require_radii(l_list, "l_list")
+    if len(radii) < 3:
+        raise InvalidArgumentError(f"need at least three window radii, got {len(radii)}")
     require_extent(radii[-1], x.extent, "largest window radius")
 
     reports = [

@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,6 +12,16 @@ from quasidiff.pointset import PointSet, gen_lattice
 settings.register_profile("ci", derandomize=True, print_blob=True)
 if os.environ.get("HYPOTHESIS_PROFILE"):
     settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
+
+
+def pytest_collection_modifyitems(items):
+    # a RuntimeWarning (overflow, invalid value, division by zero, an infinite
+    # noise moment) fails the test that raised it, in this directory only: from
+    # library code it is a fault to fix or report, not to filter
+    here = pathlib.Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
 def shifted_lattice(shift: float, extent: float, spacing: float = 1.0) -> PointSet:

@@ -1,5 +1,6 @@
 """The nearest-neighbour, close-pair and minimum-gap primitives against
-O(n*m) brute force, and the radius check every window goes through."""
+O(n*m) brute force, and the argument rules: positive finite numbers, radius
+lists, seeds and counts."""
 
 import math
 import os
@@ -22,11 +23,23 @@ from quasidiff.geometry import (
     require_extent,
     sq_norms,
 )
-from quasidiff.measures import autocorrelation
-from quasidiff.metrics import LGrid, mismatch_sets
-from quasidiff.perturb import NoiseModel, boundary_crossings, recovery_trial
-from quasidiff.pointset import gen_lattice, set_stats, splice, window
-from quasidiff.spectral import FrequencyGrid, amplitude_spectrum, singularity_diagnostic
+from quasidiff.measures import TestFamily, TestFunction, autocorrelation
+from quasidiff.metrics import LGrid, mismatch_sets, ratio_sup, rho_gh, rho_stat
+from quasidiff.perturb import (
+    NoiseModel,
+    boundary_crossings,
+    char_fn_mc,
+    perturb,
+    recover,
+    recovery_trial,
+)
+from quasidiff.pointset import PointSet, gen_lattice, gen_poisson, set_stats, splice, window
+from quasidiff.spectral import (
+    FrequencyGrid,
+    Spectrum,
+    amplitude_spectrum,
+    singularity_diagnostic,
+)
 
 # quarter-integers make exact ties and duplicate targets common; multiples of
 # 2^-32 put gaps near the smallest radii, and a coordinate up to 1e12 then
@@ -223,10 +236,90 @@ RADIUS_LISTS = {
 }
 
 
-@pytest.mark.parametrize("radii", [(1.0, math.nan, 3.0), (math.nan, 2.0, 3.0)])
+@pytest.mark.parametrize(
+    "radii", [(1.0, math.nan, 3.0), (math.nan, 2.0, 3.0), (1.0, 2.0, math.inf)]
+)
 @pytest.mark.parametrize("call", sorted(RADIUS_LISTS))
 def test_radius_lists_refuse_nan(call, radii):
     # "positive and strictly increasing" must not pass a NaN, for which
-    # every comparison is False
+    # every comparison is False, nor an infinite radius (LGrid took one)
     with pytest.raises(InvalidArgumentError):
         RADIUS_LISTS[call](radii)
+
+
+GRID_10 = LGrid.integers(10)
+POSITIVE_REALS = {
+    "ratio_sup eps": lambda v: ratio_sup(LINE, LINE, v, 1.0, GRID_10),
+    "mismatch_sets eps": lambda v: mismatch_sets(LINE, LINE, 5.0, v),
+    "rho_stat eps_tol": lambda v: rho_stat(LINE, LINE, GRID_10, v),
+    "rho_gh eps_tol": lambda v: rho_gh(LINE, LINE, v),
+    "recover guard": lambda v: recover(
+        amplitude_spectrum(LINE, 10.0, FrequencyGrid(((0.0, 1.0, 0.5),))),
+        NoiseModel.gaussian(1, 0.1),
+        v,
+    ),
+    "Spectrum window_radius": lambda v: Spectrum(
+        FrequencyGrid(((0.0, 1.0, 0.5),)), v, "", np.zeros(3)
+    ),
+    "TestFunction radius": lambda v: TestFunction((0.0,), v),
+    "TestFamily region_radius": lambda v: TestFamily((TestFunction((0.0,), 0.5),), (0.0,), v),
+    "autocorrelation max_range": lambda v: autocorrelation(LINE, 5.0, max_range=v),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, True])
+@pytest.mark.parametrize("call", sorted(POSITIVE_REALS))
+def test_positive_reals_refuse_zero_negative_non_finite_and_bool(call, value):
+    with pytest.raises(InvalidArgumentError, match="must be a positive finite number, got "):
+        POSITIVE_REALS[call](value)
+
+
+NOISE = NoiseModel.gaussian(1, 0.1)
+SEEDED_CALLS = {
+    "gen_poisson": lambda seed: gen_poisson(1.0, 1, 10.0, seed),
+    "perturb": lambda seed: perturb(LINE, NOISE, seed),
+    "boundary_crossings": lambda seed: boundary_crossings(LINE, NOISE, seed, [5.0, 10.0]),
+    "recovery_trial": lambda seed: recovery_trial(LINE, NOISE, [0, seed], [[0.5]], 10.0),
+    "char_fn_mc": lambda seed: char_fn_mc(NOISE, [0.5], 100, seed),
+}
+
+
+def _content(result):
+    """What a seeded call returned, down to every bit and a set's label."""
+    if isinstance(result, PointSet):
+        return result.points.tobytes(), result.label
+    return repr(result)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1])
+@pytest.mark.parametrize("call", sorted(SEEDED_CALLS))
+def test_seeded_calls_refuse_a_seed_that_is_no_non_negative_integer(call, seed):
+    # 1.5 and True used to draw the numbers of seed 1
+    refusal = f"seed must be a non-negative integer, got {seed!r}"
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        SEEDED_CALLS[call](seed)
+
+
+@pytest.mark.parametrize("call", sorted(SEEDED_CALLS))
+def test_seeded_calls_draw_a_numpy_integer_seed_as_its_value(call):
+    assert _content(SEEDED_CALLS[call](np.int64(3))) == _content(SEEDED_CALLS[call](3))
+
+
+# each counted call with the least count it takes
+COUNTED_CALLS = {
+    "LGrid.integers": (LGrid.integers, 1),
+    # the standard error takes the sample variance, so two samples at least
+    "char_fn_mc": (lambda n: char_fn_mc(NOISE, [0.5], n), 2),
+    "TestFamily.tents_1d": (lambda n: TestFamily.tents_1d(-1.0, 1.0, n, 0.3), 1),
+    "PointSet dim": (lambda n: PointSet(n, 1.0, 10.0, np.zeros((0, 1))), 1),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, True, 0])
+@pytest.mark.parametrize("call", sorted(COUNTED_CALLS))
+def test_counted_calls_refuse_a_count_that_is_no_integer_or_too_small(call, count):
+    make, least = COUNTED_CALLS[call]
+    for bad in (count, least - 1):
+        with pytest.raises(InvalidArgumentError, match=r"must be an integer >= \d+, got "):
+            make(bad)
+    make(np.int64(least))

@@ -662,7 +662,7 @@ class TestCli:
         src = noise_free_lattice(tmp_path)
         code = main(["dist", "--kind", kind, "--a", src, "--b", src, "--eps-tol", "0"])
         assert code == 2
-        assert "eps_tol must be positive" in capsys.readouterr().err
+        assert "eps_tol must be a positive finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["stat", "alignment"])
     @pytest.mark.parametrize("eps_tol", ["inf", "nan"])
@@ -670,7 +670,7 @@ class TestCli:
         src = noise_free_lattice(tmp_path)
         code = main(["dist", "--kind", kind, "--a", src, "--b", src, "--eps-tol", eps_tol])
         assert code == 2
-        assert "eps_tol must be positive and finite" in capsys.readouterr().err
+        assert "eps_tol must be a positive finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("guard", ["inf", "nan", "0"])
     def test_non_finite_guard_exits_two(self, tmp_path, capsys, guard):
@@ -685,7 +685,7 @@ class TestCli:
              "--out", str(tmp_path / "r.csv")]
         )
         assert code == 2
-        assert "guard must be positive and finite" in capsys.readouterr().err
+        assert "guard must be a positive finite number" in capsys.readouterr().err
 
     def test_non_positive_radius_exits_two(self, tmp_path, capsys):
         src = noise_free_lattice(tmp_path)
@@ -806,9 +806,12 @@ class TestCli:
             ["gen", "--kind", "poisson", "--extent", "10", "--out", "x.pts"],
             ["scenario", "--name", "metric-axioms", "--out", "out"],
             ["scenario", "--name", "diffraction-catalog", "--out", "out"],
+            ["perturb", "--noise", "gaussian:0.1", "--out", "p.pts"],
         ],
     )
-    def test_negative_seed_exits_two(self, tmp_path, capsys, monkeypatch, argv):
+    def test_negative_seed_exits_two(self, tmp_path_factory, tmp_path, capsys, monkeypatch, argv):
+        if argv[0] == "perturb":  # its input lies outside the directory checked below
+            argv = [*argv, "--input", noise_free_lattice(tmp_path_factory.mktemp("input"))]
         monkeypatch.chdir(tmp_path)
         assert main([*argv, "--seed", "-1"]) == 2
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err

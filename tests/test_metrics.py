@@ -245,7 +245,7 @@ class TestRhoStat:
         # an infinite eps_tol skipped the bisection and reported the cap as uncapped
         _, defective = lattice_minus_squares()
         for x, y in ((lattice_1001, defective), (lattice_1001, lattice_1001)):
-            with pytest.raises(InvalidArgumentError, match="eps_tol must be positive and finite"):
+            with pytest.raises(InvalidArgumentError, match="eps_tol must be a positive finite number"):
                 rho_stat(x, y, GRID_1000, eps_tol=eps_tol)
 
     def test_zero_separation_rejected(self, lattice_1001):

@@ -250,7 +250,7 @@ class TestRecover:
     @pytest.mark.parametrize("guard", [math.inf, math.nan, 0.0, -1e-3])
     def test_guard_must_be_positive_and_finite(self, guard):
         # an infinite guard would mark every node invalid and still succeed
-        with pytest.raises(InvalidArgumentError, match="guard must be positive and finite"):
+        with pytest.raises(InvalidArgumentError, match="guard must be a positive finite number"):
             recover(self.spectrum(), GAUSS01, guard=guard)
 
 

@@ -289,10 +289,25 @@ class TestAmplitudeSpectrum:
         monkeypatch.setattr(spectral, "_TABLE_BUDGET", entries)
         amplitude = amplitude_spectrum(x, 3.0, grid).amplitude[0]
         assert amplitude == pytest.approx(len(x) / 3.0 ** len(axes), rel=1e-15)
+        # the sums at a free list of frequencies build rows x points entries too
+        lams = grid.nodes()[:rows]
+        direct = np.exp(-2j * np.pi * (lams @ x.points.T)).sum(axis=1)
+        assert np.abs(spectral._free_sums(x.points, lams) - direct).max() <= 1e-13 * len(x)
         monkeypatch.setattr(spectral, "_TABLE_BUDGET", entries - 1)
         refusal = f"^{entries} phase-table entries .*, over the budget of {entries - 1}$"
         with pytest.raises(InvalidArgumentError, match=refusal):
             amplitude_spectrum(x, 3.0, grid)
+        refusal = (
+            f"^{entries} free-frequency phase-table entries, over the budget of {entries - 1}$"
+        )
+        with pytest.raises(InvalidArgumentError, match=refusal):
+            spectral._free_sums(x.points, lams)
+        # exp_sum takes one frequency row
+        monkeypatch.setattr(spectral, "_TABLE_BUDGET", len(x))
+        assert exp_sum(x, lams[0]) == complex(spectral._free_sums(x.points, lams[:1])[0])
+        monkeypatch.setattr(spectral, "_TABLE_BUDGET", len(x) - 1)
+        with pytest.raises(InvalidArgumentError, match=f"^{len(x)} free-frequency"):
+            exp_sum(x, lams[0])
 
     def test_amplitudes_do_not_depend_on_blas_threads(self):
         src = os.path.dirname(os.path.dirname(quasidiff.__file__))
