@@ -77,8 +77,10 @@ class AtomicMeasure:
 
     def __post_init__(self):
         _require_integer(self.dim, "dim", 1)
-        if self.bucket_tol < 0:
-            raise InvalidArgumentError("bucket_tol must be >= 0")
+        if not (0 <= self.bucket_tol < np.inf):
+            raise InvalidArgumentError(
+                f"bucket_tol must be a finite number >= 0, got {self.bucket_tol!r}"
+            )
         locs = as_points(self.locations, self.dim)
         w = np.asarray(self.weights, dtype=np.complex128).reshape(-1)
         if len(w) != len(locs):

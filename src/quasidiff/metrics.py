@@ -17,17 +17,14 @@ Conventions, applied uniformly and without floating-point slack:
 * every operation is symmetric in its two operands by construction, and
   comparing a set against an equal set returns exactly 0.
 
-Mismatch ratios are read from one pair table per ``(x, y, grid)``: the
+Mismatch ratios are read from a pair table of ``(x, y, grid)``: the
 in-window counts and the close pairs of one enumeration, sorted by distance,
-so the pairs closer than a smaller eps are a prefix of them.  The module
-keeps the last table built, and :func:`ratio_sup` reuses it for the same
-objects at any eps up to the one it was enumerated at.  A ratio depends on
-eps only through the length of that prefix, so each prefix's ratio is kept
-with its table and counted once per exponent.  Each bisection probe of
-:func:`rho_stat` therefore stays one public :func:`ratio_sup` call, which is
-what perfbench's tracer counts as a probe, yet only its first probe
-enumerates pairs and only a probe that selects a new prefix counts
-mismatches.
+so the pairs closer than a smaller eps are a prefix of them.  A ratio depends
+on eps only through the length of that prefix.  :func:`rho_stat` builds one
+table at its cap and hands it to each bisection probe, which reads its
+prefix there, and each prefix's ratio is counted once per call.  Each probe
+stays one public :func:`ratio_sup` call, which is what perfbench's tracer
+counts as a probe; a lone :func:`ratio_sup` call enumerates for itself.
 """
 
 from __future__ import annotations
@@ -93,8 +90,8 @@ class MetricResult:
     capped: bool = False
 
     def __post_init__(self):
-        if self.value < 0:
-            raise InvalidArgumentError("metric values are nonnegative")
+        if not (self.value >= 0):  # NaN fails the comparison too
+            raise InvalidArgumentError(f"metric values are nonnegative, got {self.value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +109,7 @@ class _PairTable:
 
     ``ratios`` keeps the largest ratio of each prefix already counted and its
     first maximizing radius, so it holds at most len(d) + 1 entries per
-    exponent.  It is the one part of a table that changes; two threads that
-    count the same prefix at once store identical values, so their inserts
-    are benign.
+    exponent.
     """
 
     radii: np.ndarray
@@ -129,24 +124,8 @@ class _PairTable:
     ratios: dict = field(default_factory=dict)
 
 
-# the last table built: (x, y, grid, eps ceiling, table), replaced whole
-_slot: tuple | None = None
-
-
 def _pair_table(x: PointSet, y: PointSet, eps: float, grid: LGrid) -> _PairTable:
-    """The table of the slot when it was built for these very objects at an
-    eps ceiling of at least ``eps``; otherwise a new table at ``eps``, which
-    replaces it.
-
-    Objects, not contents, are the key: PointSet and LGrid are frozen, their
-    arrays read-only, and the slot keeps them alive, so no id is reused.
-    """
-    global _slot
-    # read once: another thread may replace the slot; it only ever adds to
-    # a table's ratios, and what it adds is what this thread would compute
-    slot = _slot
-    if slot is not None and slot[0] is x and slot[1] is y and slot[2] is grid and eps <= slot[3]:
-        return slot[4]
+    """The pair table of ``(x, y, grid)`` enumerated at the eps ceiling ``eps``."""
     radii = grid.array()
     r2 = radii * radii
     nx, ny = sq_norms(x.points), sq_norms(y.points)
@@ -156,9 +135,7 @@ def _pair_table(x: PointSet, y: PointSet, eps: float, grid: LGrid) -> _PairTable
     # the distance _close_pairs compared with eps, so d < eps picks its pairs
     d = np.sqrt(sq_norms(np.take(y.points, j, axis=0) - np.take(x.points, i, axis=0)))
     order = np.argsort(d, kind="stable")
-    table = _PairTable(radii, r2, nx, ny, inside, i[order], j[order], d[order])
-    _slot = (x, y, grid, eps, table)
-    return table
+    return _PairTable(radii, r2, nx, ny, inside, i[order], j[order], d[order])
 
 
 def _matched_counts(
@@ -203,7 +180,7 @@ def mismatch_sets(x: PointSet, y: PointSet, radius: float, eps: float):
 
 
 def ratio_sup(
-    x: PointSet, y: PointSet, eps: float, exponent: float, grid: LGrid
+    x: PointSet, y: PointSet, eps: float, exponent: float, grid: LGrid, *, _table=None
 ) -> MetricResult:
     """Largest normalized mismatch count over the grid: max_L (#A + #B) / L^exponent.
 
@@ -212,18 +189,18 @@ def ratio_sup(
     scenario.
 
     The pairs closer than eps are a prefix of the pair table of
-    ``(x, y, grid)``, enumerated once at the first eps asked for and again
-    only when a larger eps or other objects come.  The ratio of a prefix is
-    counted at its first call and kept with the table for every later eps
-    that selects the same prefix at the same exponent.  The result is the
-    same bit for bit as with a fresh enumeration at eps.
+    ``(x, y, grid)``, which a call enumerates at eps.  :func:`rho_stat`
+    instead hands each of its probes ``_table``, the table it enumerated at
+    its cap, and the probe counts a prefix only when no earlier probe of that
+    table selected it at the same exponent.  The result is the same bit for
+    bit either way.
     """
     _check_pair(x, y)
     _require_positive_finite(eps, "eps")
     if not (0 < exponent <= x.dim):
         raise InvalidArgumentError("exponent must lie in (0, dim]")
     grid.require_within(x, y)
-    t = _pair_table(x, y, eps, grid)
+    t = _pair_table(x, y, eps, grid) if _table is None else _table
     k = int(np.searchsorted(t.d, eps, side="left"))
     key = (k, float(exponent))
     kept = t.ratios.get(key)
@@ -250,11 +227,11 @@ def rho_stat(
     to the tolerance.  The reported value is the smallest *verified feasible*
     eps, hence an upper bound within eps_tol of the infimum.
 
-    Every probe is a :func:`ratio_sup` call.  The first probes the cap and
-    enumerates the pairs of ``(x, y, grid)`` there; every later probe has a
-    smaller eps and reads a prefix of that one enumeration.  Most probes of
-    a fine bisection fall between the same two pair distances as an earlier
-    probe, and those read the ratio already counted for that prefix.
+    The pairs of ``(x, y, grid)`` are enumerated once, at the cap, and every
+    probe is a :func:`ratio_sup` call handed that table: its smaller eps
+    reads a prefix of the one enumeration.  Most probes of a fine bisection
+    fall between the same two pair distances as an earlier probe, and those
+    read the ratio already counted for that prefix.
     """
     _check_pair(x, y)
     _require_positive_finite(eps_tol, "eps_tol")
@@ -263,9 +240,10 @@ def rho_stat(
         return MetricResult(0.0)
     grid.require_within(x, y)
     cap = r0 / 2.0
+    table = _pair_table(x, y, cap, grid)
 
     def ratio_at(eps: float) -> MetricResult:
-        return ratio_sup(x, y, eps, float(x.dim), grid)
+        return ratio_sup(x, y, eps, float(x.dim), grid, _table=table)
 
     top = ratio_at(cap)
     if not (top.value < cap):

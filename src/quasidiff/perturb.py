@@ -147,17 +147,11 @@ class NoiseModel:
 
     @classmethod
     def gaussian(cls, dim: int, sigma) -> "NoiseModel":
-        sig = (float(sigma),) * dim if np.isscalar(sigma) else tuple(float(s) for s in sigma)
-        return cls(dim=dim, kind="gaussian", sigmas=sig)
+        return cls(dim=dim, kind="gaussian", sigmas=_per_axis(dim, sigma))
 
     @classmethod
     def uniform(cls, dim: int, half_width) -> "NoiseModel":
-        hw = (
-            (float(half_width),) * dim
-            if np.isscalar(half_width)
-            else tuple(float(a) for a in half_width)
-        )
-        return cls(dim=dim, kind="uniform", half_widths=hw)
+        return cls(dim=dim, kind="uniform", half_widths=_per_axis(dim, half_width))
 
     @classmethod
     def gaussian_mixture(cls, dim: int, components) -> "NoiseModel":
@@ -169,6 +163,12 @@ class NoiseModel:
     @classmethod
     def pareto_radial(cls, dim: int, alpha: float, scale: float) -> "NoiseModel":
         return cls(dim=dim, kind="pareto_radial", alpha=float(alpha), scale=float(scale))
+
+
+def _per_axis(dim: int, value) -> tuple[float, ...]:
+    """A scalar ``value`` repeated once per axis, or a sequence of them as floats."""
+    dim = _require_integer(dim, "dim", 1)
+    return (float(value),) * dim if np.isscalar(value) else tuple(float(v) for v in value)
 
 
 def _require_finite(name: str, values) -> None:

@@ -333,13 +333,18 @@ class CutProjectConfig:
         for row in itertools.chain(self.physical, self.internal):
             if len(row) != n:
                 raise InvalidArgumentError("projection rows must have total_dim entries")
-        if len(self.window) != n - d:
+        if len(self.window) != n - d or any(len(pair) != 2 for pair in self.window):
             raise InvalidArgumentError("window needs one (lo, hi) pair per internal axis")
+        if len(self.offset) != n:
+            raise InvalidArgumentError("offset must have total_dim entries")
+        # a NaN or infinite entry enumerates nothing, or fails np.linalg.cond
+        for name in ("physical", "internal", "window", "offset"):
+            value = getattr(self, name)
+            if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
+                raise InvalidArgumentError(f"{name} entries must be finite, got {value!r}")
         for lo, hi in self.window:
             if not (hi > lo):
                 raise InvalidArgumentError("window must have positive volume")
-        if len(self.offset) != n:
-            raise InvalidArgumentError("offset must have total_dim entries")
         _require_positive_finite(self.extent, "extent")
         if np.linalg.cond(self.stacked()) > 1e12:
             raise InvalidArgumentError("stacked projection matrix is (near) singular")

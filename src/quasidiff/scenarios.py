@@ -247,7 +247,7 @@ def _fibonacci_autocorr_family(radius: float = 0.15) -> TestFamily:
 # scenarios
 
 
-def _scenario_metric_axioms(seed: int, eps_tol: float, triples: float):
+def _scenario_metric_axioms(seed: int, eps_tol: float, triples: int):
     grid = LGrid.integers(200)
     rng = np.random.default_rng(seed)
     base = gen_lattice(1, 1.0, 200.0, label="int-lattice")
@@ -256,7 +256,7 @@ def _scenario_metric_axioms(seed: int, eps_tol: float, triples: float):
     tri_bad = 0
     worst_excess = 0.0
     rows = []
-    for t in range(int(triples)):
+    for t in range(triples):
         xs = [random_lattice_variant(rng, base, 3 * t + j) for j in range(3)]
         for x in xs:
             if rho_stat(x, x, grid, eps_tol=eps_tol).value != 0.0:
@@ -801,7 +801,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     The scenario receives every tolerance it declares in :data:`SCENARIOS`,
     each at the configured value or else at its default; a configured name
-    it does not declare is refused.
+    it does not declare is refused.  A tolerance declared with an integer
+    default is a count, passed as an int; a configured value that is not a
+    whole number >= 1 is refused.
     """
     if cfg.scenario not in SCENARIOS:
         raise UnknownScenarioError(
@@ -815,6 +817,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             f"allowed: {sorted(defaults)}"
         )
     tolerances = {name: float(cfg.tolerances.get(name, v)) for name, v in defaults.items()}
+    for name, v in defaults.items():
+        count = tolerances[name]
+        if isinstance(v, int):
+            if not (count.is_integer() and count >= 1):
+                raise ConfigError(
+                    f"config key 'tolerances': {name} must be an integer >= 1, got {count!r}"
+                )
+            tolerances[name] = int(count)
     t0 = time.perf_counter()
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)

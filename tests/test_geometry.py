@@ -312,6 +312,9 @@ COUNTED_CALLS = {
     "char_fn_mc": (lambda n: char_fn_mc(NOISE, [0.5], n), 2),
     "TestFamily.tents_1d": (lambda n: TestFamily.tents_1d(-1.0, 1.0, n, 0.3), 1),
     "PointSet dim": (lambda n: PointSet(n, 1.0, 10.0, np.zeros((0, 1))), 1),
+    # the factories repeated a scalar dim times: 2.5 ended in a TypeError
+    "NoiseModel.gaussian dim": (lambda n: NoiseModel.gaussian(n, 0.1), 1),
+    "NoiseModel.uniform dim": (lambda n: NoiseModel.uniform(n, 0.1), 1),
 }
 
 

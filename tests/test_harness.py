@@ -473,6 +473,17 @@ class TestRunScenario:
         for path in result.manifest:
             assert os.path.exists(path)
 
+    def test_a_count_runs_as_often_however_it_is_spelled(self, tmp_path):
+        # metric-axioms counts its triples: 2 and 2.0 are two triples, one config
+        docs = []
+        for n, triples in enumerate((2, 2.0)):
+            out = tmp_path / str(n)
+            run_scenario(ScenarioConfig("metric-axioms", out_dir=str(out),
+                                        tolerances={"triples": triples}))
+            docs.append(json.loads((out / "metric-axioms-result.json").read_text()))
+        assert docs[0] == docs[1]
+        assert len(docs[0]["tables"]["triples"]["rows"]) == 2
+
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_artifacts_reproduce_byte_for_byte_across_out_dirs(self, tmp_path, name):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -851,6 +862,9 @@ class TestCli:
             # JSON's NaN and Infinity literals, as json.dumps writes them
             {"tolerances": {"eps_tol": float("nan")}}, {"tolerances": {"eps_tol": float("inf")}},
             {"tolerances": {"eps_tol": 10**400}},  # an int past the float range
+            # a count: 1.9 ran int(1.9) = 1 triple, 0 none at all
+            {"tolerances": {"triples": 1.9}, "scenario": "metric-axioms"},
+            {"tolerances": {"triples": 0}, "scenario": "metric-axioms"},
         ],
     )
     def test_scenario_config_value_of_wrong_type_exits_two(self, tmp_path, capsys, fields):

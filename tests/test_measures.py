@@ -109,6 +109,12 @@ class TestAutocorrelation:
         with pytest.raises(InvalidArgumentError):
             autocorrelation(x, 2.0, bucket_tol=0.3)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_measure_bucket_tol_must_be_finite_and_nonnegative(self, tol):
+        # a NaN passed the check `bucket_tol < 0`
+        with pytest.raises(InvalidArgumentError, match="bucket_tol must be a finite number >= 0"):
+            AtomicMeasure(1, [[0.0], [1.0]], [1.0, 1.0], tol)
+
     def test_max_range_matches_restriction(self):
         x = gen_fibonacci(30.0)
         full = autocorrelation(x, 20.0)

@@ -1,8 +1,6 @@
 """Distance computations between uniformly discrete windows."""
 
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -18,6 +16,7 @@ from quasidiff.errors import (
 )
 from quasidiff.metrics import (
     LGrid,
+    MetricResult,
     hausdorff_distance,
     mismatch_sets,
     ratio_sup,
@@ -86,6 +85,13 @@ class TestMismatchSets:
 
 # ---------------------------------------------------------------------------
 # ratio_sup
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan])
+def test_metric_value_must_be_nonnegative(value):
+    # a NaN passed the check `value < 0`
+    with pytest.raises(InvalidArgumentError, match="metric values are nonnegative"):
+        MetricResult(value)
 
 
 class TestRatioSup:
@@ -261,7 +267,7 @@ class TestRhoStat:
 
 
 # ---------------------------------------------------------------------------
-# the pair table that ratio_sup keeps between calls
+# the pair table that rho_stat hands to its probes
 
 
 def moved_lattice(dim: int, extent: float, seed: int) -> PointSet:
@@ -276,13 +282,13 @@ def moved_lattice(dim: int, extent: float, seed: int) -> PointSet:
 
 
 def call_log(monkeypatch, name: str) -> list:
-    """The arguments of every call of ``metrics.<name>`` from now on."""
+    """The (positional, keyword) arguments of every call of ``metrics.<name>`` from now on."""
     calls = []
     inner = getattr(metrics, name)
 
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(metrics, name, counted)
     return calls
@@ -291,7 +297,6 @@ def call_log(monkeypatch, name: str) -> list:
 @pytest.fixture
 def enumerations(monkeypatch):
     """The number of pair enumerations the metrics have made so far."""
-    monkeypatch.setattr(metrics, "_slot", None, raising=False)
     return call_log(monkeypatch, "_close_pairs")
 
 
@@ -309,11 +314,9 @@ def pair_distances(x: PointSet, y: PointSet) -> np.ndarray:
 
 class TestPairTable:
     @pytest.mark.parametrize("dim, extent", [(1, 60.0), (2, 9.0)])
-    def test_results_are_those_of_a_cleared_table(self, dim, extent, enumerations, countings):
+    def test_every_call_enumerates_once_and_keeps_no_history(self, dim, extent, enumerations):
         x, y = moved_lattice(dim, extent, 1), moved_lattice(dim, extent, 2)
-        same_x = PointSet(x.dim, x.sep_radius, x.extent, x.points.copy(), x.label)
         grid = LGrid.integers(int(extent))
-        same_grid = LGrid(grid.values)
         # the lattice points of x and of this copy lie exactly 0.25 apart
         quarter = PointSet(dim, x.sep_radius, x.extent, x.points + np.eye(dim)[0] / 4)
         d = float(dim)
@@ -323,113 +326,52 @@ class TestPairTable:
         lo, hi = dists[dists >= 0.1][:2]
         assert lo < hi < 0.3
         e1, e2 = lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3
-        # (call, whether it enumerates pairs anew, whether it counts mismatches;
-        # None where that depends on the sets)
-        steps = [
-            (lambda: ratio_sup(x, y, 0.3, d, grid), True, True),
-            (lambda: ratio_sup(x, y, 0.2, d, grid), False, None),
-            (lambda: ratio_sup(x, y, 0.05, d, grid), False, True),
-            (lambda: ratio_sup(x, y, 0.3, d, grid), False, False),
-            (lambda: ratio_sup(x, y, 0.3, d / 2, grid), False, True),
-            (lambda: ratio_sup(x, y, e1, d, grid), False, True),
-            (lambda: ratio_sup(x, y, e2, d, grid), False, False),
-            (lambda: ratio_sup(x, y, hi, d, grid), False, False),  # ties mismatch
-            (lambda: ratio_sup(x, y, e2, d / 2, grid), False, True),
-            (lambda: ratio_sup(x, y, e1, d / 2, grid), False, False),
-            (lambda: ratio_sup(x, y, 0.45, d, grid), True, True),
-            (lambda: ratio_sup(x, y, 0.1, d, grid), False, True),
-            (lambda: ratio_sup(y, x, 0.1, d, grid), True, True),
-            (lambda: ratio_sup(y, x, 0.1, d, same_grid), True, True),
-            (lambda: ratio_sup(same_x, y, 0.1, d, same_grid), True, True),
-            (lambda: ratio_sup(x, y, 0.1, d, same_grid), True, True),
-            (lambda: ratio_sup(x, quarter, 0.45, d, grid), True, True),
-            (lambda: ratio_sup(x, quarter, 0.25, d, grid), False, True),  # ties mismatch
-            (lambda: rho_stat(x, y, grid, eps_tol=1e-5), True, True),
-            (lambda: ratio_sup(x, y, cap / 3, d, grid), False, None),
-            (lambda: ratio_sup(x, y, 2 * cap, d, grid), True, True),
-        ]
-        values = set()
-        for step, (call, enumerates, counts) in enumerate(steps):
-            before, counted = len(enumerations), len(countings)
-            kept = call()
-            assert (len(enumerations) > before) == enumerates, step
-            assert counts is None or (len(countings) > counted) == counts, step
-            held = metrics._slot
-            metrics._slot = None
-            counted = len(countings)
-            assert repr(call()) == repr(kept), step
-            assert len(countings) > counted, step  # a cleared table keeps no ratios
-            metrics._slot = held
-            values.add(kept.value)
-        assert len(values) >= 5  # the sequence sees distinct ratios
-
-    def test_a_table_keeps_its_ratios_while_another_holds_the_slot(self, monkeypatch, enumerations):
-        # another thread may replace the slot between a call's table lookup
-        # and its ratio; the call must then read and fill its own table's ratios
-        x = moved_lattice(1, 60.0, 1)
-        quarter = PointSet(1, x.sep_radius, x.extent, x.points + 0.25)
-        lattice = gen_lattice(1, 2.0, 60.0)
-        shifted = PointSet(1, 2.0, 60.5, lattice.points + 0.3)
-        grid = LGrid.integers(60)
-        # eps 0.1 selects the empty prefix of both tables, at different ratios
-        other = ratio_sup(lattice, shifted, 0.1, 1.0, grid)
-        other_slot = metrics._slot
-        fresh = ratio_sup(x, quarter, 0.1, 1.0, grid)
-        assert fresh.value != other.value
-        inner = metrics._pair_table
-
-        def interrupted(*args):
-            table = inner(*args)
-            metrics._slot = other_slot
-            return table
-
-        monkeypatch.setattr(metrics, "_pair_table", interrupted)
-        metrics._slot = other_slot
-        assert repr(ratio_sup(x, quarter, 0.1, 1.0, grid)) == repr(fresh)
-        assert repr(ratio_sup(lattice, shifted, 0.1, 1.0, grid)) == repr(other)
-
-    def test_threads_sharing_the_slot_get_the_results_of_a_lone_caller(self, monkeypatch):
-        # the slot and each table's ratios are shared by every thread; one that
-        # loses the slot mid-call, or counts a prefix another is counting, must
-        # still return what a lone caller gets
-        x, y = moved_lattice(1, 60.0, 1), moved_lattice(1, 60.0, 2)
-        grid = LGrid.integers(60)
         calls = [
-            (a, b, eps, e)
-            for a, b in ((x, y), (y, x))
-            for eps in (0.05, 0.1, 0.12, 0.3)
-            for e in (1.0, 0.5)
+            lambda: ratio_sup(x, y, 0.3, d, grid),
+            lambda: ratio_sup(x, y, 0.2, d, grid),
+            lambda: ratio_sup(x, y, 0.05, d, grid),
+            lambda: ratio_sup(x, y, 0.3, d / 2, grid),
+            lambda: ratio_sup(x, y, e1, d, grid),
+            lambda: ratio_sup(x, y, e2, d, grid),
+            lambda: ratio_sup(x, y, hi, d, grid),  # ties mismatch
+            lambda: ratio_sup(x, y, e2, d / 2, grid),
+            lambda: ratio_sup(x, y, e1, d / 2, grid),
+            lambda: ratio_sup(x, y, 0.45, d, grid),
+            lambda: ratio_sup(x, y, 0.1, d, grid),
+            lambda: ratio_sup(y, x, 0.1, d, grid),
+            lambda: ratio_sup(x, quarter, 0.45, d, grid),
+            lambda: ratio_sup(x, quarter, 0.25, d, grid),  # ties mismatch
+            lambda: rho_stat(x, y, grid, eps_tol=1e-5),
+            lambda: ratio_sup(x, y, cap / 3, d, grid),
+            lambda: ratio_sup(x, y, 2 * cap, d, grid),
         ]
-        expected = []
-        for a, b, eps, e in calls:
-            monkeypatch.setattr(metrics, "_slot", None, raising=False)
-            expected.append(repr(ratio_sup(a, b, eps, e, grid)))
-        results = {}
+        first = []
+        for step, call in enumerate(calls):
+            before = len(enumerations)
+            first.append(repr(call()))
+            assert len(enumerations) == before + 1, step
+        # the same calls in reverse order, each after every other, repeat themselves
+        for step in reversed(range(len(calls))):
+            assert repr(calls[step]()) == first[step], step
+        assert len(set(first)) >= 5  # the sequence sees distinct ratios
 
-        def work(shift):
-            got = []
-            for _ in range(10):
-                for n in range(len(calls)):
-                    k = (n + shift) % len(calls)
-                    a, b, eps, e = calls[k]
-                    got.append((k, repr(ratio_sup(a, b, eps, e, grid))))
-            results[shift] = got
-
-        threads = [threading.Thread(target=work, args=(3 * w,)) for w in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sorted(results) == [0, 3, 6, 9]
-        for got in results.values():
-            assert len(got) == 10 * len(calls)
-            assert all(r == expected[k] for k, r in got)
+    @pytest.mark.parametrize("dim, extent", [(1, 60.0), (2, 9.0)])
+    def test_each_probe_gets_the_result_of_a_lone_call(self, monkeypatch, dim, extent):
+        # a probe reads a prefix of the table rho_stat enumerated at its cap;
+        # a lone call enumerates at its own eps and must select the same pairs
+        x, y = moved_lattice(dim, extent, 1), moved_lattice(dim, extent, 2)
+        grid = LGrid.integers(int(extent))
+        probes = call_log(monkeypatch, "ratio_sup")
+        assert not rho_stat(x, y, grid, eps_tol=1e-5).capped
+        assert len(probes) > 2
+        for args, kwargs in probes:
+            assert set(kwargs) == {"_table"}
+            assert repr(ratio_sup(*args, **kwargs)) == repr(ratio_sup(*args))
+        # ties mismatch in a handed table too: these pairs lie exactly 0.25 apart
+        quarter = PointSet(dim, x.sep_radius, x.extent, x.points + np.eye(dim)[0] / 4)
+        table = metrics._pair_table(x, quarter, 0.45, grid)
+        args = (x, quarter, 0.25, float(dim), grid)
+        assert repr(ratio_sup(*args, _table=table)) == repr(ratio_sup(*args))
 
     def test_one_enumeration_per_rho_stat(self, enumerations):
         # the bisection makes ten probes here, and all read one pair table
@@ -448,7 +390,7 @@ class TestPairTable:
         res = rho_stat(x, y, LGrid.integers(60), eps_tol=1e-3)
         assert not res.capped
         dists = pair_distances(x, y)
-        prefixes = {int(np.count_nonzero(dists < args[2])) for args in probes}
+        prefixes = {int(np.count_nonzero(dists < args[2])) for args, _ in probes}
         assert len(countings) == 2 * len(prefixes) < 2 * len(probes)
 
 

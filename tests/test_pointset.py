@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -119,6 +120,26 @@ def test_cut_project_declares_its_measured_gap(cfg, sep):
     x = gen_cut_project(cfg)
     assert x.sep_radius == sep
     assert x.sep_radius == min_pairwise_gap(x.points)
+
+
+@pytest.mark.parametrize(
+    "field, value, refusal",
+    [
+        ("physical", ((TAU, math.nan),), "physical entries must be finite"),
+        ("internal", ((math.inf, -1.0),), "internal entries must be finite"),
+        ("window", ((1.0 - TAU, math.inf),), "window entries must be finite"),
+        ("offset", (math.nan, 0.0), "offset entries must be finite"),
+        ("window", ((0.0,),), r"one \(lo, hi\) pair per internal axis"),
+        ("window", ((0.0, 1.0, 2.0),), r"one \(lo, hi\) pair per internal axis"),
+    ],
+)
+def test_cut_project_refuses_a_malformed_entry(field, value, refusal):
+    # a NaN offset or an infinite window bound enumerated nothing, a NaN row
+    # failed np.linalg.cond with a LinAlgError, and a window entry that was
+    # no pair failed to unpack with a ValueError
+    cfg = fibonacci_cut_project_config(100.0)
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        dataclasses.replace(cfg, **{field: value})
 
 
 def test_cut_project_ammann_beenker_density_stability():
