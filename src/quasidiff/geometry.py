@@ -24,8 +24,12 @@ Conventions used everywhere in this package:
   for its value: candidate pairs, window radii, generated points, grid nodes
   and phase-table entries.  :func:`_require_budget` is the one check, and it
   refuses a count over its budget before anything of that size is built;
-* so is each argument rule: :func:`_require_positive_finite`,
-  :func:`_require_integer` and :func:`_require_radii` (lists of radii);
+* so is each argument rule, which every caller's number goes through:
+  :func:`_require_finite` (a real, optionally with a floor),
+  :func:`_require_positive_finite`, :func:`_require_vector` (a frequency,
+  centre or location: one finite real per axis), :func:`_require_radii` and
+  :func:`_require_integer`.  Each checks before it converts, returns Python
+  floats (ints, float64 arrays), and refuses in one wording;
 * :func:`nearest` is the one nearest-neighbour primitive: exact Euclidean
   distances plus the index of the target attaining them.  1-d makes the same
   binary search; higher dimensions grow a pair search radius until every
@@ -38,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -101,11 +106,54 @@ def window_mask(points: np.ndarray, radius: float) -> np.ndarray:
     return sq_norms(points) <= radius * radius
 
 
-def _require_positive_finite(value: float, what: str) -> None:
-    # NaN fails the comparison too; the generators also call this, because an
-    # infinite extent or intensity would overflow, loop or enumerate nothing
-    if isinstance(value, (bool, np.bool_)) or not (0 < value < np.inf):
+def _finite_float(value) -> float | None:
+    """The Python float of a finite ``numbers.Real`` (numpy's count; a bool,
+    ``np.bool_`` and an int past the float range do not), else None."""
+    if type(value) is not float:  # a Python float skips the ABC check
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return None
+        try:
+            value = float(value)
+        except OverflowError:
+            return None
+    return value if math.isfinite(value) else None
+
+
+def _require_finite(value, what: str, low: float | None = None) -> float:
+    """``value`` as a float if it is a finite real number, and >= ``low`` if given."""
+    v = _finite_float(value)
+    if v is None or (low is not None and not v >= low):
+        floor = "" if low is None else f" and >= {low!r}"
+        raise InvalidArgumentError(f"{what} must be finite{floor}, got {value!r}")
+    return v
+
+
+def _require_positive_finite(value, what: str) -> float:
+    """``value`` as a float if it is a finite real number > 0."""
+    # the generators also call this, because an infinite extent or intensity
+    # would overflow, loop or enumerate nothing
+    v = _finite_float(value)
+    if v is None or not v > 0:
         raise InvalidArgumentError(f"{what} must be a positive finite number, got {value!r}")
+    return v
+
+
+def _require_vector(values, what: str, length: int | None = None, rows: bool = False):
+    """``values`` as a float64 array of finite reals: one vector of ``length``
+    entries (any length when None) or, with ``rows``, a 2-d array of such rows,
+    where an empty sequence is zero rows.  A str or None entry, a bool
+    array and ragged rows are refused, never cast."""
+    try:
+        v = np.asarray(values)
+    except ValueError:  # ragged rows
+        v = np.asarray(None)
+    if rows and v.shape == (0,):
+        v = v.reshape(0, length)
+    if not (v.dtype.kind in "iuf" and v.ndim == 1 + rows and length in (None, v.shape[-1])
+            and np.isfinite(v).all()):
+        shape = ("rows" if rows else "one vector") + (f" of length {length}" if length else "")
+        raise InvalidArgumentError(f"{what} must be finite reals: {shape}, got {reprlib.repr(values)}")
+    return v.astype(np.float64, copy=False)
 
 
 def _require_integer(value, what: str, low: int = 0) -> int:
@@ -118,10 +166,8 @@ def _require_integer(value, what: str, low: int = 0) -> int:
 
 def _require_radii(values, what: str) -> tuple[float, ...]:
     """Nonempty, positive, finite and strictly increasing radii, as a tuple of floats."""
-    radii = np.asarray(values, dtype=np.float64)
-    # every comparison with a NaN is False, so a NaN anywhere fails this chain
-    if not (radii.ndim == 1 and len(radii) and 0 < radii[0] and radii[-1] < np.inf
-            and (radii[:-1] < radii[1:]).all()):
+    radii = _require_vector(values, what)
+    if not (len(radii) and 0 < radii[0] and (radii[:-1] < radii[1:]).all()):
         raise InvalidArgumentError(f"{what} must be a list 0 < r_1 < ... < r_n < inf, n >= 1")
     return tuple(radii.tolist())
 
@@ -134,14 +180,15 @@ def _power(x: float, d: int) -> float:
         return math.inf
 
 
-def require_extent(radius: float, extent: float, what: str) -> None:
-    """Refuse a window radius that is not a positive finite number, or that
-    lies beyond the extent the data covers (1e-12 relative slack)."""
-    _require_positive_finite(radius, what)
+def require_extent(radius: float, extent: float, what: str) -> float:
+    """``radius`` as a float, refused when it is not a positive finite number
+    or lies beyond the extent the data covers (1e-12 relative slack)."""
+    radius = _require_positive_finite(radius, what)
     if radius > extent * (1.0 + 1e-12):
         raise InsufficientExtentError(
             f"{what} {radius!r} exceeds the available extent {extent!r}"
         )
+    return radius
 
 
 def min_pairwise_gap(points: np.ndarray) -> float:
@@ -281,12 +328,12 @@ def nearest(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     q = as_points(queries)
     t = as_points(targets)
+    if q.shape[1] != t.shape[1]:
+        raise InvalidArgumentError("dimension mismatch in nearest")
     if len(q) == 0:
         return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.intp)
     if len(t) == 0:
         return np.full(len(q), np.inf), np.full(len(q), len(t), dtype=np.intp)
-    if q.shape[1] != t.shape[1]:
-        raise InvalidArgumentError("dimension mismatch in nearest")
     if q.shape[1] == 1:
         order = np.argsort(t[:, 0], kind="stable")
         ts = t[order, 0]

@@ -33,7 +33,7 @@ from .errors import (
     FormatError,
     QuasidiffError,
 )
-from .geometry import lex_order_faults
+from .geometry import _require_positive_finite, lex_order_faults
 from .pointset import PointSet
 from .spectral import FrequencyGrid, Spectrum
 
@@ -182,8 +182,8 @@ def read_spectrum(path: str) -> Spectrum:
         except json.JSONDecodeError as exc:
             raise FormatError(f"{side}: invalid JSON: {exc}") from exc
     try:
-        grid = FrequencyGrid(axes=tuple(tuple(float(v) for v in axis) for axis in meta["axes"]))
-        radius = float(meta["window_radius"])
+        grid = FrequencyGrid(axes=meta["axes"])
+        radius = _require_positive_finite(meta["window_radius"], "window_radius")
         label = str(meta.get("label", ""))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{side}: bad metadata: {exc}") from exc

@@ -31,8 +31,10 @@ from .errors import InvalidArgumentError
 from .geometry import (
     _close_pairs,
     _require_budget,
+    _require_finite,
     _require_integer,
     _require_positive_finite,
+    _require_vector,
     as_points,
     lex_order_faults,
     min_pairwise_gap,
@@ -77,11 +79,8 @@ class AtomicMeasure:
 
     def __post_init__(self):
         _require_integer(self.dim, "dim", 1)
-        if not (0 <= self.bucket_tol < np.inf):
-            raise InvalidArgumentError(
-                f"bucket_tol must be a finite number >= 0, got {self.bucket_tol!r}"
-            )
-        locs = as_points(self.locations, self.dim)
+        object.__setattr__(self, "bucket_tol", _require_finite(self.bucket_tol, "bucket_tol", 0))
+        locs = _require_vector(self.locations, "atom locations", self.dim, rows=True)
         w = np.asarray(self.weights, dtype=np.complex128).reshape(-1)
         if len(w) != len(locs):
             raise InvalidArgumentError("weights and locations must have equal length")
@@ -90,8 +89,8 @@ class AtomicMeasure:
             raise InvalidArgumentError("atom locations must be distinct")
         if inverted is not None:
             raise InvalidArgumentError("atom locations must be in lexicographic order")
-        if (w == 0).any():
-            raise InvalidArgumentError("zero-weight atoms are not stored")
+        if not (np.isfinite(w) & (w != 0)).all():
+            raise InvalidArgumentError("atom weights must be finite and nonzero")
         if self.bucket_tol > 0 and len(locs) >= 2:
             if min_pairwise_gap(locs) < self.bucket_tol * _MERGE_GAP:
                 raise InvalidArgumentError(
@@ -118,10 +117,10 @@ class AtomicMeasure:
 
     def mass_in_ball(self, center, radius: float, closed: bool = True) -> complex:
         """Measure of the closed (or open) ball around ``center``."""
-        c = np.asarray(center, dtype=np.float64).reshape(1, self.dim)
+        c = _require_vector(center, "ball center", self.dim)
+        r = _require_positive_finite(radius, "ball radius")
         d2 = sq_norms(self.locations - c)
-        r2 = radius * radius
-        mask = d2 <= r2 if closed else d2 < r2
+        mask = d2 <= r * r if closed else d2 < r * r
         return complex(self.weights[mask].sum())
 
     def scaled(self, factor: complex) -> "AtomicMeasure":
@@ -146,8 +145,9 @@ class TestFunction:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        _require_positive_finite(self.radius, "radius")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "center", tuple(_require_vector(self.center, "center").tolist()))
+        object.__setattr__(self, "radius", _require_positive_finite(self.radius, "radius"))
+        object.__setattr__(self, "amplitude", _require_finite(self.amplitude, "amplitude"))
 
     @property
     def dim(self) -> int:
@@ -177,9 +177,9 @@ class TestFamily:
         if not self.functions:
             raise InvalidArgumentError("a TestFamily must contain a function")
         object.__setattr__(self, "functions", tuple(self.functions))
-        object.__setattr__(self, "region_center", tuple(float(c) for c in self.region_center))
+        rc = _require_vector(self.region_center, "region_center")
+        object.__setattr__(self, "region_center", tuple(rc.tolist()))
         _require_positive_finite(self.region_radius, "region_radius")
-        rc = np.asarray(self.region_center)
         for f in self.functions:
             if f.dim != len(self.region_center):
                 raise InvalidArgumentError("family members must share the region's dimension")
@@ -196,8 +196,9 @@ class TestFamily:
     ) -> "TestFamily":
         """Evenly spaced tents with centers from lo to hi inclusive; the family refuses hi < lo."""
         _require_integer(count, "count", 1)
+        lo, hi = _require_finite(lo, "lo"), _require_finite(hi, "hi")
         centers = np.linspace(lo, hi, count) if count > 1 else np.array([(lo + hi) / 2])
-        funcs = tuple(TestFunction((float(c),), radius, amplitude) for c in centers)
+        funcs = tuple(TestFunction((c,), radius, amplitude) for c in centers)
         return cls(
             functions=funcs,
             region_center=((lo + hi) / 2.0,),
@@ -279,9 +280,10 @@ def autocorrelation(
     a test family supported in that ball.
     """
     r0 = x.require_separation()
-    if not (0 <= bucket_tol <= r0 / 4):
+    bucket_tol = _require_finite(bucket_tol, "bucket_tol", 0)
+    if not bucket_tol <= r0 / 4:
         raise InvalidArgumentError(f"bucket_tol must lie in [0, sep_radius/4] = [0, {r0 / 4!r}]")
-    require_extent(radius, x.extent, "autocorrelation window")
+    radius = require_extent(radius, x.extent, "autocorrelation window")
     pts = x.points[window_mask(x.points, radius)]
     n = len(pts)
     if max_range is None:
@@ -292,13 +294,13 @@ def autocorrelation(
         # picks each atom's first-seen representative
         vecs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, x.dim)
     else:
-        _require_positive_finite(max_range, "max_range")
+        max_range = _require_positive_finite(max_range, "max_range")
         # ordered pairs at distance <= max_range (the closed ball), by (row, col)
         rows, cols = _close_pairs(pts, pts, np.nextafter(max_range, np.inf))
         vecs = pts[cols] - pts[rows]
     reps, counts = _bucket(vecs, bucket_tol)
     order = np.lexsort(reps.T[::-1])
-    weights = (counts[order] / float(radius) ** x.dim).astype(np.complex128)
+    weights = (counts[order] / radius**x.dim).astype(np.complex128)
     return AtomicMeasure(x.dim, reps[order], weights, bucket_tol)
 
 
@@ -317,8 +319,9 @@ def pair(mu: AtomicMeasure, f: TestFunction) -> complex:
 
 def tv_on_ball(mu: AtomicMeasure, center, radius: float) -> float:
     """Total variation of the measure on the closed ball: sum of |weight|."""
-    c = np.asarray(center, dtype=np.float64).reshape(1, mu.dim)
-    mask = sq_norms(mu.locations - c) <= radius * radius
+    c = _require_vector(center, "ball center", mu.dim)
+    r = _require_positive_finite(radius, "ball radius")
+    mask = sq_norms(mu.locations - c) <= r * r
     return float(np.abs(mu.weights[mask]).sum())
 
 
@@ -360,6 +363,7 @@ def portmanteau_check(
     ``compacts`` and ``opens`` are sequences of (center, radius) balls; the
     measures are expected to be positive (real parts are compared).
     """
+    tol = _require_finite(tol, "tol", 0)
     seq = list(seq)
     if len(seq) < 2:
         raise InvalidArgumentError("need a sequence of at least two measures")

@@ -38,7 +38,7 @@ from .errors import InvalidArgumentError
 from .pointset import PointSet
 from .geometry import _close_pairs, as_points, nearest, require_extent, sq_norms, window_mask
 from .geometry import _RADIUS_BUDGET, _require_budget, _require_integer, _require_positive_finite
-from .geometry import _require_radii
+from .geometry import _require_finite, _require_radii
 
 __all__ = [
     "LGrid",
@@ -197,7 +197,7 @@ def ratio_sup(
     """
     _check_pair(x, y)
     _require_positive_finite(eps, "eps")
-    if not (0 < exponent <= x.dim):
+    if not (0 < _require_finite(exponent, "exponent") <= x.dim):
         raise InvalidArgumentError("exponent must lie in (0, dim]")
     grid.require_within(x, y)
     t = _pair_table(x, y, eps, grid) if _table is None else _table
@@ -264,9 +264,7 @@ def rho_stat(
 
 
 def _directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    if len(a) == 0:
-        return 0.0
-    return float(nearest(a, b)[0].max())
+    return float(nearest(a, b)[0].max(initial=0.0))
 
 
 def hausdorff_distance(a, b) -> float:

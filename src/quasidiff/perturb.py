@@ -26,7 +26,8 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateTrialError, InvalidArgumentError
-from .geometry import _require_integer, _require_positive_finite, _require_radii
+from .geometry import _require_finite, _require_integer, _require_positive_finite, _require_radii
+from .geometry import _require_vector
 from .geometry import lex_sort, require_extent, sq_norms, window_mask
 from .pointset import PointSet, _with_measured_gap
 from .spectral import Spectrum, _free_sums, _phases
@@ -90,43 +91,31 @@ class NoiseModel:
 
     def __post_init__(self):
         _require_integer(self.dim, "dim", 1)
-        if self.kind == "gaussian":
-            _require_finite("sigma", self.sigmas)
-            if len(self.sigmas) != self.dim or any(s < 0 for s in self.sigmas):
-                raise InvalidArgumentError("gaussian model needs one sigma >= 0 per axis")
-        elif self.kind == "uniform":
-            _require_finite("half-width", self.half_widths)
-            if len(self.half_widths) != self.dim or any(a < 0 for a in self.half_widths):
-                raise InvalidArgumentError("uniform model needs one half-width >= 0 per axis")
+        # every parameter is stored as the float the rules return, in tuples,
+        # so a model built from lists still hashes (and keys the
+        # displacement_margin memo)
+        if self.kind in ("gaussian", "uniform"):
+            name, what = {"gaussian": ("sigmas", "noise sigma"),
+                          "uniform": ("half_widths", "noise half-width")}[self.kind]
+            values = _require_vector(getattr(self, name), what, self.dim)
+            object.__setattr__(self, name, tuple(_require_finite(v, what, 0) for v in values))
         elif self.kind == "gaussian_mixture":
-            if not self.components:
+            components = tuple(
+                (_require_positive_finite(w, "noise mixture weight"),
+                 tuple(_require_vector(mean, "noise mixture mean", self.dim).tolist()),
+                 _require_finite(s, "noise mixture sigma", 0))
+                for w, mean, s in self.components
+            )
+            if not components:
                 raise InvalidArgumentError("mixture needs at least one component")
-            total = 0.0
-            for w, mean, s in self.components:
-                _require_finite("mixture weight", (w,))
-                _require_finite("mixture mean", mean)
-                _require_finite("mixture sigma", (s,))
-                if not (w > 0) or s < 0 or len(mean) != self.dim:
-                    raise InvalidArgumentError(
-                        "each mixture component needs weight > 0, sigma >= 0, and a dim-length mean"
-                    )
-                total += w
-            if abs(total - 1.0) > 1e-12:
+            if abs(sum(w for w, _, _ in components) - 1.0) > 1e-12:
                 raise InvalidArgumentError("mixture weights must sum to 1")
+            object.__setattr__(self, "components", components)
         elif self.kind == "pareto_radial":
-            _require_finite("alpha", (self.alpha,))
-            _require_finite("scale", (self.scale,))
-            if not (self.alpha > 0) or not (self.scale > 0):
-                raise InvalidArgumentError("pareto_radial needs alpha > 0 and scale > 0")
+            object.__setattr__(self, "alpha", _require_positive_finite(self.alpha, "noise alpha"))
+            object.__setattr__(self, "scale", _require_positive_finite(self.scale, "noise scale"))
         else:
             raise InvalidArgumentError(f"unknown noise kind {self.kind!r}")
-        # tuples throughout, so a model built from lists still hashes (and
-        # keys the displacement_margin memo)
-        object.__setattr__(self, "sigmas", tuple(self.sigmas))
-        object.__setattr__(self, "half_widths", tuple(self.half_widths))
-        object.__setattr__(
-            self, "components", tuple((w, tuple(mean), s) for w, mean, s in self.components)
-        )
         for f in fields(self)[2:]:
             if f.name not in _PARAMETERS[self.kind] and getattr(self, f.name) != f.default:
                 raise InvalidArgumentError(f"{self.kind} model does not read {f.name}")
@@ -155,25 +144,17 @@ class NoiseModel:
 
     @classmethod
     def gaussian_mixture(cls, dim: int, components) -> "NoiseModel":
-        comps = tuple(
-            (float(w), tuple(float(c) for c in mean), float(s)) for w, mean, s in components
-        )
-        return cls(dim=dim, kind="gaussian_mixture", components=comps)
+        return cls(dim=dim, kind="gaussian_mixture", components=components)
 
     @classmethod
     def pareto_radial(cls, dim: int, alpha: float, scale: float) -> "NoiseModel":
-        return cls(dim=dim, kind="pareto_radial", alpha=float(alpha), scale=float(scale))
+        return cls(dim=dim, kind="pareto_radial", alpha=alpha, scale=scale)
 
 
-def _per_axis(dim: int, value) -> tuple[float, ...]:
-    """A scalar ``value`` repeated once per axis, or a sequence of them as floats."""
+def _per_axis(dim: int, value) -> tuple:
+    """A scalar ``value`` repeated once per axis, or a sequence of them as a tuple."""
     dim = _require_integer(dim, "dim", 1)
-    return (float(value),) * dim if np.isscalar(value) else tuple(float(v) for v in value)
-
-
-def _require_finite(name: str, values) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise InvalidArgumentError(f"noise {name} must be finite, got {tuple(values)!r}")
+    return tuple(value) if np.iterable(value) else (value,) * dim
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +221,7 @@ def perturb(x: PointSet, model: NoiseModel, seed: int) -> PointSet:
 
 def char_fn_grid(model: NoiseModel, freqs: np.ndarray) -> np.ndarray:
     """Closed-form psi at every frequency row; heavy-tail models have none."""
-    freqs = np.asarray(freqs, dtype=np.float64)
-    if freqs.ndim == 1:
-        freqs = freqs.reshape(-1, model.dim)
-    if freqs.shape[1] != model.dim:
-        raise InvalidArgumentError("frequency rows must match the model dimension")
+    freqs = _require_vector(freqs, "frequencies", model.dim, rows=True)
     if model.kind == "gaussian":
         sig = np.asarray(model.sigmas)
         return np.exp(-2.0 * np.pi**2 * (freqs**2 * sig**2).sum(axis=1)).astype(np.complex128)
@@ -266,7 +243,7 @@ def char_fn_grid(model: NoiseModel, freqs: np.ndarray) -> np.ndarray:
 def char_fn_mc(model: NoiseModel, lam, mc_samples: int, seed: int = 0) -> tuple[complex, float]:
     """Monte Carlo psi estimate and its standard error (ddof=1: two samples at least)."""
     mc_samples = _require_integer(mc_samples, "mc_samples", 2)
-    lam = np.asarray(lam, dtype=np.float64).reshape(model.dim)
+    lam = _require_vector(lam, "frequency", model.dim)
     xi = _displacements(model, seed, f"charfn:{model.kind}:{model.dim}", mc_samples)
     vals = _phases(xi @ lam)
     value = complex(vals.mean())
@@ -279,8 +256,7 @@ def char_fn(model: NoiseModel, lam) -> complex:
 
     The heavy-tailed radial model has none: estimate it with :func:`char_fn_mc`.
     """
-    lam = np.asarray(lam, dtype=np.float64).reshape(1, model.dim)
-    return complex(char_fn_grid(model, lam)[0])
+    return complex(char_fn_grid(model, [_require_vector(lam, "frequency", model.dim)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +271,7 @@ def recover(spec: Spectrum, model: NoiseModel, guard: float = _GUARD) -> Spectru
     dividing by a Monte Carlo estimate would inject its sampling noise into
     every downstream comparison.
     """
-    _require_positive_finite(guard, "guard")
+    guard = _require_positive_finite(guard, "guard")
     if model.dim != spec.grid.dim:
         raise InvalidArgumentError("noise model and spectrum dimensions differ")
     psi = char_fn_grid(model, spec.grid.nodes())
@@ -397,11 +373,11 @@ def recovery_trial(
     seeds = [_require_integer(s, "seed") for s in seeds]
     if not seeds:
         raise InvalidArgumentError("need at least one seed")
-    lams = np.asarray(lambdas, dtype=np.float64).reshape(-1, x.dim)
+    lams = _require_vector(lambdas, "frequencies", x.dim, rows=True)
     if len(lams) == 0:
         raise InvalidArgumentError("need at least one frequency")
     margin = displacement_margin(model)
-    require_extent(radius, x.extent - margin, "window radius")
+    radius = require_extent(radius, x.extent - margin, "window radius")
     scale = radius**x.dim
     base = x.points[window_mask(x.points, radius)]
     truth = _free_sums(base, lams) / scale

@@ -21,7 +21,6 @@ sampler of its seed), so identical calls are bit-identical across runs.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -39,9 +38,11 @@ from .geometry import (
     _ENUM_BUDGET,
     _power,
     _require_budget,
+    _require_finite,
     _require_integer,
     _require_positive_finite,
     _require_radii,
+    _require_vector,
     as_points,
     ball_volume,
     lex_order_faults,
@@ -98,12 +99,10 @@ class PointSet:
 
     def __post_init__(self):
         _require_integer(self.dim, "dim", 1)
-        _require_positive_finite(self.extent, "extent")
-        # an infinite separation would make every search radius infinite
-        if not (0 <= self.sep_radius < math.inf):
-            raise InvalidArgumentError(
-                f"sep_radius must be >= 0 and finite, got {self.sep_radius!r}"
-            )
+        # Python floats, whatever real type came in, so a file header reads
+        # back; an infinite separation would make every search radius infinite
+        object.__setattr__(self, "extent", _require_positive_finite(self.extent, "extent"))
+        object.__setattr__(self, "sep_radius", _require_finite(self.sep_radius, "sep_radius", 0))
         pts = as_points(self.points, self.dim)
         if not pts.flags.owndata:
             # a view could still be written through its base, so the set
@@ -324,27 +323,19 @@ class CutProjectConfig:
     extent: float
 
     def __post_init__(self):
-        n = self.total_dim
-        d = len(self.physical)
-        if n < 1 or d < 1 or d > n:
-            raise InvalidArgumentError("need 1 <= physical dim <= total_dim")
-        if len(self.internal) != n - d:
-            raise InvalidArgumentError("internal rows must number total_dim - physical dim")
-        for row in itertools.chain(self.physical, self.internal):
-            if len(row) != n:
-                raise InvalidArgumentError("projection rows must have total_dim entries")
-        if len(self.window) != n - d or any(len(pair) != 2 for pair in self.window):
-            raise InvalidArgumentError("window needs one (lo, hi) pair per internal axis")
-        if len(self.offset) != n:
-            raise InvalidArgumentError("offset must have total_dim entries")
+        n = _require_integer(self.total_dim, "total_dim", 1)
         # a NaN or infinite entry enumerates nothing, or fails np.linalg.cond
-        for name in ("physical", "internal", "window", "offset"):
-            value = getattr(self, name)
-            if not np.isfinite(np.asarray(value, dtype=np.float64)).all():
-                raise InvalidArgumentError(f"{name} entries must be finite, got {value!r}")
-        for lo, hi in self.window:
-            if not (hi > lo):
-                raise InvalidArgumentError("window must have positive volume")
+        d = len(_require_vector(self.physical, "physical entries", n, rows=True))
+        internal = _require_vector(self.internal, "internal entries", n, rows=True)
+        window = _require_vector(self.window, "window entries", 2, rows=True)
+        _require_vector(self.offset, "offset entries", n)
+        if not (1 <= d <= n and len(internal) == len(window) == n - d):
+            raise InvalidArgumentError(
+                "need 1 <= physical dim <= total_dim, and total_dim - physical dim internal "
+                "rows and window (lo, hi) pairs"
+            )
+        if not (window[:, 0] < window[:, 1]).all():
+            raise InvalidArgumentError("window must have positive volume")
         _require_positive_finite(self.extent, "extent")
         if np.linalg.cond(self.stacked()) > 1e12:
             raise InvalidArgumentError("stacked projection matrix is (near) singular")
@@ -460,7 +451,7 @@ def ammann_beenker_config(extent: float) -> CutProjectConfig:
 
 def window(x: PointSet, radius: float) -> PointSet:
     """Restrict to the closed ball of the given radius (must be <= extent)."""
-    require_extent(radius, x.extent, f"{x.label or 'set'} window radius")
+    radius = require_extent(radius, x.extent, f"{x.label or 'set'} window radius")
     pts = x.points[window_mask(x.points, radius)]
     return PointSet(x.dim, x.sep_radius, radius, pts, x.label)
 
@@ -509,7 +500,7 @@ def remove_near(x: PointSet, targets, tol: float) -> PointSet:
     at most one point; two targets claiming the same point is an error.
     """
     sep = x.require_separation()
-    if not (0 < tol < sep / 2):
+    if not (0 < _require_finite(tol, "tol") < sep / 2):
         raise InvalidArgumentError(f"tol must lie in (0, sep_radius/2) = (0, {sep / 2!r})")
     tg = as_points(targets, x.dim)
     if len(tg) == 0 or len(x.points) == 0:

@@ -40,8 +40,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -49,7 +47,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, UnknownScenarioError
-from .geometry import _require_integer
+from .geometry import _finite_float, _require_integer
 from .measures import (
     TestFamily,
     TestFunction,
@@ -89,14 +87,6 @@ __all__ = [
 ]
 
 
-def _finite_real(v) -> bool:
-    """A real number, not a bool, that is finite as a float."""
-    try:
-        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:  # an int past the float range
-        return False
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Declarative input of one scenario run; unknown JSON keys are rejected.
@@ -125,10 +115,12 @@ class ScenarioConfig:
             raise ConfigError(f"config key 'seed': {exc}") from None
         if not (
             isinstance(self.tolerances, dict)
-            and all(isinstance(k, str) and _finite_real(v) for k, v in self.tolerances.items())
+            and all(isinstance(k, str) and _finite_float(v) is not None
+                    for k, v in self.tolerances.items())
         ):
             refuse("tolerances", "an object of named finite numbers")
-        object.__setattr__(self, "tolerances", {k: float(v) for k, v in self.tolerances.items()})
+        tolerances = {k: _finite_float(v) for k, v in self.tolerances.items()}
+        object.__setattr__(self, "tolerances", tolerances)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":

@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySpectrumError, InvalidArgumentError
-from .geometry import _power, _require_positive_finite, _require_radii, require_extent, window_mask
+from .geometry import _power, _require_finite, _require_positive_finite, _require_radii
+from .geometry import _require_vector, require_extent, window_mask
 from .geometry import _NODE_BUDGET, _TABLE_BUDGET, _require_budget
 from .pointset import PointSet
 
@@ -66,14 +67,17 @@ class FrequencyGrid:
     axes: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        axes = tuple((float(a), float(b), float(s)) for a, b, s in self.axes)
+        axes = tuple(
+            (_require_finite(lo, "grid axis min"), _require_finite(hi, "grid axis max"),
+             _require_positive_finite(step, "grid step"))
+            for lo, hi, step in self.axes
+        )
         object.__setattr__(self, "axes", axes)
         if not axes:
             raise InvalidArgumentError("FrequencyGrid needs at least one axis")
         for lo, hi, step in axes:
-            _require_positive_finite(step, "grid step")
-            if not (math.isfinite(lo) and lo < hi < math.inf):
-                raise InvalidArgumentError("each axis needs finite bounds with max > min")
+            if not lo < hi:
+                raise InvalidArgumentError("each axis needs max > min")
             if not math.isfinite((hi - lo) / step):
                 raise InvalidArgumentError("grid axis would hold a non-finite number of nodes")
         _require_budget(self.node_count, _NODE_BUDGET, "nodes in a frequency grid")
@@ -137,7 +141,9 @@ class Spectrum:
         )
         if len(amp) != m or len(valid) != m:
             raise InvalidArgumentError("spectrum arrays must match the grid's node count")
-        _require_positive_finite(self.window_radius, "window_radius")
+        object.__setattr__(
+            self, "window_radius", _require_positive_finite(self.window_radius, "window_radius")
+        )
         if not np.isfinite(amp[valid]).all():
             raise InvalidArgumentError("valid nodes must carry finite values")
         scale = _power(self.window_radius, self.grid.dim)
@@ -209,15 +215,14 @@ def _free_sums(points: np.ndarray, lams: np.ndarray) -> np.ndarray:
 
 def exp_sum(x: PointSet, lam) -> complex:
     """Exponential sum of the whole set at one frequency; |result| <= #points."""
-    lam = np.asarray(lam, dtype=np.float64).reshape(1, x.dim)
-    return complex(_free_sums(x.points, lam)[0])
+    return complex(_free_sums(x.points, _require_vector(lam, "frequency", x.dim)[None])[0])
 
 
 def amplitude_spectrum(x: PointSet, radius: float, grid: FrequencyGrid) -> Spectrum:
     """Normalized transform on the window: exp-sum / radius^dim per node."""
     if grid.dim != x.dim:
         raise InvalidArgumentError("grid and point set dimensions differ")
-    require_extent(radius, x.extent, "window radius")
+    radius = require_extent(radius, x.extent, "window radius")
     sums = _grid_sums(x.points[window_mask(x.points, radius)], grid)
     return Spectrum(grid, radius, x.label, sums / radius**x.dim)
 
@@ -285,9 +290,9 @@ def analyze_peaks(
     if len(freqs) < 3:
         raise EmptySpectrumError("need at least three nodes to look for peaks")
     step = spec.grid.axes[0][2]
-    width = 4.0 / spec.window_radius if peak_window_width is None else float(peak_window_width)
-    if not (math.isfinite(width) and math.isfinite(threshold_ratio)):
-        raise InvalidArgumentError("peak window width and threshold ratio must be finite")
+    width = 4.0 / spec.window_radius if peak_window_width is None else peak_window_width
+    width = _require_finite(width, "peak window width")
+    threshold_ratio = _require_finite(threshold_ratio, "threshold ratio")
     if width < 2 * step * (1 - 1e-12):
         raise InvalidArgumentError("peak window width must cover at least two grid steps")
 
@@ -414,6 +419,8 @@ def singularity_diagnostic(x: PointSet, l_list, grid: FrequencyGrid) -> Singular
 
     All raw numbers and thresholds ride along in the report.
     """
+    if grid.dim != 1:
+        raise InvalidArgumentError("the singularity diagnostic needs a 1-d frequency grid")
     radii = _require_radii(l_list, "l_list")
     if len(radii) < 3:
         raise InvalidArgumentError(f"need at least three window radii, got {len(radii)}")

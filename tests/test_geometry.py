@@ -1,11 +1,13 @@
 """The nearest-neighbour, close-pair and minimum-gap primitives against
-O(n*m) brute force, and the argument rules: positive finite numbers, radius
-lists, seeds and counts."""
+O(n*m) brute force, and the argument rules: finite and positive finite
+numbers, vectors, radius lists, seeds and counts."""
 
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,27 +19,52 @@ import quasidiff
 from quasidiff.errors import InvalidArgumentError
 from quasidiff.geometry import (
     _close_pairs,
+    _require_finite,
+    _require_positive_finite,
+    _require_radii,
+    _require_vector,
     ball_volume,
     min_pairwise_gap,
     nearest,
     require_extent,
     sq_norms,
 )
-from quasidiff.measures import TestFamily, TestFunction, autocorrelation
-from quasidiff.metrics import LGrid, mismatch_sets, ratio_sup, rho_gh, rho_stat
+from quasidiff.measures import (
+    AtomicMeasure,
+    TestFamily,
+    TestFunction,
+    autocorrelation,
+    dirac_comb,
+    portmanteau_check,
+    tv_on_ball,
+)
+from quasidiff.metrics import LGrid, hausdorff_distance, mismatch_sets, ratio_sup, rho_gh, rho_stat
 from quasidiff.perturb import (
     NoiseModel,
     boundary_crossings,
+    char_fn,
+    char_fn_grid,
     char_fn_mc,
     perturb,
     recover,
     recovery_trial,
 )
-from quasidiff.pointset import PointSet, gen_lattice, gen_poisson, set_stats, splice, window
+from quasidiff.pointset import (
+    PointSet,
+    fibonacci_cut_project_config,
+    gen_lattice,
+    gen_poisson,
+    remove_near,
+    set_stats,
+    splice,
+    window,
+)
 from quasidiff.spectral import (
     FrequencyGrid,
     Spectrum,
     amplitude_spectrum,
+    analyze_peaks,
+    exp_sum,
     singularity_diagnostic,
 )
 
@@ -95,6 +122,17 @@ def test_nearest_matches_brute_force(dim, data):
 def test_nearest_of_no_queries_is_empty():
     dist, index = nearest(np.zeros((0, 2)), np.ones((3, 2)))
     assert dist.shape == index.shape == (0,)
+
+
+@pytest.mark.parametrize("a, b", [(np.zeros((0, 1)), np.zeros((3, 2))),
+                                  (np.zeros((3, 1)), np.zeros((0, 2))),
+                                  (np.zeros((0, 1)), np.zeros((0, 2)))])
+def test_mismatched_dimensions_are_refused_whatever_the_sizes(a, b):
+    # the empty-set shortcuts ran first: hausdorff_distance gave inf, or 0
+    for call in (nearest, hausdorff_distance):
+        for q, t in ((a, b), (b, a)):
+            with pytest.raises(InvalidArgumentError, match="dimension mismatch"):
+                call(q, t)
 
 
 def test_nearest_of_far_apart_sets_in_chunks_under_the_budget(monkeypatch):
@@ -248,6 +286,7 @@ def test_radius_lists_refuse_nan(call, radii):
 
 
 GRID_10 = LGrid.integers(10)
+COMB = dirac_comb(LINE)
 POSITIVE_REALS = {
     "ratio_sup eps": lambda v: ratio_sup(LINE, LINE, v, 1.0, GRID_10),
     "mismatch_sets eps": lambda v: mismatch_sets(LINE, LINE, 5.0, v),
@@ -264,6 +303,12 @@ POSITIVE_REALS = {
     "TestFunction radius": lambda v: TestFunction((0.0,), v),
     "TestFamily region_radius": lambda v: TestFamily((TestFunction((0.0,), 0.5),), (0.0,), v),
     "autocorrelation max_range": lambda v: autocorrelation(LINE, 5.0, max_range=v),
+    # a negative radius acted as the ball of radius |r|, a NaN one as empty
+    "mass_in_ball radius": lambda v: COMB.mass_in_ball([0.0], v),
+    "tv_on_ball radius": lambda v: tv_on_ball(COMB, [0.0], v),
+    "portmanteau_check ball radius": lambda v: portmanteau_check(
+        [COMB, COMB], COMB, compacts=(((0.0,), v),)
+    ),
 }
 
 
@@ -275,6 +320,112 @@ def test_positive_reals_refuse_zero_negative_non_finite_and_bool(call, value):
 
 
 NOISE = NoiseModel.gaussian(1, 0.1)
+SPECTRUM = amplitude_spectrum(LINE, 10.0, FrequencyGrid(((0.0, 1.0, 0.5),)))
+# each real argument, as the entry point taking it at v, with a value it takes
+REALS = {
+    "_require_finite": (lambda v: _require_finite(v, "v"), -0.5),
+    "_require_positive_finite": (lambda v: _require_positive_finite(v, "v"), 0.5),
+    "_require_radii": (lambda v: _require_radii((v,), "v"), 0.5),
+    "NoiseModel.gaussian sigma": (lambda v: NoiseModel.gaussian(2, v), 0.5),
+    "NoiseModel.uniform half_width": (lambda v: NoiseModel.uniform(1, v), 0.5),
+    "NoiseModel sigmas": (lambda v: NoiseModel(1, "gaussian", sigmas=(v,)), 0.5),
+    "NoiseModel.gaussian_mixture weight": (
+        lambda v: NoiseModel.gaussian_mixture(1, [(v, (0.0,), 0.1)]), 1.0
+    ),
+    "NoiseModel.gaussian_mixture sigma": (
+        lambda v: NoiseModel.gaussian_mixture(1, [(1.0, (0.0,), v)]), 0.5
+    ),
+    "NoiseModel.pareto_radial alpha": (lambda v: NoiseModel.pareto_radial(2, v, 1.0), 3.0),
+    "NoiseModel.pareto_radial scale": (lambda v: NoiseModel.pareto_radial(2, 3.0, v), 0.5),
+    "FrequencyGrid min": (lambda v: FrequencyGrid(((v, 1.0, 0.1),)), 0.5),
+    "FrequencyGrid max": (lambda v: FrequencyGrid(((0.0, v, 0.1),)), 0.5),
+    "FrequencyGrid step": (lambda v: FrequencyGrid(((0.0, 1.0, v),)), 0.5),
+    "TestFunction center": (lambda v: TestFunction((v,), 1.0), 0.5),
+    "TestFunction amplitude": (lambda v: TestFunction((0.0,), 1.0, v), 0.5),
+    "TestFamily region_center": (
+        lambda v: TestFamily((TestFunction((0.0,), 0.5),), (v,), 1.0), 0.5
+    ),
+    "TestFamily.tents_1d lo": (lambda v: TestFamily.tents_1d(v, 1.0, 2, 0.3), 0.5),
+    "PointSet sep_radius": (lambda v: PointSet(1, v, 10.0, [[0.0], [1.0]]), 0.5),
+    "PointSet extent": (lambda v: PointSet(1, 0.5, v, [[0.0]]), 0.5),
+    "AtomicMeasure bucket_tol": (lambda v: AtomicMeasure(1, [[0.0], [1.0]], [1.0, 1.0], v), 0.5),
+    "analyze_peaks peak_window_width": (lambda v: analyze_peaks(SPECTRUM, v), 1.0),
+    "analyze_peaks threshold_ratio": (lambda v: analyze_peaks(SPECTRUM, 1.0, v), 0.5),
+    "autocorrelation bucket_tol": (lambda v: autocorrelation(LINE, 5.0, bucket_tol=v), 0.1),
+    "remove_near tol": (lambda v: remove_near(LINE, [[0.0]], v), 0.25),
+    "recover guard": (lambda v: recover(SPECTRUM, NOISE, v), 0.5),
+    "Spectrum window_radius": (lambda v: Spectrum(SPECTRUM.grid, v, "", np.zeros(3)), 0.5),
+    "window radius": (lambda v: window(LINE, v), 0.5),
+    "gen_lattice spacing": (lambda v: gen_lattice(1, v, 3.0), 0.5),
+    "LGrid radius": (lambda v: LGrid((v,)), 0.5),
+    "set_stats radius": (lambda v: set_stats(LINE, (v,)), 0.5),
+    "ratio_sup exponent": (lambda v: ratio_sup(LINE, LINE, 0.25, v, GRID_10), 0.5),
+    "portmanteau_check tol": (lambda v: portmanteau_check([COMB, COMB], COMB, tol=v), 0.5),
+}
+
+
+@pytest.mark.parametrize(
+    "value", ["a", None, math.nan, math.inf, -math.inf, True, np.True_, 10**400]
+)
+@pytest.mark.parametrize("call", sorted(REALS))
+def test_real_arguments_refuse_what_is_no_finite_real(call, value):
+    # these ended in a bare ValueError or TypeError, or were taken: True as
+    # 1.0, a NaN weight, bound or tolerance as itself
+    make, good = REALS[call]
+    with pytest.raises(InvalidArgumentError):
+        make(value)
+    make(good)
+
+
+PLANE = gen_lattice(2, 1.0, 5.0)
+NOISE_2D = NoiseModel.gaussian(2, 0.1)
+# each argument that is one vector of the set's dimension, 2, taken at v
+VECTORS = {
+    "exp_sum": lambda v: exp_sum(PLANE, v),
+    "char_fn": lambda v: char_fn(NOISE_2D, v),
+    "char_fn_mc": lambda v: char_fn_mc(NOISE_2D, v, 100),
+    "char_fn_grid": lambda v: char_fn_grid(NOISE_2D, [v]),
+    "recovery_trial": lambda v: recovery_trial(PLANE, NOISE_2D, [0], [v], 3.0),
+    "mass_in_ball": lambda v: dirac_comb(PLANE).mass_in_ball(v, 1.0),
+    "tv_on_ball": lambda v: tv_on_ball(dirac_comb(PLANE), v, 1.0),
+    "AtomicMeasure locations": lambda v: AtomicMeasure(2, [v], [1.0]),
+    "NoiseModel.gaussian_mixture mean": lambda v: NoiseModel.gaussian_mixture(
+        2, [(1.0, v, 0.1)]
+    ),
+    "CutProjectConfig offset": lambda v: dataclasses.replace(
+        fibonacci_cut_project_config(100.0), offset=v
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [(0.5,), (0.5, 0.5, 0.5), ((0.5, 0.5),), ((0.5,), (0.5, 0.5)),
+     *[(v, v) for v in ("a", None, math.nan, math.inf, True, 10**400)]],
+)
+@pytest.mark.parametrize("call", sorted(VECTORS))
+def test_vector_arguments_refuse_a_wrong_length_or_no_finite_reals(call, vector):
+    # a wrong length ended in numpy's reshape ValueError, a NaN frequency
+    # gave a NaN sum
+    with pytest.raises(InvalidArgumentError):
+        VECTORS[call](vector)
+    VECTORS[call]((0.5, 0.25))
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(0.5, 0.5), (np.float64(0.5), 0.5), (np.float32(0.1), float(np.float32(0.1))),
+     (np.int64(3), 3.0), (3, 3.0), (Fraction(1, 3), 1 / 3), (2**1000, 2.0**1000)],
+)
+def test_the_number_rules_return_the_python_float_of_what_they_take(value, expected):
+    for rule in (_require_finite, _require_positive_finite):
+        out = rule(value, "v")
+        assert type(out) is float and out == expected
+    if isinstance(value, (float, np.number)):  # numpy casts the others to objects
+        out = _require_vector([value], "v", 1)
+        assert out.dtype == np.float64 and out.tolist() == [expected]
+
+
 SEEDED_CALLS = {
     "gen_poisson": lambda seed: gen_poisson(1.0, 1, 10.0, seed),
     "perturb": lambda seed: perturb(LINE, NOISE, seed),

@@ -112,7 +112,7 @@ class TestAutocorrelation:
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
     def test_measure_bucket_tol_must_be_finite_and_nonnegative(self, tol):
         # a NaN passed the check `bucket_tol < 0`
-        with pytest.raises(InvalidArgumentError, match="bucket_tol must be a finite number >= 0"):
+        with pytest.raises(InvalidArgumentError, match="bucket_tol must be finite and >= 0"):
             AtomicMeasure(1, [[0.0], [1.0]], [1.0, 1.0], tol)
 
     def test_max_range_matches_restriction(self):

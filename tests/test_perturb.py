@@ -84,7 +84,8 @@ class TestNoiseModel:
         ],
     )
     def test_non_finite_parameter_rejected(self, kind, args, name):
-        with pytest.raises(InvalidArgumentError, match=f"noise {name} must be finite"):
+        # a weight, alpha and scale must also be positive, and say so
+        with pytest.raises(InvalidArgumentError, match=f"noise {name} must be (a positive )?finite"):
             getattr(NoiseModel, kind)(*args)
 
 

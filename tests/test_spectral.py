@@ -515,6 +515,21 @@ class TestSingularityDiagnostic:
         with pytest.raises(InsufficientExtentError):
             singularity_diagnostic(lattice_220, [50.0, 100.0, 500.0], grid)
 
+    def test_a_2d_grid_is_refused_before_any_spectrum(self, monkeypatch):
+        # analyze_peaks refused it only after a full 2-d spectrum was built
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return amplitude_spectrum(*args)
+
+        monkeypatch.setattr(spectral, "amplitude_spectrum", counting)
+        plane = gen_lattice(2, 1.0, 60.0)
+        grid = FrequencyGrid(axes=((-1.0, 1.0, 0.01), (-1.0, 1.0, 0.01)))
+        with pytest.raises(InvalidArgumentError, match="1-d frequency grid"):
+            singularity_diagnostic(plane, [10.0, 20.0, 40.0], grid)
+        assert calls == []
+
 
 # ---------------------------------------------------------------------------
 # grid plumbing
