@@ -21,8 +21,10 @@ Conventions used everywhere in this package:
   Every candidate is decided by the same strict Euclidean comparison, and the
   pairs come in (i, j) order in every dimension;
 * every budget is declared in one block below, with its unit and the reason
-  for its value: candidate pairs, window radii, generated points, grid nodes
-  and phase-table entries.  :func:`_require_budget` is the one check, and it
+  for its value: candidate pairs, window radii, generated points, Monte
+  Carlo coordinates, grid nodes, the fine-grid nodes and kernel taps of a
+  grid spectrum and the phase-table entries of a sum at free frequencies.
+  :func:`_require_budget` is the one check, and it
   refuses a count over its budget before anything of that size is built;
 * so is each argument rule, which every caller's number goes through:
   :func:`_require_finite` (a real, optionally with a floor),
@@ -141,10 +143,15 @@ def _require_positive_finite(value, what: str) -> float:
 def _require_vector(values, what: str, length: int | None = None, rows: bool = False):
     """``values`` as a float64 array of finite reals: one vector of ``length``
     entries (any length when None) or, with ``rows``, a 2-d array of such rows,
-    where an empty sequence is zero rows.  A str or None entry, a bool
+    where an empty sequence is zero rows.  A str, None or bool entry, a bool
     array and ragged rows are refused, never cast."""
     try:
         v = np.asarray(values)
+        # numpy casts a bool among numbers to 1.0 or 0; a numeric array holds
+        # none, so only the entries of other input are looked at
+        if v.dtype.kind in "iuf" and not isinstance(values, np.ndarray) and not {
+                bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat)):
+            v = np.asarray(None)
     except ValueError:  # ragged rows
         v = np.asarray(None)
     if rows and v.shape == (0,):
@@ -223,12 +230,19 @@ _RADIUS_BUDGET = 2**22
 # points (or integer candidates) one generator enumerates; a cut-and-project
 # candidate holds n float64 lattice coordinates, ~0.8 GB at n = 5
 _ENUM_BUDGET = 20_000_000
+# displacement coordinates (samples times axes) of one Monte Carlo draw;
+# about 48 bytes each across the draw's arrays, ~400 MB at the budget
+_SAMPLE_BUDGET = 2**23
 # nodes of one FrequencyGrid; a spectrum's amplitude, power and valid mask
 # take 25 bytes a node, ~105 MB at the budget
 _NODE_BUDGET = 2**22
-# phase-table entries of one grid spectrum, table rows times window points;
-# complex128, so 256 MB at the budget.  In d <= 2 the rows number at least
-# 2 sqrt(nodes), so this bounds the (node, point) products at 2^34 too
+# fine-grid nodes plus kernel taps of one grid spectrum's non-uniform FFT:
+# a fine node takes up to 64 bytes at once (the spread grid, its transform,
+# pocketfft's buffer and the amplitudes taken from it), a tap 16 to 24 (an
+# index and a weight), so ~540 MB at the budget
+_SPREAD_BUDGET = 2**23
+# phase-table entries of one sum at a free list of frequencies, frequencies
+# times points; complex128, so 256 MB at the budget
 _TABLE_BUDGET = 2**24
 
 
@@ -248,23 +262,25 @@ def _cell_ranges(a: np.ndarray, b: np.ndarray, r: float):
     of its 3^g neighbourhood that differ only on the first axis are
     consecutive keys, so one run covers three of them.
 
-    Cells have side w = max(r (1 + 2^-20), m 2^-e), with m the largest
-    |coordinate| on those axes and e = floor(60 / g) - 2:
+    Cells have side w = max(r (1 + 2^-20), m 2^-e, 2^-500), with m the
+    largest |coordinate| on those axes and e = floor(60 / g) - 2:
 
     * |p / w| <= 2^e, so a cell index c = floor(p / w) lies in [-2^e, 2^e],
       and c + 2^e + 1 and its two neighbours lie in [0, B) with
       B = 2^(e+1) + 3.  The key sums those digits in base B, and B^g < 2^59
       for g = 2 and 3, so no key overflows int64;
     * the quotient p / w is rounded with an absolute error of at most
-      2^(e-53) <= 2^-25, and a pair that passes the strict test differs by
-      less than r (1 + d 2^-52) < w (1 - 2^-21) on every axis, so its
-      rounded quotients differ by less than 1 and its cells by at most 1 on
-      every axis: every passing pair is among the candidates.
+      2^(e-53) <= 2^-25.  A difference of at least 2^-501 has a normal
+      square, so a pair that passes the strict test differs by less than
+      max(r (1 + d 2^-52), 2^-501) < w (1 - 2^-21) on every axis (a pair
+      whose squares underflow passes at any r), so its rounded quotients
+      differ by less than 1 and its cells by at most 1 on every axis: every
+      passing pair is among the candidates.
     """
     g = min(a.shape[1], _CELL_AXES)
     e = 60 // g - 2
     m = max(np.abs(a[:, :g]).max(), np.abs(b[:, :g]).max())
-    w = max(r * (1.0 + 2.0**-20), m * 2.0**-e)
+    w = max(r * (1.0 + 2.0**-20), m * 2.0**-e, 2.0**-500)
     digit = (2 ** (e + 1) + 3) ** np.arange(g, dtype=np.int64)
 
     def keys(p):

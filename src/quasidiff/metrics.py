@@ -66,7 +66,7 @@ class LGrid:
         """The radii 1, 2, ..., hi."""
         hi = _require_integer(hi, "hi", 1)
         _require_budget(hi, _RADIUS_BUDGET, "window radii in an LGrid")
-        return cls(range(1, hi + 1))
+        return cls(np.arange(1.0, hi + 1))
 
     def require_within(self, *sets: PointSet) -> None:
         require_extent(self.values[-1], min(s.extent for s in sets), "grid radius")

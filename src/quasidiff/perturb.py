@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass, fields
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import rng
 from .errors import DegenerateTrialError, InvalidArgumentError
 from .geometry import _require_finite, _require_integer, _require_positive_finite, _require_radii
-from .geometry import _require_vector
+from .geometry import _SAMPLE_BUDGET, _require_budget, _require_vector
 from .geometry import lex_sort, require_extent, sq_norms, window_mask
 from .pointset import PointSet, _with_measured_gap
 from .spectral import Spectrum, _free_sums, _phases
@@ -100,11 +101,18 @@ class NoiseModel:
             values = _require_vector(getattr(self, name), what, self.dim)
             object.__setattr__(self, name, tuple(_require_finite(v, what, 0) for v in values))
         elif self.kind == "gaussian_mixture":
+            try:
+                triples = [(w, mean, s) for w, mean, s in self.components]
+            except (TypeError, ValueError):  # not iterable, or no triple
+                raise InvalidArgumentError(
+                    "noise mixture components must be (weight, mean, sigma) triples, "
+                    f"got {reprlib.repr(self.components)}"
+                ) from None
             components = tuple(
                 (_require_positive_finite(w, "noise mixture weight"),
                  tuple(_require_vector(mean, "noise mixture mean", self.dim).tolist()),
                  _require_finite(s, "noise mixture sigma", 0))
-                for w, mean, s in self.components
+                for w, mean, s in triples
             )
             if not components:
                 raise InvalidArgumentError("mixture needs at least one component")
@@ -244,6 +252,8 @@ def char_fn_mc(model: NoiseModel, lam, mc_samples: int, seed: int = 0) -> tuple[
     """Monte Carlo psi estimate and its standard error (ddof=1: two samples at least)."""
     mc_samples = _require_integer(mc_samples, "mc_samples", 2)
     lam = _require_vector(lam, "frequency", model.dim)
+    _require_budget(mc_samples * model.dim, _SAMPLE_BUDGET,
+                    f"displacement coordinates for {mc_samples} samples in dimension {model.dim}")
     xi = _displacements(model, seed, f"charfn:{model.kind}:{model.dim}", mc_samples)
     vals = _phases(xi @ lam)
     value = complex(vals.mean())

@@ -17,18 +17,24 @@ phases <p, lambda> is reduced mod 1 and then exponentiated, so an integer
 phase contributes exactly 1 however large it is.
 
 Every grid is a tensor product of uniform axes, so its exponential sums
-factor and no (node, point) phase matrix is built.  In d >= 2 each axis
-contributes one K_i x n table of e^(-2 pi i lambda_i p_i) and the sum is
-their contraction over the points.  A 1-d axis of M nodes is split as
-k = k1 K2 + k2 with K2 = ceil(sqrt M) (Cooley & Tukey 1965), which gives two
-tables of about sqrt(M) x n entries.  The kernel thus makes about
-(K1 + K2) n complex exponentials instead of M n, and holds about
-(K1 + K2) n complex entries at a time.  The contraction runs in numpy's own
-einsum loops, not in a threaded BLAS, so amplitudes are bit-identical run
-to run and for any BLAS thread count.  Sums at a free list of frequencies
-(``exp_sum``, the noise-recovery trials) take the phases
-``freqs @ points.T`` and sum each row over the points, under the same
-table budget as the grid sums.
+are a type-1 non-uniform FFT (Greengard & Lee, "Accelerating the nonuniform
+fast Fourier transform", SIAM Review 2004).  On an axis of K nodes
+lambda = lambda_c + m step, with m counted from the centre node c, so
+e^(-2 pi i p lambda) is the weight e^(-2 pi i p lambda_c) times
+e^(-2 pi i m t) with t = p step taken mod 1.  Each point's weight is spread
+onto a uniform grid over one period, of at least 2K nodes (oversampling 2)
+rounded up to a 5-smooth length, with a separable kernel of 16 taps, the
+exponential of a semicircle (Barnett, Magland & af Klinteberg, SISC 2019);
+one ``np.fft.fftn`` takes the grid to the modes, and each axis is divided
+by the kernel's Fourier transform.  The cost is O(n 16^d + M log M) for n points and M nodes,
+instead of the direct sum's n M, and the error stays at rounding level,
+about 1e-14 n.  The node nearest 0 is summed directly, so lambda = 0, when
+it is a node, gives the count exactly.  The spreading sums with
+``np.bincount``, in input order, and pocketfft is not a BLAS, so amplitudes
+are bit-identical run to run and for any BLAS thread count.  Sums at a free
+list of frequencies (``exp_sum``, the noise-recovery trials) take the phases
+``freqs @ points.T`` and sum each row over the points, under the table
+budget.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ import numpy as np
 from .errors import EmptySpectrumError, InvalidArgumentError
 from .geometry import _power, _require_finite, _require_positive_finite, _require_radii
 from .geometry import _require_vector, require_extent, window_mask
-from .geometry import _NODE_BUDGET, _TABLE_BUDGET, _require_budget
+from .geometry import _NODE_BUDGET, _SPREAD_BUDGET, _TABLE_BUDGET, _require_budget
 from .pointset import PointSet
 
 __all__ = [
@@ -175,36 +181,110 @@ def _phases(t: np.ndarray) -> np.ndarray:
     return np.exp((-2j * np.pi) * (t - np.round(t)))
 
 
-def _grid_sums(points: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """sum_p e^(-2 pi i <p, lambda>) at every node of the grid, in node order.
+# the gridding kernel: the exponential of a semicircle
+# e^(beta (sqrt(1 - z^2) - 1)) on |z| <= 1, spread over _TAPS fine-grid steps;
+# beta = 2.30 _TAPS suits oversampling 2 (Barnett, Magland & af Klinteberg)
+_TAPS = 16
+_BETA = 2.30 * _TAPS
+_OVERSAMPLING = 2
 
-    The factors are per-axis phase tables (two for a split 1-d axis, see the
-    module docstring).  The last two are contracted over the points; each
-    row of every leading table (d >= 3) is first multiplied into the second
-    to last, one leading node at a time.
+
+def _kernel(z: np.ndarray) -> np.ndarray:
+    return np.exp(_BETA * (np.sqrt(1.0 - z * z) - 1.0))
+
+
+# the kernel at half-step offsets j / 2, j = 0 .. _TAPS, in fine-grid steps
+_HALF_STEPS = _kernel(np.arange(_TAPS + 1) / _TAPS)
+
+
+def _kernel_transform(modes: np.ndarray, fine: int) -> np.ndarray:
+    """The kernel's Fourier transform at each mode m of a ``fine``-node grid:
+    the integral of phi(2x / _TAPS) e^(-2 pi i m x / fine) over x in fine
+    steps, by the trapezoid rule at half steps.  The kernel falls to
+    e^-beta ~ 1e-16 at its ends, so the rule is exact to rounding."""
+    out = np.full(len(modes), 0.5 * _HALF_STEPS[0])
+    for j in range(1, _TAPS + 1):
+        out += _HALF_STEPS[j] * np.cos((np.pi * j / fine) * modes)
+    return out
+
+
+def _smooth(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: pocketfft takes any other length through
+    Bluestein's algorithm, several times slower and larger."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _taps(t: np.ndarray, fine: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices on a ``fine``-node grid over one period, and kernel weights,
+    of the _TAPS nodes nearest each phase t (mod 1): two n x _TAPS arrays."""
+    u = (t - np.round(t)) * fine
+    base = np.floor(u)
+    offsets = np.arange(1 - _TAPS // 2, 1 + _TAPS // 2)
+    # each point's distance to its taps, within [-_TAPS / 2, _TAPS / 2]
+    weights = _kernel((offsets - (u - base)[:, None]) / (_TAPS / 2))
+    return (base.astype(np.int64)[:, None] + offsets) % fine, weights
+
+
+def _node_phases(points: np.ndarray, grid: FrequencyGrid, node) -> np.ndarray:
+    """e^(-2 pi i <p, lambda>) per point at the node of per-axis indices ``node``."""
+    terms = np.ones(len(points), dtype=np.complex128)
+    for (lo, _, step), k, p in zip(grid.axes, node, points.T):
+        terms = terms * _phases((lo + step * k) * p)
+    return terms
+
+
+def _grid_sums(points: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """sum_p e^(-2 pi i <p, lambda>) at every node of the grid, in node order,
+    by a type-1 non-uniform FFT (see the module docstring).
+
+    Modes count grid steps from each axis's centre node, whose phases are
+    the points' weights.  Each point is spread onto the fine grid one tap
+    of every leading axis at a time, so at most n x _TAPS entries exist at
+    once; the node nearest 0 is summed directly.
     """
-    m = grid.node_count
-    if len(points) == 0:
-        return np.zeros(m, dtype=np.complex128)
-    if grid.dim == 1:
-        lo, _, step = grid.axes[0]
-        k2 = math.isqrt(m - 1) + 1  # ceil(sqrt(m))
-        k1 = -(-m // k2)
-        p = points[:, 0]
-        axes = [(step * k2 * np.arange(k1), p), (lo + step * np.arange(k2), p)]
-    else:
-        axes = [(grid.axis_values(i), points[:, i]) for i in range(grid.dim)]
-    # one table row per axis value, counted before any table exists
-    _require_budget(sum(len(v) for v, _ in axes) * len(points), _TABLE_BUDGET,
-                    f"phase-table entries for {m} nodes over {len(points)} window points")
-    *lead, inner, last = [_phases(np.multiply.outer(v, c)) for v, c in axes]
-    blocks = []
-    for rows in itertools.product(*lead):
-        w = inner
-        for row in rows:
-            w = w * row
-        blocks.append(np.einsum("ap,bp->ab", w, last))
-    return np.concatenate(blocks, axis=None)[:m]
+    shape, n = grid.shape, len(points)
+    if n == 0:
+        return np.zeros(grid.node_count, dtype=np.complex128)
+    centre = [(k - 1) // 2 for k in shape]
+    # the modes span |m| <= k - 1 - c, at most a 1 / _OVERSAMPLING share of the fine grid
+    fine = [_smooth(_OVERSAMPLING * (2 * (k - 1 - c) + 1)) for k, c in zip(shape, centre)]
+    _require_budget(math.prod(fine) + (grid.dim + 1) * _TAPS * n, _SPREAD_BUDGET,
+                    f"fine-grid nodes and kernel taps for {grid.node_count} nodes over "
+                    f"{n} window points")
+    strides = [math.prod(fine[i + 1:]) for i in range(grid.dim)]
+    index, kernel = [], []
+    for (_, _, step), p, f, stride in zip(grid.axes, points.T, fine, strides):
+        j, w = _taps(step * p, f)
+        index.append(j * stride)
+        kernel.append(w)
+    weights = _node_phases(points, grid, centre)
+    spread = np.zeros(math.prod(fine), dtype=np.complex128)
+    for lead in itertools.product(range(_TAPS), repeat=grid.dim - 1):
+        j, w = index[-1], weights
+        for i, t in enumerate(lead):
+            j = j + index[i][:, t, None]
+            w = w * kernel[i][:, t]
+        # bincount adds in input order, on one thread
+        j = j.ravel()
+        for part, c in ((spread.real, w.real), (spread.imag, w.imag)):
+            part += np.bincount(j, (c[:, None] * kernel[-1]).ravel(), minlength=len(spread))
+    modes = [np.arange(k) - c for k, c in zip(shape, centre)]
+    sums = np.fft.fftn(spread.reshape(fine))[np.ix_(*[m % f for m, f in zip(modes, fine)])]
+    for i, (m, f) in enumerate(zip(modes, fine)):
+        sums /= _kernel_transform(m, f).reshape([-1 if a == i else 1 for a in range(grid.dim)])
+    # lambda = 0, when it is a node, gives the count exactly
+    zero = tuple(round(min(max(-lo / step, 0.0), k - 1))
+                 for (lo, _, step), k in zip(grid.axes, shape))
+    sums[zero] = _node_phases(points, grid, zero).sum()
+    return sums.ravel()
 
 
 def _free_sums(points: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -315,25 +395,31 @@ def analyze_peaks(
             taken.insert(i, f)
             accepted.append(int(idx))
 
-    peaks = []
-    boxes = []
-    outside = np.ones(len(freqs), dtype=bool)
-    for idx in accepted:
-        pm, p0, pp = power[idx - 1], power[idx], power[idx + 1]
-        denom = pm - 2.0 * p0 + pp
-        symmetric = denom == 0 or abs(pm - pp) <= 1e-12 * p0
-        offset = 0.0 if symmetric else 0.5 * (pm - pp) / denom
-        loc = float(freqs[idx] + offset * step)
-        lo, hi = loc - width / 2, loc + width / 2
-        # freqs is sorted, so the nodes in [lo, hi] are one slice
-        a, b = np.searchsorted(freqs, lo, side="left"), np.searchsorted(freqs, hi, side="right")
-        mass = float(np.trapezoid(power[a:b], freqs[a:b])) if b - a >= 2 else 0.0
-        peaks.append(Peak(float(freqs[idx]), loc, float(p0), mass))
-        boxes.append((lo, hi))
-        outside[a:b] = False
-    order = np.argsort([p.location for p in peaks], kind="stable")
-    peaks = tuple(peaks[i] for i in order)
-    boxes = tuple(boxes[i] for i in order)
+    acc = np.array(accepted, dtype=np.intp)
+    pm, p0, pp = power[acc - 1], power[acc], power[acc + 1]
+    denom = pm - 2.0 * p0 + pp
+    symmetric = (denom == 0) | (np.abs(pm - pp) <= 1e-12 * p0)
+    offset = np.where(symmetric, 0.0, 0.5 * (pm - pp) / np.where(symmetric, 1.0, denom))
+    loc = freqs[acc] + offset * step
+    lo, hi = loc - width / 2, loc + width / 2
+    # freqs is sorted, so the nodes in [lo, hi] are one slice [a, b)
+    a, b = np.searchsorted(freqs, lo, side="left"), np.searchsorted(freqs, hi, side="right")
+    # np.trapezoid over each slice: its pairwise sum depends only on the
+    # length, so the rows of one length are summed together, to the same bits
+    length = b - a
+    mass = np.zeros(len(acc))
+    for n in np.unique(length[length >= 2]):
+        rows = np.flatnonzero(length == n)
+        nodes = a[rows, None] + np.arange(n)
+        y = power[nodes]
+        mass[rows] = (np.diff(freqs[nodes], axis=1) * (y[:, 1:] + y[:, :-1]) / 2.0).sum(axis=1)
+    covered = np.cumsum(np.bincount(a, minlength=len(freqs) + 1)
+                        - np.bincount(b, minlength=len(freqs) + 1))
+    outside = covered[:-1] == 0
+    order = np.argsort(loc, kind="stable")
+    peaks = tuple(Peak(*v) for v in zip(freqs[acc][order].tolist(), loc[order].tolist(),
+                                        p0[order].tolist(), mass[order].tolist()))
+    boxes = tuple(zip(lo[order].tolist(), hi[order].tolist()))
 
     rest = power[outside]
     bg_median = float(np.median(rest)) if len(rest) else 0.0

@@ -204,6 +204,15 @@ def test_min_pairwise_gap_matches_brute_force(dim, data):
     assert gap == brute[np.triu_indices(len(p), 1)].min()
 
 
+def test_a_pair_whose_squared_gap_underflows_is_found():
+    # its squared gap rounds to 0, so it passes the strict test at any radius,
+    # but its cells lay 2^e apart: min_pairwise_gap took the min of no pairs
+    p = np.array([[0.0, 0.0], [0.0, 1.96583296e-281]])
+    assert min_pairwise_gap(p) == brute_distances(p, p)[0, 1] == 0.0
+    i, j = _close_pairs(p, p, 5e-324)
+    assert list(zip(i.tolist(), j.tolist())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
 def test_import_does_not_load_scipy():
     # the runtime depends on numpy only; scipy is a benchmark extra
     src = os.path.dirname(os.path.dirname(quasidiff.__file__))
@@ -401,12 +410,13 @@ VECTORS = {
 @pytest.mark.parametrize(
     "vector",
     [(0.5,), (0.5, 0.5, 0.5), ((0.5, 0.5),), ((0.5,), (0.5, 0.5)),
-     *[(v, v) for v in ("a", None, math.nan, math.inf, True, 10**400)]],
+     *[(v, v) for v in ("a", None, math.nan, math.inf, True, 10**400)],
+     (True, 0.5), (0.5, np.True_)],
 )
 @pytest.mark.parametrize("call", sorted(VECTORS))
 def test_vector_arguments_refuse_a_wrong_length_or_no_finite_reals(call, vector):
     # a wrong length ended in numpy's reshape ValueError, a NaN frequency
-    # gave a NaN sum
+    # gave a NaN sum, and a bool among numbers was cast to 1.0
     with pytest.raises(InvalidArgumentError):
         VECTORS[call](vector)
     VECTORS[call]((0.5, 0.25))

@@ -1030,6 +1030,18 @@ def _limit_address_space():  # runs in the child only, between fork and exec
     resource.setrlimit(resource.RLIMIT_AS, (_LIMIT, _LIMIT))
 
 
+def _run_limited(args, cwd):
+    """``python -c *args`` under the address-space limit."""
+    src = os.path.dirname(os.path.dirname(quasidiff.__file__))
+    # one BLAS thread keeps the interpreter's own reservations far below the limit
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", *args], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=300, preexec_fn=_limit_address_space,
+    )
+
+
 @pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")
 @pytest.mark.parametrize(
     "argv, code",
@@ -1053,8 +1065,9 @@ def _limit_address_space():  # runs in the child only, between fork and exec
         (["peaks", "--input", "wide.csv"], 2),
         (["spectrum", "--input", "cube.pts", "--radius", "1e120",
           "--grid=0:1:1;0:1:1;0:1:1", "--out", "s.csv"], 2),
-        # 4,000,001 nodes over 198,001 window points: 4,001 table rows of
-        # 198,001 entries, 12 GiB of phase tables without the table budget
+        # 4,000,001 nodes over 198,001 window points: 8,100,000 fine-grid
+        # nodes and 6,336,032 kernel taps, over the spread budget (12 GiB
+        # of phase tables in the direct sum)
         (["spectrum", "--input", "lattice.pts", "--radius", "99000",
           "--grid", "0:1:2.5e-7", "--out", "s.csv"], 2),
         # a rho_gh scan of 2.5e11 window radii
@@ -1082,17 +1095,30 @@ def test_extreme_input_exits_cleanly_under_a_memory_limit(tmp_path, argv, code):
     )
     if "lattice.pts" in argv:
         write_points(str(tmp_path / "lattice.pts"), gen_lattice(1, 1.0, 100000.0))
-    src = os.path.dirname(os.path.dirname(quasidiff.__file__))
-    # one BLAS thread keeps the interpreter's own reservations far below the limit
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", _MAIN, *argv], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300, preexec_fn=_limit_address_space,
-    )
+    run = _run_limited([_MAIN, *argv], tmp_path)
     assert "Traceback" not in run.stderr
     assert run.returncode == code, run.stderr
     if code == 2:  # one line
         assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
     if argv[0] == "autocorr":  # naming the way out
         assert "--max-range" in run.stderr
+
+
+# Library calls under the same limit: each is refused with the library's
+# error before anything of its size exists.
+_REFUSED = """
+from quasidiff.errors import InvalidArgumentError
+from quasidiff.perturb import NoiseModel, char_fn_mc
+try:
+    # 10^10 samples: a bare MemoryError for 74.5 GiB without the sample budget
+    char_fn_mc(NoiseModel.gaussian(1, 0.1), [0.5], 10**10)
+except InvalidArgumentError as error:
+    print(error)
+"""
+
+
+@pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")
+def test_oversize_library_calls_are_refused_under_a_memory_limit(tmp_path):
+    run = _run_limited([_REFUSED], tmp_path)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    assert run.stdout.endswith(", over the budget of 8388608\n")

@@ -1,5 +1,6 @@
 """Random displacements, characteristic functions, and Fourier-side recovery."""
 
+import importlib
 import math
 
 import numpy as np
@@ -37,6 +38,14 @@ class TestNoiseModel:
     def test_mixture_weights_must_sum_to_one(self):
         with pytest.raises(InvalidArgumentError):
             NoiseModel.gaussian_mixture(1, [(0.5, (0.0,), 0.1), (0.4, (1.0,), 0.1)])
+
+    @pytest.mark.parametrize(
+        "components", [[(1.0, (0.0,))], None, [None], 5, [(1.0, (0.0,), 0.1, 0.0)]]
+    )
+    def test_mixture_components_are_weight_mean_sigma_triples(self, components):
+        # a pair ended in a bare ValueError, None in a TypeError
+        with pytest.raises(InvalidArgumentError, match=r"\(weight, mean, sigma\) triples, got "):
+            NoiseModel.gaussian_mixture(1, components)
 
     def test_heavy_tail_moment_flag(self):
         with pytest.warns(RuntimeWarning, match="infinite"):
@@ -196,6 +205,15 @@ class TestCharFn:
     def test_zero_samples_rejected(self):
         with pytest.raises(InvalidArgumentError):
             char_fn_mc(GAUSS01, [1.0], mc_samples=0)
+
+    def test_samples_over_the_budget_refused_before_drawing(self, monkeypatch):
+        # the budget counts coordinates: samples times the model's dimension
+        monkeypatch.setattr(importlib.import_module("quasidiff.perturb"), "_SAMPLE_BUDGET", 200)
+        model = NoiseModel.gaussian(2, 0.1)
+        char_fn_mc(model, [0.5, 0.5], 100)
+        refusal = "^202 displacement coordinates for 101 samples in dimension 2, over the budget of 200$"
+        with pytest.raises(InvalidArgumentError, match=refusal):
+            char_fn_mc(model, [0.5, 0.5], 101)
 
     def test_modulus_never_exceeds_one(self):
         freqs = np.linspace(-4, 4, 81).reshape(-1, 1)

@@ -67,8 +67,8 @@ def ammann_beenker_60():
 SPECTRUM_COORDS = st.one_of(
     st.integers(-20, 20).map(lambda k: k / 4), st.floats(-5.0, 5.0, allow_nan=False)
 )
-# 1-d node counts: perfect squares fill the k1*K2 + k2 split exactly, primes
-# and the others leave up to K2 - 1 padded nodes
+# 1-d node counts: an odd count has its centre node in the middle, an even
+# one a mode more on the right; one node takes a two-node fine grid
 LONG_AXIS_COUNTS = [1, 2, 3, 5, 16, 17, 48, 97, 100, 101, 997, 1024, 1031]
 
 
@@ -263,8 +263,8 @@ class TestAmplitudeSpectrum:
         assert abs(abs(spec.amplitude[0]) - closed) <= 1e-2
 
     def test_three_axis_grid_matches_a_direct_float64_sum(self):
-        # each row of the leading table is multiplied into the second one,
-        # one leading node at a time; every phase is below 3 * 1.2 * 5 = 18,
+        # the points are spread one tap of each leading axis at a time;
+        # every phase is below 3 * 1.2 * 5 = 18,
         # so the unreduced direct sum loses under 1e-13 a term
         rng = np.random.default_rng(3)
         pts = rng.uniform(-5.0, 5.0, size=(200, 3))
@@ -274,29 +274,72 @@ class TestAmplitudeSpectrum:
         assert np.abs(spectral._grid_sums(pts, grid) - direct).max() <= 1e-13 * len(pts)
 
     @pytest.mark.parametrize(
-        "axes, rows",
+        "axes",
         [
-            (((0.0, 0.99, 0.01),), 10 + 10),  # 100 nodes, split as 10 x 10
-            (((0.0, 2.0, 1.0), (0.0, 3.0, 1.0)), 3 + 4),
+            ((-1.0, 1.0, 0.05),),  # through 0
+            ((0.04, 1.2, 2.5e-3),),  # one-sided, above 0
+            ((-2.0, -0.5, 0.01),),  # one-sided, below 0
+            ((0.3, 0.35, 0.1),),  # one node
+            ((-1.0, 1.0, 0.1), (-0.5, 1.0, 0.1)),  # through 0
+            ((0.1, 0.15, 0.1), (0.0, 2.0, 0.05)),  # a one-node axis
+            ((-0.3, 0.9, 0.3), (0.1, 1.1, 0.25), (-1.2, 0.0, 0.2)),  # 0 on no axis
+            ((-0.5, 0.5, 0.1), (0.2, 0.25, 0.1), (0.5, 1.5, 0.25)),  # a one-node axis
+        ],
+    )
+    def test_grid_sums_match_a_direct_float64_sum(self, axes):
+        rng = np.random.default_rng(len(axes))
+        n = 400
+        pts = rng.uniform(-20.0, 20.0, size=(n, len(axes)))
+        grid = FrequencyGrid(axes)
+        direct = np.exp(-2j * np.pi * (grid.nodes() @ pts.T)).sum(axis=1)
+        sums = spectral._grid_sums(pts, grid)
+        assert np.abs(sums - direct).max() <= 1e-11 * n
+        # a node at 0 holds the count exactly
+        assert (sums[~grid.nodes().any(axis=1)] == n).all()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_points_whose_phase_sits_at_half_a_period(self, dim):
+        # at step 1/2 an odd coordinate p has phase p / 2 at +1/2 or -1/2
+        # mod 1 (0.5 rounds to 0, 1.5 to 2), so its taps wrap around the
+        # fine grid from either end
+        odd = np.arange(-9.0, 10.0, 2.0)
+        pts = np.stack(np.meshgrid(*[odd] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        grid = FrequencyGrid(((-1.0, 1.5, 0.5),) * dim)
+        direct = np.exp(-2j * np.pi * (grid.nodes() @ pts.T)).sum(axis=1)
+        sums = spectral._grid_sums(pts, grid)
+        assert np.abs(sums - direct).max() <= 1e-11 * len(pts)
+
+    @pytest.mark.parametrize(
+        "axes, fine",
+        [
+            # modes -49 .. 50 about the centre node: 2 (2 * 50 + 1) = 202 fine
+            # nodes, rounded up to 216 = 2^3 3^3
+            (((0.0, 0.99, 0.01),), 216),
+            # 3 x 4 nodes, modes up to 1 and 2 from the centre: 6 x 10
+            (((0.0, 2.0, 1.0), (0.0, 3.0, 1.0)), 60),
         ],
     )
     def test_table_budget_admits_its_size_and_refuses_one_entry_more(
-        self, monkeypatch, axes, rows
+        self, monkeypatch, axes, fine
     ):
         x = gen_lattice(len(axes), 1.0, 3.0)
-        entries = rows * len(x)  # every point lies in the radius-3 window
+        # every point lies in the radius-3 window: (d + 1) tap tables of 16 a point
+        entries = fine + (len(axes) + 1) * 16 * len(x)
         grid = FrequencyGrid(axes)
-        monkeypatch.setattr(spectral, "_TABLE_BUDGET", entries)
+        monkeypatch.setattr(spectral, "_SPREAD_BUDGET", entries)
         amplitude = amplitude_spectrum(x, 3.0, grid).amplitude[0]
         assert amplitude == pytest.approx(len(x) / 3.0 ** len(axes), rel=1e-15)
-        # the sums at a free list of frequencies build rows x points entries too
-        lams = grid.nodes()[:rows]
+        monkeypatch.setattr(spectral, "_SPREAD_BUDGET", entries - 1)
+        refusal = f"^{entries} fine-grid nodes and kernel taps .*, over the budget of {entries - 1}$"
+        with pytest.raises(InvalidArgumentError, match=refusal):
+            amplitude_spectrum(x, 3.0, grid)
+        # the sums at a free list of frequencies build rows x points entries
+        lams = grid.nodes()
+        entries = len(lams) * len(x)
+        monkeypatch.setattr(spectral, "_TABLE_BUDGET", entries)
         direct = np.exp(-2j * np.pi * (lams @ x.points.T)).sum(axis=1)
         assert np.abs(spectral._free_sums(x.points, lams) - direct).max() <= 1e-13 * len(x)
         monkeypatch.setattr(spectral, "_TABLE_BUDGET", entries - 1)
-        refusal = f"^{entries} phase-table entries .*, over the budget of {entries - 1}$"
-        with pytest.raises(InvalidArgumentError, match=refusal):
-            amplitude_spectrum(x, 3.0, grid)
         refusal = (
             f"^{entries} free-frequency phase-table entries, over the budget of {entries - 1}$"
         )
@@ -427,6 +470,28 @@ class TestAnalyzePeaks:
             if all(abs(freqs[idx] - freqs[j]) >= width / 2 for j in accepted):
                 accepted.append(idx)
         assert [p.node_location for p in report.peaks] == sorted(freqs[accepted].tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        power=st.lists(st.floats(0.0, 1e3), min_size=3, max_size=300),
+        half_width=st.floats(1.0, 30.0),
+    )
+    def test_masses_are_the_trapezoid_of_each_box_to_the_bit(self, power, half_width):
+        # masses are summed for all peaks of one slice length at once
+        step = 0.01
+        grid = FrequencyGrid(((-1.0, -1.0 + step * (len(power) - 0.5), step),))
+        spec = Spectrum(grid, 1.0, "p", np.sqrt(power))
+        report = analyze_peaks(spec, peak_window_width=2 * half_width * step, threshold_ratio=0.0)
+        freqs = grid.axis_values(0)
+        outside = np.ones(len(freqs), dtype=bool)
+        for peak, (lo, hi) in zip(report.peaks, report.support_boxes):
+            a, b = np.searchsorted(freqs, lo, side="left"), np.searchsorted(freqs, hi, side="right")
+            mass = float(np.trapezoid(spec.power[a:b], freqs[a:b])) if b - a >= 2 else 0.0
+            assert peak.mass == mass
+            outside[a:b] = False
+        rest = spec.power[outside]
+        assert report.background_level == (float(np.median(rest)) if len(rest) else 0.0)
+        assert report.background_mean == (float(rest.mean()) if len(rest) else 0.0)
 
     def test_threshold_above_one_yields_no_peaks(self, lattice_220):
         spec = amplitude_spectrum(
