@@ -31,7 +31,9 @@ Conventions used everywhere in this package:
   :func:`_require_positive_finite`, :func:`_require_vector` (a frequency,
   centre or location: one finite real per axis), :func:`_require_radii` and
   :func:`_require_integer`.  Each checks before it converts, returns Python
-  floats (ints, float64 arrays), and refuses in one wording;
+  floats (ints, float64 arrays), and refuses in one wording.  The entries of
+  a vector, of :func:`as_points`' points and of atom weights pass one scan,
+  :func:`_numbers`, which refuses a str, None or bool rather than cast it;
 * :func:`nearest` is the one nearest-neighbour primitive: exact Euclidean
   distances plus the index of the target attaining them.  1-d makes the same
   binary search; higher dimensions grow a pair search radius until every
@@ -64,8 +66,13 @@ __all__ = [
 
 
 def as_points(points, dim: int | None = None) -> np.ndarray:
-    """Coerce input to a float64 (n, d) array without copying when possible."""
-    pts = np.asarray(points, dtype=np.float64)
+    """Coerce input to a float64 (n, d) array without copying when possible.
+    Entries that are no real numbers and ragged rows are refused, never cast."""
+    pts = _numbers(points, "iuf")
+    if pts is None:
+        raise InvalidArgumentError(f"points must be real numbers in rows of one length, "
+                                   f"got {reprlib.repr(points)}")
+    pts = pts.astype(np.float64, copy=False)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2:
@@ -140,23 +147,31 @@ def _require_positive_finite(value, what: str) -> float:
     return v
 
 
+def _numbers(values, kinds: str) -> np.ndarray | None:
+    """``values`` as an array whose dtype kind is one of ``kinds`` ("iuf" for
+    reals, "iufc" for complex numbers), or None where it is not: a str, None,
+    bool or other object entry, a bool array and ragged rows are refused,
+    never cast."""
+    try:
+        v = np.asarray(values)
+    except ValueError:  # ragged rows
+        return None
+    # numpy casts a bool among numbers to 1.0 or 0; a numeric array holds
+    # none, so only the entries of other input are looked at
+    if v.dtype.kind not in kinds or (not isinstance(values, np.ndarray) and not {
+            bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat))):
+        return None
+    return v
+
+
 def _require_vector(values, what: str, length: int | None = None, rows: bool = False):
     """``values`` as a float64 array of finite reals: one vector of ``length``
     entries (any length when None) or, with ``rows``, a 2-d array of such rows,
-    where an empty sequence is zero rows.  A str, None or bool entry, a bool
-    array and ragged rows are refused, never cast."""
-    try:
-        v = np.asarray(values)
-        # numpy casts a bool among numbers to 1.0 or 0; a numeric array holds
-        # none, so only the entries of other input are looked at
-        if v.dtype.kind in "iuf" and not isinstance(values, np.ndarray) and not {
-                bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat)):
-            v = np.asarray(None)
-    except ValueError:  # ragged rows
-        v = np.asarray(None)
-    if rows and v.shape == (0,):
+    where an empty sequence is zero rows.  Entries go through :func:`_numbers`."""
+    v = _numbers(values, "iuf")
+    if v is not None and rows and v.shape == (0,):
         v = v.reshape(0, length)
-    if not (v.dtype.kind in "iuf" and v.ndim == 1 + rows and length in (None, v.shape[-1])
+    if not (v is not None and v.ndim == 1 + rows and length in (None, v.shape[-1])
             and np.isfinite(v).all()):
         shape = ("rows" if rows else "one vector") + (f" of length {length}" if length else "")
         raise InvalidArgumentError(f"{what} must be finite reals: {shape}, got {reprlib.repr(values)}")

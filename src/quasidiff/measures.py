@@ -22,6 +22,7 @@ weight is the run length of its key among the sorted differences.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from . import geometry
 from .errors import InvalidArgumentError
 from .geometry import (
     _close_pairs,
+    _numbers,
     _require_budget,
     _require_finite,
     _require_integer,
@@ -81,7 +83,12 @@ class AtomicMeasure:
         _require_integer(self.dim, "dim", 1)
         object.__setattr__(self, "bucket_tol", _require_finite(self.bucket_tol, "bucket_tol", 0))
         locs = _require_vector(self.locations, "atom locations", self.dim, rows=True)
-        w = np.asarray(self.weights, dtype=np.complex128).reshape(-1)
+        w = _numbers(self.weights, "iufc")
+        if w is None:
+            raise InvalidArgumentError(
+                f"atom weights must be complex numbers, got {reprlib.repr(self.weights)}"
+            )
+        w = w.astype(np.complex128, copy=False).reshape(-1)
         if len(w) != len(locs):
             raise InvalidArgumentError("weights and locations must have equal length")
         inverted, duplicated = lex_order_faults(locs)

@@ -241,7 +241,10 @@ def char_fn_grid(model: NoiseModel, freqs: np.ndarray) -> np.ndarray:
         out = np.zeros(len(freqs), dtype=np.complex128)
         for w, mean, s in model.components:
             decay = np.exp(-2.0 * np.pi**2 * s * s * sq_norms(freqs))
-            out += w * _phases(freqs @ np.asarray(mean)) * decay
+            # _phases refuses a product that overflows, and inf - inf where two do
+            with np.errstate(over="ignore", invalid="ignore"):
+                t = freqs @ np.asarray(mean)
+            out += w * _phases(t) * decay
         return out
     raise InvalidArgumentError(
         f"{model.kind} has no closed-form characteristic function; use char_fn_mc"
@@ -254,8 +257,12 @@ def char_fn_mc(model: NoiseModel, lam, mc_samples: int, seed: int = 0) -> tuple[
     lam = _require_vector(lam, "frequency", model.dim)
     _require_budget(mc_samples * model.dim, _SAMPLE_BUDGET,
                     f"displacement coordinates for {mc_samples} samples in dimension {model.dim}")
-    xi = _displacements(model, seed, f"charfn:{model.kind}:{model.dim}", mc_samples)
-    vals = _phases(xi @ lam)
+    # a heavy tail may draw past the float range: _phases refuses the phases
+    # that then overflow or are nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = _displacements(model, seed, f"charfn:{model.kind}:{model.dim}", mc_samples)
+        t = xi @ lam
+    vals = _phases(t)
     value = complex(vals.mean())
     spread = (vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / len(vals)
     return value, float(math.sqrt(spread))

@@ -422,6 +422,38 @@ def test_vector_arguments_refuse_a_wrong_length_or_no_finite_reals(call, vector)
     VECTORS[call]((0.5, 0.25))
 
 
+# each argument that is a point array, taken at v
+POINTS = {
+    "PointSet": lambda v: PointSet(1, 0.0, 5.0, v),
+    "remove_near": lambda v: remove_near(LINE, v, 0.25),
+    "hausdorff_distance": lambda v: hausdorff_distance(v, LINE),
+    "nearest": lambda v: nearest(v, LINE.points),
+}
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[["a"]], [[None]], [[True]], [[0.5], [True]], [[0.5], [1.0, 2.0]],
+     np.array([[True]]), np.array([[0.5]], dtype=object)],
+)
+@pytest.mark.parametrize("call", sorted(POINTS))
+def test_point_arguments_refuse_entries_that_are_no_reals(call, points):
+    # a str and ragged rows ended in a bare ValueError, None became NaN (a
+    # NaN Hausdorff distance), and a bool was cast to 1.0
+    with pytest.raises(InvalidArgumentError, match="^points must be real numbers"):
+        POINTS[call](points)
+    POINTS[call]([[0.5]])
+
+
+@pytest.mark.parametrize("weights", [["a"], [None], [True], [0.5, np.True_], [object(), 1.0]])
+def test_atom_weights_refuse_entries_that_are_no_complex_numbers(weights):
+    # a str ended in "complex() arg is a malformed string", a bool was cast to 1
+    locations = [[float(i)] for i in range(len(weights))]
+    with pytest.raises(InvalidArgumentError, match="^atom weights must be complex numbers"):
+        AtomicMeasure(1, locations, weights)
+    assert AtomicMeasure(1, locations, [0.5 - 1j] * len(weights)).weights.dtype == np.complex128
+
+
 @pytest.mark.parametrize(
     "value, expected",
     [(0.5, 0.5), (np.float64(0.5), 0.5), (np.float32(0.1), float(np.float32(0.1))),

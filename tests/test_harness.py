@@ -1073,11 +1073,15 @@ def _run_limited(args, cwd):
         # a rho_gh scan of 2.5e11 window radii
         (["dist", "--kind", "alignment", "--a", "two.pts", "--b", "two-b.pts",
           "--eps-tol", "1e-12"], 2),
+        # the point 2 times the step 1e308 overflows: a NaN spectrum, with
+        # RuntimeWarnings, before phases were checked
+        (["spectrum", "--input", "two-b.pts", "--radius", "5", "--grid", "0:1.5e308:1e308",
+          "--out", "s.csv"], 2),
     ],
     ids=["fibonacci-1e9", "lattice-1e300", "read-extent-1e300", "poisson-d342",
          "read-d-1", "autocorr-221GiB", "autocorr-full-window", "dist-sep-inf",
          "peaks-radius-1e200-d2", "spectrum-extent-1e120-d3", "spectrum-12GiB-tables",
-         "alignment-scan-2.5e11"],
+         "alignment-scan-2.5e11", "spectrum-phase-overflow"],
 )
 def test_extreme_input_exits_cleanly_under_a_memory_limit(tmp_path, argv, code):
     (tmp_path / "huge.pts").write_text("# d=1 r0=1 extent=1e300\n-1e300\n0.0\n1e300\n")

@@ -202,6 +202,17 @@ class TestCharFn:
         assert abs(value) <= 1.0 + 1e-12
         assert stderr > 0
 
+    def test_phases_past_the_float_range_are_refused(self):
+        # alpha = 0.01 draws radii past 1e308: this returned (nan, nan) with
+        # RuntimeWarnings, which now fail the test (see conftest)
+        with pytest.warns(RuntimeWarning, match="infinite"):
+            heavy = NoiseModel.pareto_radial(2, 0.01, 1.0)
+        with pytest.raises(InvalidArgumentError, match="phase <p, lambda> is not finite"):
+            char_fn_mc(heavy, [0.5, 0.5], 10**5)
+        far = NoiseModel.gaussian_mixture(1, [(1.0, (1e308,), 0.1)])
+        with pytest.raises(InvalidArgumentError, match="phase <p, lambda> is not finite"):
+            char_fn(far, [5.0])
+
     def test_zero_samples_rejected(self):
         with pytest.raises(InvalidArgumentError):
             char_fn_mc(GAUSS01, [1.0], mc_samples=0)

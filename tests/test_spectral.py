@@ -107,6 +107,97 @@ print(digest.hexdigest())
 
 
 # ---------------------------------------------------------------------------
+# the phase kernel
+
+
+def np_exp_phases(t):
+    """The complex exponential that the table kernel replaced."""
+    return np.exp((-2j * np.pi) * (t - np.round(t)))
+
+
+# phases up to 1e12, and runs long enough to cross several kernel blocks
+PHASES = st.one_of(
+    arrays(np.float64, st.integers(0, 40), elements=st.floats(-1e12, 1e12)),
+    arrays(np.float64, st.integers(0, 40), elements=st.floats(-2.0, 2.0)),
+    st.integers(0, 2**32).map(
+        lambda seed: np.random.default_rng(seed).uniform(-1e4, 1e4, 3 * spectral._BLOCK + 17)
+    ),
+)
+
+
+class TestPhases:
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is double here")
+    @settings(max_examples=100, deadline=None)
+    @given(t=PHASES)
+    def test_within_1e_15_of_a_long_double_reference(self, t):
+        # t - round(t) is exact, so the reference needs no wider reduction
+        turns = (t - np.round(t)).astype(np.longdouble) * (8 * np.arctan(np.longdouble(1)))
+        z = spectral._phases(t)
+        assert np.abs(z.real - np.cos(turns)).max(initial=0) <= 1e-15
+        assert np.abs(z.imag + np.sin(turns)).max(initial=0) <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=PHASES)
+    def test_within_1e_15_of_the_complex_exponential(self, t):
+        assert np.abs(spectral._phases(t) - np_exp_phases(t)).max(initial=0) <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=st.lists(st.one_of(st.integers(-2**53, 2**53).map(float),
+                                st.floats(2.0**52, 1e300), st.floats(-1e300, -2.0**52)),
+                      max_size=40))
+    def test_an_integer_phase_is_exactly_one(self, t):
+        # so lambda = 0 counts points exactly, however large the coordinates
+        assert (spectral._phases(np.array(t)) == 1).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=40))
+    def test_a_phase_on_the_table_is_its_entry(self, k):
+        t = np.array(k) / spectral._TURNS
+        q = np.round((t - np.round(t)) * spectral._TURNS).astype(int)
+        assert np.array_equal(spectral._phases(t), spectral._TABLE[q + spectral._TURNS // 2])
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (1,), (7,), (3, 5), (3, 9000)])
+    def test_shapes_are_kept(self, shape):
+        t = np.random.default_rng(1).uniform(-50, 50, shape)
+        for table in (t, t.T):  # a transposed table is not contiguous
+            z = spectral._phases(table)
+            assert z.shape == table.shape and z.dtype == np.complex128
+            assert np.abs(z - np_exp_phases(table)).max(initial=0) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_phase_that_is_not_finite_is_refused(self, bad):
+        t = np.zeros(3 * spectral._BLOCK)
+        t[-1] = bad
+        with pytest.raises(InvalidArgumentError, match="phase <p, lambda> is not finite"):
+            spectral._phases(t)
+
+    @pytest.mark.parametrize("call", [
+        # 5 x 1e308 overflows: these returned nan + nan j with RuntimeWarnings
+        lambda: exp_sum(gen_lattice(1, 1.0, 5.0), [1e308]),
+        lambda: exp_sum(gen_lattice(2, 1.0, 5.0), [1e308, -1e308]),
+        # the first step of this grid times a point 2 overflows in the taps
+        lambda: amplitude_spectrum(gen_lattice(1, 1.0, 5.0), 5.0,
+                                   FrequencyGrid(((0.0, 1.5e308, 1e308),))),
+        # and so does the centre node of this one, in the points' weights
+        lambda: amplitude_spectrum(gen_lattice(2, 1.0, 5.0), 5.0,
+                                   FrequencyGrid(((1e308, 1.5e308, 1e307), (0.0, 1.0, 0.5)))),
+    ], ids=["exp_sum-1d", "exp_sum-2d", "grid-taps", "grid-weights"])
+    def test_sums_whose_phases_overflow_are_refused(self, call):
+        # a RuntimeWarning fails the test (see conftest), so none is raised
+        with pytest.raises(InvalidArgumentError, match="phase <p, lambda> is not finite"):
+            call()
+
+    @pytest.mark.parametrize("modes, fine", [(np.arange(7) - 3, 16), (np.arange(8) - 3, 18),
+                                             (np.arange(1), 2), (np.arange(2001) - 1000, 4050)])
+    def test_kernel_transform_is_its_full_length_form(self, modes, fine):
+        # the full-length sum of the cosines, before the transform was mirrored
+        full = np.full(len(modes), 0.5 * spectral._HALF_STEPS[0])
+        for j in range(1, spectral._TAPS + 1):
+            full += spectral._HALF_STEPS[j] * np.cos((np.pi * j / fine) * modes)
+        assert spectral._kernel_transform(modes, fine).tobytes() == full.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # exp_sum
 
 
