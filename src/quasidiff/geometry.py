@@ -215,16 +215,20 @@ def require_extent(radius: float, extent: float, what: str) -> float:
 
 def min_pairwise_gap(points: np.ndarray) -> float:
     """Exact minimum pairwise Euclidean distance; +inf for < 2 points."""
-    pts = as_points(points)
+    return _sorted_gap(lex_sort(points))
+
+
+def _sorted_gap(pts: np.ndarray) -> float:
+    """:func:`min_pairwise_gap` of an (n, d) array already in lexicographic
+    order, as every PointSet's points are: it is not sorted again."""
     n, d = pts.shape
     if n < 2:
         return float("inf")
     if d == 1:
-        x = np.sort(pts[:, 0])
-        return float(np.min(np.diff(x)))
+        return float(np.min(np.diff(pts[:, 0])))
     # the closest lexicographic neighbours give an attained upper bound u, and
     # every pair at distance <= u passes the strict test at nextafter(u)
-    u = np.sqrt(sq_norms(np.diff(lex_sort(pts), axis=0))).min()
+    u = np.sqrt(sq_norms(np.diff(pts, axis=0))).min()
     i, j = _close_pairs(pts, pts, np.nextafter(u, np.inf))
     keep = i < j
     return float(np.sqrt(sq_norms(pts[j[keep]] - pts[i[keep]])).min())
@@ -245,8 +249,9 @@ _RADIUS_BUDGET = 2**22
 # points (or integer candidates) one generator enumerates; a cut-and-project
 # candidate holds n float64 lattice coordinates, ~0.8 GB at n = 5
 _ENUM_BUDGET = 20_000_000
-# displacement coordinates (samples times axes) of one Monte Carlo draw;
-# about 48 bytes each across the draw's arrays, ~400 MB at the budget
+# displacement coordinates (samples times axes) of one Monte Carlo estimate:
+# a bound on its work, 2^22 planar samples taking about 1 s (x86-64); its
+# memory is one block of samples, about 10 MB, whatever the count
 _SAMPLE_BUDGET = 2**23
 # nodes of one FrequencyGrid; a spectrum's amplitude, power and valid mask
 # take 25 bytes a node, ~105 MB at the budget

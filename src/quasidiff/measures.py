@@ -37,9 +37,9 @@ from .geometry import (
     _require_integer,
     _require_positive_finite,
     _require_vector,
+    _sorted_gap,
     as_points,
     lex_order_faults,
-    min_pairwise_gap,
     require_extent,
     sq_norms,
     window_mask,
@@ -99,7 +99,7 @@ class AtomicMeasure:
         if not (np.isfinite(w) & (w != 0)).all():
             raise InvalidArgumentError("atom weights must be finite and nonzero")
         if self.bucket_tol > 0 and len(locs) >= 2:
-            if min_pairwise_gap(locs) < self.bucket_tol * _MERGE_GAP:
+            if _sorted_gap(locs) < self.bucket_tol * _MERGE_GAP:
                 raise InvalidArgumentError(
                     "atoms closer than bucket_tol survived merging; "
                     "choose a different bucket_tol"

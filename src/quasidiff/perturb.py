@@ -10,9 +10,16 @@ streams by construction.
 The characteristic function psi(lambda) = E e^(-2 pi i <xi, lambda>) has
 closed forms for the gaussian, uniform-box and gaussian-mixture models;
 the heavy-tailed radial model is estimated by Monte Carlo with a reported
-standard error.  Recovery divides a measured amplitude spectrum by psi,
-refusing (marking invalid, never dividing) every node where |psi| falls
-under a guard threshold.
+standard error.  Because sample i depends only on (seed, label, i), the
+estimate draws and folds its samples in fixed blocks of counters (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011), merging each
+block's mean and sum of squared deviations by the pairwise update of Chan,
+Golub & LeVeque ("Updating formulae and a pairwise algorithm for computing
+sample variances", 1979): its memory is one block, whatever the sample
+count, and the sample budget bounds its work.  A draw past the float
+range is refused where it is drawn.  Recovery divides a measured amplitude
+spectrum by psi, refusing (marking invalid, never dividing) every node
+where |psi| falls under a guard threshold.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ _MARGIN_SAMPLES = 200_000
 _MARGIN_PERCENTILE = 99.9
 _MOMENT_EPS = 0.5  # finite_moment asks for E |xi|^(dim + _MOMENT_EPS) < infinity
 _GUARD = 1e-3  # smallest |psi| that recovery divides by
+# samples per block of char_fn_mc: its memory, about 10 MB, whatever the count
+_MC_BLOCK = 2**16
 
 __all__ = [
     "NoiseModel",
@@ -173,14 +182,32 @@ def _per_axis(dim: int, value) -> tuple:
 # choice, or the radial profile) lives at slot 2*dim.
 
 
-def _displacements(model: NoiseModel, seed: int, label: str, n: int) -> np.ndarray:
-    """n displacements; row i is drawn at counter i of the stream keyed by (seed, label).
+def _displacements(model: NoiseModel, seed: int, label: str, counters: range) -> np.ndarray:
+    """One displacement per counter; row i is drawn at counter ``counters[i]``
+    of the stream keyed by (seed, label), so a block of counters gives the
+    matching rows of a longer draw bit for bit.
 
     Every keyed noise draw (perturbation, boundary counts, recovery trials,
-    Monte Carlo psi, the displacement margin) comes from here.
+    Monte Carlo psi, the displacement margin) comes from here.  A draw past
+    the float range (a heavy tail's radius, or a huge scale times a normal)
+    is refused, naming the law.
     """
     key = rng.stream_key(seed, label)
-    indices = np.arange(n, dtype=np.uint64)
+    indices = np.arange(counters.start, counters.stop, dtype=np.uint64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = _draw(model, key, indices)
+    if not np.isfinite(xi).all():
+        law = ", ".join(f"{name}={reprlib.repr(getattr(model, name))}"
+                        for name in _PARAMETERS[model.kind])
+        raise InvalidArgumentError(
+            f"{model.kind} noise ({law}) in dimension {model.dim} draws a displacement "
+            "past the float range"
+        )
+    return xi
+
+
+def _draw(model: NoiseModel, key: int, indices: np.ndarray) -> np.ndarray:
+    """The law's displacements at the given counters, unchecked."""
     d = model.dim
     if model.kind == "uniform":
         u = np.stack([rng.uniforms(key, indices, j) for j in range(d)], axis=1)
@@ -216,7 +243,7 @@ def perturb(x: PointSet, model: NoiseModel, seed: int) -> PointSet:
     """
     if model.dim != x.dim:
         raise InvalidArgumentError("noise model and set dimensions differ")
-    moved = x.points + _displacements(model, seed, x.label, len(x.points))
+    moved = x.points + _displacements(model, seed, x.label, range(len(x.points)))
     pts = lex_sort(moved)
     reach = float(np.sqrt(sq_norms(pts).max(initial=0.0)))
     extent = x.extent if reach <= x.extent * (1.0 + 1e-9) else reach * (1.0 + 1e-12)
@@ -252,20 +279,33 @@ def char_fn_grid(model: NoiseModel, freqs: np.ndarray) -> np.ndarray:
 
 
 def char_fn_mc(model: NoiseModel, lam, mc_samples: int, seed: int = 0) -> tuple[complex, float]:
-    """Monte Carlo psi estimate and its standard error (ddof=1: two samples at least)."""
+    """Monte Carlo psi estimate and its standard error (ddof=1: two samples at least).
+
+    The samples are drawn, phased and folded ``_MC_BLOCK`` counters at a
+    time, and each block's mean and sum of squared deviations joins the
+    running pair by the pairwise update of Chan, Golub & LeVeque (1979):
+    memory stays at one block whatever ``mc_samples`` is, and nothing
+    cancels the way sum |v|^2 - n |mean|^2 would with a mean near 1.
+    """
     mc_samples = _require_integer(mc_samples, "mc_samples", 2)
     lam = _require_vector(lam, "frequency", model.dim)
     _require_budget(mc_samples * model.dim, _SAMPLE_BUDGET,
                     f"displacement coordinates for {mc_samples} samples in dimension {model.dim}")
-    # a heavy tail may draw past the float range: _phases refuses the phases
-    # that then overflow or are nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        xi = _displacements(model, seed, f"charfn:{model.kind}:{model.dim}", mc_samples)
-        t = xi @ lam
-    vals = _phases(t)
-    value = complex(vals.mean())
-    spread = (vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / len(vals)
-    return value, float(math.sqrt(spread))
+    label = f"charfn:{model.kind}:{model.dim}"
+    n, mean, m2 = 0, 0j, 0.0
+    for start in range(0, mc_samples, _MC_BLOCK):
+        xi = _displacements(model, seed, label, range(start, min(start + _MC_BLOCK, mc_samples)))
+        # _phases refuses a product that overflows, and inf - inf where two do
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = xi @ lam
+        vals = _phases(t)
+        k, block_mean = len(vals), complex(vals.mean())
+        dev = (vals - block_mean).view(np.float64)
+        delta = block_mean - mean
+        n += k
+        mean += delta * (k / n)
+        m2 += float((dev * dev).sum()) + abs(delta) ** 2 * (n - k) * (k / n)
+    return mean, math.sqrt(m2 / (n - 1) / n)
 
 
 def char_fn(model: NoiseModel, lam) -> complex:
@@ -308,7 +348,7 @@ def displacement_margin(model: NoiseModel) -> float:
     The draw is keyed by the model alone, so the result is memoised per
     (frozen, hashable) model: each distinct law pays for its samples once.
     """
-    xi = _displacements(model, 0, f"margin:{model.kind}:{model.dim}", _MARGIN_SAMPLES)
+    xi = _displacements(model, 0, f"margin:{model.kind}:{model.dim}", range(_MARGIN_SAMPLES))
     return float(np.percentile(np.sqrt(sq_norms(xi)), _MARGIN_PERCENTILE))
 
 
@@ -342,7 +382,7 @@ def boundary_crossings(x: PointSet, model: NoiseModel, seed: int, l_list) -> Bou
     margin = displacement_margin(model)
     require_extent(max(radii) + margin, x.extent, "max radius + displacement margin")
     before = sq_norms(x.points)
-    after = sq_norms(x.points + _displacements(model, seed, x.label, len(x.points)))
+    after = sq_norms(x.points + _displacements(model, seed, x.label, range(len(x.points))))
     records = []
     for radius in radii:
         r2 = radius * radius
@@ -404,7 +444,7 @@ def recovery_trial(
         raise DegenerateTrialError("every requested frequency falls under the psi guard")
     per_seed = []
     for seed in seeds:
-        moved = x.points + _displacements(model, seed, x.label, len(x.points))
+        moved = x.points + _displacements(model, seed, x.label, range(len(x.points)))
         pts = moved[window_mask(moved, radius)]
         per_seed.append(_free_sums(pts, lams) / scale)
     rows = []

@@ -43,11 +43,11 @@ from .geometry import (
     _require_positive_finite,
     _require_radii,
     _require_vector,
+    _sorted_gap,
     as_points,
     ball_volume,
     lex_order_faults,
     lex_sort,
-    min_pairwise_gap,
     nearest,
     require_extent,
     sq_norms,
@@ -135,7 +135,7 @@ class PointSet:
         if len(pts) and sq_norms(pts).max() > limit:
             raise InvalidArgumentError(f"{self.label or 'point set'}: point outside the extent ball")
         if self.sep_radius > 0 and len(pts) >= 2:
-            gap = min_pairwise_gap(pts)
+            gap = _sorted_gap(pts)
             if gap < self.sep_radius - _GAP_SLACK:
                 raise NotUniformlyDiscreteError(
                     f"measured gap {gap!r} below declared separation {self.sep_radius!r}"
@@ -179,7 +179,7 @@ def _with_measured_gap(
     declared, so it needs no check against itself.
     """
     x = PointSet(dim, 0.0, extent, points, label)
-    gap = min_pairwise_gap(x.points)
+    gap = _sorted_gap(x.points)
     object.__setattr__(x, "sep_radius", gap if np.isfinite(gap) else fallback)
     return x
 
@@ -524,7 +524,7 @@ def set_stats(x: PointSet, l_values) -> SetStats:
     require_extent(ls[-1], x.extent, "stats window")
     sq = np.sort(sq_norms(x.points))
     counts = np.searchsorted(sq, ls * ls, side="right")
-    gap = min_pairwise_gap(x.points)
+    gap = _sorted_gap(x.points)
     return SetStats(
         dim=x.dim,
         label=x.label,

@@ -686,6 +686,21 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_noise_drawn_past_the_float_range_exits_two(self, tmp_path, capsys):
+        # this said "extent must be a positive finite number, got inf" after
+        # an overflow warning
+        src = str(tmp_path / "z2.pts")
+        assert main(["gen", "--kind", "lattice", "--dim", "2", "--extent", "50", "--out", src]) == 0
+        capsys.readouterr()
+        with pytest.warns(RuntimeWarning, match="infinite"):
+            code = main(["perturb", "--input", src, "--noise", "pareto:0.01:1.0",
+                         "--out", str(tmp_path / "n.pts")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: pareto_radial noise (alpha=0.01, scale=1.0) in dimension 2 draws a "
+            "displacement past the float range\n"
+        )
+
     @pytest.mark.parametrize("kind", ["stat", "alignment"])
     def test_zero_eps_tol_exits_two(self, tmp_path, capsys, kind):
         src = noise_free_lattice(tmp_path)
@@ -1114,7 +1129,7 @@ _REFUSED = """
 from quasidiff.errors import InvalidArgumentError
 from quasidiff.perturb import NoiseModel, char_fn_mc
 try:
-    # 10^10 samples: a bare MemoryError for 74.5 GiB without the sample budget
+    # 10^10 samples: hours of drawing, one block at a time, without the sample budget
     char_fn_mc(NoiseModel.gaussian(1, 0.1), [0.5], 10**10)
 except InvalidArgumentError as error:
     print(error)

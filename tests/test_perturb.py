@@ -2,10 +2,19 @@
 
 import importlib
 import math
+import os
+import subprocess
+import sys
+
+try:
+    import resource
+except ImportError:  # not POSIX
+    resource = None
 
 import numpy as np
 import pytest
 
+import quasidiff
 from quasidiff.errors import (
     DegenerateTrialError,
     InsufficientExtentError,
@@ -204,11 +213,15 @@ class TestCharFn:
 
     def test_phases_past_the_float_range_are_refused(self):
         # alpha = 0.01 draws radii past 1e308: this returned (nan, nan) with
-        # RuntimeWarnings, which now fail the test (see conftest)
+        # RuntimeWarnings, which now fail the test (see conftest); the draw
+        # itself is refused before any phase is taken
         with pytest.warns(RuntimeWarning, match="infinite"):
             heavy = NoiseModel.pareto_radial(2, 0.01, 1.0)
-        with pytest.raises(InvalidArgumentError, match="phase <p, lambda> is not finite"):
+        with pytest.raises(InvalidArgumentError, match="draws a displacement past the float range"):
             char_fn_mc(heavy, [0.5, 0.5], 10**5)
+        # finite draws whose phases overflow
+        with pytest.raises(InvalidArgumentError, match="phase <p, lambda> is not finite"):
+            char_fn_mc(NoiseModel.gaussian(2, 1.0), [1e308, 0.0], 1000)
         far = NoiseModel.gaussian_mixture(1, [(1.0, (1e308,), 0.1)])
         with pytest.raises(InvalidArgumentError, match="phase <p, lambda> is not finite"):
             char_fn(far, [5.0])
@@ -230,6 +243,116 @@ class TestCharFn:
         freqs = np.linspace(-4, 4, 81).reshape(-1, 1)
         for model in (GAUSS01, NoiseModel.uniform(1, 0.4), MIXTURE):
             assert (np.abs(char_fn_grid(model, freqs)) <= 1.0 + 1e-12).all()
+
+
+# ---------------------------------------------------------------------------
+# keyed draws in counter blocks, and Monte Carlo psi folded block by block
+
+NOISE_MODULE = importlib.import_module("quasidiff.perturb")
+BLOCK = NOISE_MODULE._MC_BLOCK
+
+# law and frequency of each streamed estimate
+STREAM_LAWS = {
+    "gaussian-1d": (GAUSS01, [0.7]),
+    "uniform-2d": (NoiseModel.uniform(2, (0.2, 0.3)), [0.7, -0.3]),
+    "mixture-2d": (
+        NoiseModel.gaussian_mixture(2, [(0.7, (0.0, 0.0), 0.05), (0.3, (0.1, -0.05), 0.2)]),
+        [1.5, 0.5],
+    ),
+    "pareto-2d": (NoiseModel.pareto_radial(2, 3.0, 0.1), [0.7, 0.3]),
+}
+
+
+def one_shot_char_fn(model, lam, n, seed):
+    """The estimate from one draw of all n samples: numpy's complex mean, and
+    the ddof=1 variances of the real and imaginary parts."""
+    xi = NOISE_MODULE._displacements(model, seed, f"charfn:{model.kind}:{model.dim}", range(n))
+    vals = np.exp(-2j * np.pi * (xi @ np.asarray(lam, dtype=np.float64)))
+    spread = (vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / n
+    return complex(vals.mean()), math.sqrt(spread)
+
+
+class TestCounterBlocks:
+    @pytest.mark.parametrize("name", sorted(STREAM_LAWS))
+    def test_a_counter_range_draws_the_rows_of_one_draw(self, name):
+        model, _ = STREAM_LAWS[name]
+        whole = NOISE_MODULE._displacements(model, 5, "blocks", range(3 * BLOCK + 5))
+        for start, stop in ((0, 2), (7, 19), (BLOCK - 1, BLOCK + 1), (BLOCK, 2 * BLOCK),
+                            (3 * BLOCK, 3 * BLOCK + 5)):
+            part = NOISE_MODULE._displacements(model, 5, "blocks", range(start, stop))
+            assert part.shape == (stop - start, model.dim)
+            assert part.tobytes() == whole[start:stop].tobytes()
+
+    @pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("name", sorted(STREAM_LAWS))
+    def test_streamed_estimate_matches_one_draw(self, name, n):
+        model, lam = STREAM_LAWS[name]
+        value, stderr = char_fn_mc(model, lam, n, seed=4)
+        ref_value, ref_stderr = one_shot_char_fn(model, lam, n, seed=4)
+        assert abs(value - ref_value) <= 1e-12
+        assert stderr == pytest.approx(ref_stderr, rel=1e-9, abs=0)
+
+    def test_draws_one_block_of_counters_at_a_time(self, monkeypatch):
+        ranges = []
+        draw = NOISE_MODULE._displacements
+
+        def recorded(model, seed, label, counters):
+            ranges.append(counters)
+            return draw(model, seed, label, counters)
+
+        monkeypatch.setattr(NOISE_MODULE, "_displacements", recorded)
+        char_fn_mc(GAUSS01, [0.7], 2 * BLOCK + 3)
+        assert ranges == [range(0, BLOCK), range(BLOCK, 2 * BLOCK),
+                          range(2 * BLOCK, 2 * BLOCK + 3)]
+
+    @pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        # 2^22 planar samples, the whole sample budget: one draw of them grew
+        # the peak resident set by about 350 MB
+        script = (
+            "import resource, sys\n"
+            "from quasidiff.perturb import NoiseModel, char_fn_mc\n"
+            "model = NoiseModel.pareto_radial(2, 3.0, 0.1)\n"
+            "char_fn_mc(model, [0.7, 0.3], 2)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "char_fn_mc(model, [0.7, 0.3], 2**22)\n"
+            "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            # ru_maxrss counts bytes on macOS and KiB elsewhere
+            "print(grown if sys.platform == 'darwin' else grown * 1024)\n"
+        )
+        src = os.path.dirname(os.path.dirname(quasidiff.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 32 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# draws past the float range
+
+
+def test_draws_past_the_float_range_are_refused_where_drawn():
+    # every caller reported these badly: displacement_margin returned nan,
+    # boundary_crossings refused a nan margin and perturb an infinite extent,
+    # each after RuntimeWarnings, which fail this test (see conftest)
+    with pytest.warns(RuntimeWarning, match="infinite"):
+        heavy = NoiseModel.pareto_radial(2, 0.01, 1.0)
+    plane = gen_lattice(2, 1.0, 50.0)
+    refusal = ("^pareto_radial noise \\(alpha=0.01, scale=1.0\\) in dimension 2 draws a "
+               "displacement past the float range$")
+    for call in (lambda: displacement_margin(heavy),
+                 lambda: boundary_crossings(plane, heavy, 0, [5.0]),
+                 lambda: perturb(plane, heavy, 0),
+                 lambda: char_fn_mc(heavy, [0.5, 0.5], 10**5)):
+        with pytest.raises(InvalidArgumentError, match=refusal):
+            call()
+    # a finite sigma times a normal past the float range
+    huge = NoiseModel.gaussian(1, 1e308)
+    refusal = "^gaussian noise \\(sigmas=\\(1e\\+308,\\)\\) in dimension 1 draws a displacement"
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        perturb(gen_lattice(1, 1.0, 50.0), huge, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasidiff import pointset
+from quasidiff import geometry, pointset
 from quasidiff.errors import (
     DuplicatePointError,
     InsufficientExtentError,
@@ -14,6 +14,7 @@ from quasidiff.errors import (
     SeamViolationError,
 )
 from quasidiff.geometry import min_pairwise_gap
+from quasidiff.perturb import NoiseModel, perturb
 from quasidiff.pointset import (
     TAU,
     PointSet,
@@ -120,6 +121,18 @@ def test_cut_project_declares_its_measured_gap(cfg, sep):
     x = gen_cut_project(cfg)
     assert x.sep_radius == sep
     assert x.sep_radius == min_pairwise_gap(x.points)
+
+
+def test_sorted_sets_measure_their_gap_without_sorting_again(monkeypatch):
+    # gen_cut_project and perturb hand sorted points to the gap measurement,
+    # which sorted them a second time
+    sorts = []
+    lex_sort = geometry.lex_sort
+    monkeypatch.setattr(geometry, "lex_sort", lambda p: sorts.append(len(p)) or lex_sort(p))
+    x = gen_cut_project(ammann_beenker_config(20.0), label="ammann-beenker")
+    moved = perturb(x, NoiseModel.gaussian(2, 0.05), seed=3)
+    assert sorts == []
+    assert moved.sep_radius == min_pairwise_gap(moved.points) == 0.27930228355991915
 
 
 @pytest.mark.parametrize(
