@@ -19,7 +19,10 @@ Conventions used everywhere in this package:
   three axes, the targets are sorted by one int64 cell key, and each query
   finds the targets of its 3^min(d, 3) neighbouring cells with ``searchsorted``.
   Every candidate is decided by the same strict Euclidean comparison, and the
-  pairs come in (i, j) order in every dimension;
+  pairs come in (i, j) order in every dimension.  The candidates are counted,
+  and their budget checked, before any is built; :func:`_pair_runs` then
+  builds them for any block of queries, as the autocorrelation's row blocks
+  need;
 * every budget is declared in one block below, with its unit and the reason
   for its value: candidate pairs, window radii, generated points, Monte
   Carlo coordinates, grid nodes, the fine-grid nodes and kernel taps of a
@@ -242,6 +245,8 @@ _CELL_AXES = 3
 # before any of it exists.
 # candidate pairs of one pair enumeration; in 2-d each takes about 50 bytes
 # across the index, coordinate and distance arrays, so ~1.7 GB at the budget
+# where they are built at once (a rho_stat pair table); an autocorrelation
+# builds them a block of rows at a time, so for it the budget bounds work
 _CANDIDATE_BUDGET = 2**25
 # window radii of one scan: LGrid.integers keeps each as a Python float,
 # ~140 MB at the budget, and rho_gh takes one windowed Hausdorff distance each
@@ -318,6 +323,65 @@ def _cell_ranges(a: np.ndarray, b: np.ndarray, r: float):
     return qa, qb, lo.ravel(), n.ravel()
 
 
+def _pair_runs(a: np.ndarray, b: np.ndarray, r: float):
+    """The candidates of ``_close_pairs(a, b, r)``, counted before any is built.
+
+    More than ``_CANDIDATE_BUDGET`` candidates over all of ``a`` are refused.
+    Returns the candidate count of every query, in input order, and a
+    function ``pairs(start, stop)`` that builds the pairs of queries
+    start..stop-1 as ``_close_pairs`` does, with i indexing ``a``: a caller
+    may check the whole count, then build the pairs a block of queries at
+    a time, each block for the same cell list.
+    """
+    if len(a) == 0 or len(b) == 0:
+        return np.zeros(len(a), dtype=np.intp), lambda start, stop: (
+            np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+    if a.shape[1] == 1:
+        # the closed interval [a - r, a + r] holds every pair that passes
+        # the comparison below, whichever way a +- r rounds
+        t, q = b[:, 0], a[:, 0]
+        lo = np.searchsorted(t, q - r, side="left")
+        n = np.searchsorted(t, q + r, side="right") - lo
+        qa = qb = None
+        counts = n
+    else:
+        qa, qb, lo, n = _cell_ranges(a, b, r)
+        a, b = a[qa], b[qb]
+        # each query's place in key order
+        place = np.empty_like(qa)
+        place[qa] = np.arange(len(a))
+        counts = n.reshape(-1, len(a)).sum(axis=0)[place]
+    _require_budget(int(n.sum()), _CANDIDATE_BUDGET, f"candidate pairs at radius {float(r)!r} "
+                    f"over {len(a)} x {len(b)} points (max_range, --max-range, bounds them)")
+
+    def pairs(start: int, stop: int):
+        if qa is None:
+            rows, runs = np.arange(start, stop), slice(start, stop)
+        elif stop - start == len(a):
+            # every query: the runs as they lie.  The block path below gives
+            # the same pairs, but gathers three arrays of 3^(g-1) n entries,
+            # which raised the peak of a 3.8M-atom planar merge by a quarter
+            rows, runs = np.tile(np.arange(len(a)), len(n) // len(a)), slice(None)
+        else:
+            # the block's queries in key order, in each shift's runs
+            rows = np.sort(place[start:stop])
+            runs = (np.arange(0, len(n), len(a))[:, None] + rows).ravel()
+            rows = np.tile(rows, len(n) // len(a))
+        size, first = n[runs], lo[runs]
+        total = int(size.sum())
+        i = np.repeat(rows, size)
+        j = np.arange(total) + np.repeat(first - (np.cumsum(size) - size), size)
+        # np.take gathers rows several times faster than fancy indexing
+        strict = np.sqrt(sq_norms(np.take(b, j, axis=0) - np.take(a, i, axis=0))) < r
+        i, j = i[strict], j[strict]
+        if qa is not None:
+            # back from key order to input indices, in (i, j) order
+            i, j = np.divmod(np.sort(qa[i] * len(b) + qb[j]), len(b))
+        return i, j
+
+    return counts, pairs
+
+
 def _close_pairs(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j) with ``b[j]`` at Euclidean distance strictly below
     ``r`` from ``a[i]``, in (i, j) order.
@@ -328,31 +392,7 @@ def _close_pairs(a: np.ndarray, b: np.ndarray, r: float) -> tuple[np.ndarray, np
     More than ``_CANDIDATE_BUDGET`` candidates are refused before any of them
     is built.
     """
-    if len(a) == 0 or len(b) == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    if a.shape[1] == 1:
-        # the closed interval [a - r, a + r] holds every pair that passes
-        # the comparison below, whichever way a +- r rounds
-        t, q = b[:, 0], a[:, 0]
-        lo = np.searchsorted(t, q - r, side="left")
-        n = np.searchsorted(t, q + r, side="right") - lo
-        rows = np.arange(len(a))
-    else:
-        qa, qb, lo, n = _cell_ranges(a, b, r)
-        a, b = a[qa], b[qb]
-        rows = np.tile(np.arange(len(a)), len(n) // len(a))
-    total = int(n.sum())
-    _require_budget(total, _CANDIDATE_BUDGET, f"candidate pairs at radius {float(r)!r} over "
-                    f"{len(a)} x {len(b)} points (max_range, --max-range, bounds them)")
-    i = np.repeat(rows, n)
-    j = np.arange(total) + np.repeat(lo - (np.cumsum(n) - n), n)
-    # np.take gathers rows several times faster than fancy indexing
-    strict = np.sqrt(sq_norms(np.take(b, j, axis=0) - np.take(a, i, axis=0))) < r
-    i, j = i[strict], j[strict]
-    if a.shape[1] > 1:
-        # back from key order to input indices, in (i, j) order
-        i, j = np.divmod(np.sort(qa[i] * len(b) + qb[j]), len(b))
-    return i, j
+    return _pair_runs(a, b, r)[1](0, len(a))
 
 
 def nearest(queries: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,10 +14,12 @@ inequalities) are replaced by their exact finite counterparts:
 
 The autocorrelation of a point set X on the radius-L window is the measure
 (1/L^d) * sum of point-mass at p - q over all ordered pairs p, q in the
-window; its total mass is exactly (#window)^2 / L^d.  The pairs are
-enumerated once, all of them or those within ``max_range``, under the one
-pair budget of :mod:`quasidiff.geometry`, and bucketed once: an atom's
-weight is the run length of its key among the sorted differences.
+window; its total mass is exactly (#window)^2 / L^d.  The pairs, all of
+them or those within ``max_range``, are counted against the one pair budget
+of :mod:`quasidiff.geometry` before any is built, then built in blocks of
+rows, in (row, col) order, and each block is folded into a running table of
+(key, first difference seen, count): an atom's weight is the number of
+differences with its key, and memory holds one block and the atoms.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from . import geometry
 from .errors import InvalidArgumentError
 from .geometry import (
     _close_pairs,
+    _pair_runs,
     _numbers,
     _require_budget,
     _require_finite,
@@ -49,6 +52,11 @@ from .pointset import PointSet
 # atoms closer than bucket_tol times this are one atom: the bucketing merges
 # them, and AtomicMeasure refuses them
 _MERGE_GAP = 1.0 - 1e-12
+# pairs an autocorrelation builds at once, or the atoms found so far if
+# more: a quasicrystal's window (O(n) atoms) holds one block and its atoms,
+# and a set whose differences are all distinct sorts its table once per
+# doubling
+_PAIR_BLOCK = 2**16
 
 __all__ = [
     "AtomicMeasure",
@@ -228,30 +236,69 @@ def dirac_comb(x: PointSet) -> AtomicMeasure:
 
 
 def _quantize(vals: np.ndarray, tol: float) -> np.ndarray:
-    scaled = np.round(vals / tol)
-    if scaled.size and np.abs(scaled).max() >= 2.0**62:
+    scaled = vals / tol
+    np.round(scaled, out=scaled)
+    if scaled.size and max(scaled.max(), -scaled.min()) >= 2.0**62:
         raise InvalidArgumentError("bucket_tol too small for the coordinate range")
     return scaled.astype(np.int64)
 
 
-def _bucket(vecs: np.ndarray, tol: float):
-    """Merge vectors whose keys agree (quantized to width ``tol``; exact
-    equality when ``tol`` is 0).
+def _fold(table, vecs: np.ndarray, tol: float):
+    """The running table (representatives, counts), one row per key in key
+    order, with a block of difference vectors folded in.
 
-    Returns, per bucket in key order, the first-seen vector and the run
-    length of its key.  Copies of one difference that rounding puts on both
-    sides of a bucket edge land in neighbouring buckets; so buckets whose
-    representatives lie closer than the :class:`AtomicMeasure` separation
-    check allows are merged into the one with the lowest key, along with
-    every bucket linked to them by such pairs.
+    A vector's key is the vector quantized to width ``tol``, or the vector
+    itself when ``tol`` is 0.  The table goes first into a stable sort, so
+    a key it holds keeps its row, and a new key takes its first vector in
+    the block: over blocks taken in (row, col) order, every key keeps the
+    first vector seen.
     """
-    keys = _quantize(vecs, tol) if tol > 0 else vecs
-    order = np.lexsort(keys.T[::-1])  # stable: equal keys stay in input order
-    keys = keys[order]
-    starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    held_reps, held_counts = table
+    reps = np.concatenate((held_reps, vecs))
+    keys = _quantize(reps, tol) if tol > 0 else reps
+    order = np.lexsort(keys.T[::-1])
+    # np.take gathers rows several times faster than fancy indexing
+    keys = np.take(keys, order, axis=0)
+    # a column at a time: numpy's any() along short rows is several times slower
+    starts = np.zeros(len(keys), dtype=bool)
+    starts[:1] = True
+    for col in keys.T:
+        starts[1:] |= col[1:] != col[:-1]
     first = np.flatnonzero(starts)
-    reps, counts = vecs[order[first]], np.diff(first, append=len(keys))
+    at = order[first]
+    # a run is the table's row, if it holds the key (the stable sort puts it
+    # first), and the block's copies; the table's runs come in its own order
+    counts = np.diff(first, append=len(keys))
+    counts[at < len(held_reps)] += held_counts - 1
+    return np.take(reps, at, axis=0), counts
+
+
+def _bucket(row_pairs, block, dim: int, tol: float):
+    """Merge difference vectors whose keys agree (quantized to width
+    ``tol``; exact equality when ``tol`` is 0), then buckets that lie too
+    close; returns, per bucket in key order, its first-seen vector and its
+    count.
+
+    ``block(start, stop)`` gives the vectors of rows start..stop-1 in
+    (row, col) order, and ``row_pairs`` how many each row has, or a bound.
+    Rows are taken in blocks of at most ``max(_PAIR_BLOCK, keys so far)``
+    pairs, one row at least, and each block is folded into a running table.
+
+    Copies of one difference that rounding puts on both sides of a bucket
+    edge land in neighbouring buckets; so buckets whose representatives lie
+    closer than the :class:`AtomicMeasure` separation check allows are
+    merged into the one with the lowest key, along with every bucket linked
+    to them by such pairs.
+    """
+    table = np.empty((0, dim)), np.empty(0, dtype=np.intp)
+    ends, start = np.cumsum(row_pairs), 0
+    while start < len(ends):
+        # the rows from start whose pairs fit in one block, and one at least
+        limit = max(_PAIR_BLOCK, len(table[0])) + (ends[start - 1] if start else 0)
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        table = _fold(table, block(start, stop), tol)
+        start = stop
+    reps, counts = table
     if tol == 0:
         return reps, counts
     # in 1-d the key order sorts the representatives, as _close_pairs needs;
@@ -278,13 +325,14 @@ def autocorrelation(
 
     Atoms sit at the difference vectors p - q of points in the closed
     radius-window, merged within ``bucket_tol``, each weighted by its
-    multiplicity divided by radius^dim.  The full window enumerates every
-    ordered pair at once, so it is refused (``InvalidArgumentError``) above
-    2^25 pairs, a window of more than 5,792 points.  With ``max_range``
-    set, only differences of length <= max_range are accumulated — the
+    multiplicity divided by radius^dim.  The full window takes every
+    ordered pair, so it is refused (``InvalidArgumentError``) above 2^25
+    pairs, a window of more than 5,792 points.  With ``max_range`` set,
+    only differences of length <= max_range are accumulated — the
     restriction of the same measure to a ball, at a fraction of the cost,
     under the same pair budget — which is the honest thing to pair against
-    a test family supported in that ball.
+    a test family supported in that ball.  Either way the pairs are built
+    in blocks of rows, so memory holds one block and the atoms found so far.
     """
     r0 = x.require_separation()
     bucket_tol = _require_finite(bucket_tol, "bucket_tol", 0)
@@ -297,15 +345,21 @@ def autocorrelation(
         # geometry's pair budget, read at call time as _close_pairs reads it
         _require_budget(n * n, geometry._CANDIDATE_BUDGET, f"candidate pairs in an autocorrelation "
                         f"window of {n} points (max_range, --max-range, bounds them)")
-        # every ordered pair as p_row - p_col, row-major: the order that
-        # picks each atom's first-seen representative
-        vecs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, x.dim)
+        row_pairs = np.full(n, n)
+
+        def block(start, stop):
+            # every ordered pair of the rows as p_row - p_col, row-major
+            return (pts[start:stop, None, :] - pts[None, :, :]).reshape(-1, x.dim)
     else:
         max_range = _require_positive_finite(max_range, "max_range")
-        # ordered pairs at distance <= max_range (the closed ball), by (row, col)
-        rows, cols = _close_pairs(pts, pts, np.nextafter(max_range, np.inf))
-        vecs = pts[cols] - pts[rows]
-    reps, counts = _bucket(vecs, bucket_tol)
+        # ordered pairs at distance <= max_range (the closed ball): every
+        # row's candidates are counted, and their budget checked, first
+        row_pairs, pairs = _pair_runs(pts, pts, np.nextafter(max_range, np.inf))
+
+        def block(start, stop):
+            rows, cols = pairs(start, stop)
+            return np.take(pts, cols, axis=0) - np.take(pts, rows, axis=0)
+    reps, counts = _bucket(row_pairs, block, x.dim, bucket_tol)
     order = np.lexsort(reps.T[::-1])
     weights = (counts[order] / radius**x.dim).astype(np.complex128)
     return AtomicMeasure(x.dim, reps[order], weights, bucket_tol)

@@ -246,6 +246,13 @@ def perturb(x: PointSet, model: NoiseModel, seed: int) -> PointSet:
     moved = x.points + _displacements(model, seed, x.label, range(len(x.points)))
     pts = lex_sort(moved)
     reach = float(np.sqrt(sq_norms(pts).max(initial=0.0)))
+    if math.isinf(reach):
+        # finite draws whose squares overflow: refused as PointSet refuses
+        # such an extent, not reported as an infinite one
+        raise InvalidArgumentError(
+            f"{x.label or 'point set'}: the displaced points' extent is too large: "
+            "its square overflows"
+        )
     extent = x.extent if reach <= x.extent * (1.0 + 1e-9) else reach * (1.0 + 1e-12)
     return _with_measured_gap(x.dim, extent, pts, x.label, x.sep_radius)
 

@@ -19,6 +19,7 @@ import quasidiff
 from quasidiff.errors import InvalidArgumentError
 from quasidiff.geometry import (
     _close_pairs,
+    _pair_runs,
     _require_finite,
     _require_positive_finite,
     _require_radii,
@@ -190,6 +191,14 @@ def test_close_pairs_match_brute_force(dim, r, data):
     i, j = _close_pairs(a, b, r)
     ii, jj = np.nonzero(brute_distances(a, b) < r)  # row-major: (i, j) order
     assert i.tolist() == ii.tolist() and j.tolist() == jj.tolist()
+    # the same pairs a block of queries at a time, each query's among the
+    # candidates counted for it
+    counts, pairs = _pair_runs(a, b, r)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(a)), max_size=4), label="cuts"))
+    blocks = [pairs(start, stop) for start, stop in zip([0, *cuts], [*cuts, len(a)])]
+    assert np.concatenate([i for i, _ in blocks]).tolist() == ii.tolist()
+    assert np.concatenate([j for _, j in blocks]).tolist() == jj.tolist()
+    assert (np.bincount(ii, minlength=len(a)) <= counts).all()
 
 
 @settings(max_examples=300, deadline=None)

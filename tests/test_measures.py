@@ -1,6 +1,14 @@
 """Atomic measures, pairings, autocorrelation, and vague-convergence proxies."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+
+try:
+    import resource
+except ImportError:  # not POSIX
+    resource = None
 
 import numpy as np
 import pytest
@@ -8,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import quasidiff
 from quasidiff import geometry, measures
 from quasidiff.errors import InvalidArgumentError
 from quasidiff.geometry import nearest, sq_norms
@@ -193,13 +202,172 @@ class TestAutocorrelation:
         assert round(gamma.total_mass.real * 4000.0) == pairs
         assert len(gamma) == 13  # 0 and +-1, tau, tau^2, 2 tau, tau + 2, tau^3
 
-    def test_bucket_merges_chains_into_the_lowest_key(self):
+    def test_bucket_merges_chains_into_the_lowest_key(self, monkeypatch):
         # keys 1, 0, 2, 1, 5: the first three buckets' representatives lie
         # 0.51e-9 apart in a chain, the outer two 1.02e-9 apart
         vecs = np.array([[1.0e-9], [0.49e-9], [1.51e-9], [1.2e-9], [5e-9]])
-        reps, counts = measures._bucket(vecs, 1e-9)
+        reps, counts = measures._bucket([5], lambda start, stop: vecs, 1, 1e-9)
         assert reps.tolist() == [[0.49e-9], [5e-9]]
         assert counts.tolist() == [4, 1]
+        # the same, one vector per block
+        monkeypatch.setattr(measures, "_PAIR_BLOCK", 1)
+        reps, counts = measures._bucket([1] * 5, lambda start, stop: vecs[start:stop], 1, 1e-9)
+        assert reps.tolist() == [[0.49e-9], [5e-9]]
+        assert counts.tolist() == [4, 1]
+
+
+# ---------------------------------------------------------------------------
+# autocorrelation in row blocks against every pair at once
+
+
+def one_shot_autocorrelation(x, radius, bucket_tol, max_range=None):
+    """Locations and weights from every ordered pair at once, bucketed once:
+    the autocorrelation as it was computed before row blocks."""
+    pts = x.points[geometry.window_mask(x.points, radius)]
+    if max_range is None:
+        vecs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, x.dim)
+    else:
+        rows, cols = geometry._close_pairs(pts, pts, np.nextafter(max_range, np.inf))
+        vecs = pts[cols] - pts[rows]
+    keys = np.round(vecs / bucket_tol).astype(np.int64) if bucket_tol > 0 else vecs
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    first = np.flatnonzero(starts)
+    reps, counts = vecs[order[first]], np.diff(first, append=len(keys))
+    if bucket_tol > 0:
+        i, j = geometry._close_pairs(reps, reps, bucket_tol * measures._MERGE_GAP)
+        label, last = np.arange(len(reps)), None
+        while not np.array_equal(label, last):
+            last = label.copy()
+            np.minimum.at(label, j, label[i])
+        merged = np.zeros_like(counts)
+        np.add.at(merged, label, counts)
+        root = label == np.arange(len(reps))
+        reps, counts = reps[root], merged[root]
+    order = np.lexsort(reps.T[::-1])
+    return reps[order], (counts[order] / radius**x.dim).astype(np.complex128)
+
+
+def assert_same_bytes(gamma, reference):
+    locations, weights = reference
+    assert gamma.locations.shape == locations.shape
+    assert gamma.locations.tobytes() == locations.tobytes()
+    assert gamma.weights.tobytes() == weights.tobytes()
+
+
+# a few pairs a block, so that one call folds many blocks into its table
+SMALL_BLOCK = 7
+SPACINGS = (1.0, (1.0 + 5.0**0.5) / 2.0, 2.0**0.5)
+# nudges that put differences on, beside and across the edges of the 1e-9
+# grid, where copies of one difference fall in neighbouring buckets; or a
+# spread that makes almost every difference distinct
+EDGE_NUDGES = st.sampled_from([0.0, 2.5e-10, 4.9e-10, 5.1e-10, 7.3e-10])
+SPREAD_NUDGES = st.floats(0.0, 0.3)
+
+
+@st.composite
+def nudged_lattice_sets(draw, dim):
+    """4 to 40 points of a dim-dimensional lattice, each nudged along every axis."""
+    cells = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), min_size=4, max_size=40,
+                          unique=True), label="cells")
+    spacing = draw(st.sampled_from(SPACINGS), label="spacing")
+    nudge = draw(st.sampled_from([EDGE_NUDGES, SPREAD_NUDGES]), label="nudge")
+    nudges = draw(arrays(np.float64, (len(cells), dim), elements=nudge), label="nudges")
+    pts = np.array(cells, dtype=np.float64).reshape(-1, dim) * spacing + nudges
+    return PointSet(dim, 0.25, 15.0, pts[np.lexsort(pts.T[::-1])])
+
+
+class TestRowBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), data=st.data())
+    def test_blocks_match_every_pair_at_once(self, dim, data):
+        x = data.draw(nudged_lattice_sets(dim), label="x")
+        radius = data.draw(st.sampled_from([3.0, 8.0, 15.0]), label="radius")
+        tol = data.draw(st.sampled_from([0.0, 1e-9]), label="bucket_tol")
+        max_range = data.draw(st.sampled_from([None, 1.0, 2.5, 4.0]), label="max_range")
+        reference = one_shot_autocorrelation(x, radius, tol, max_range)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "_PAIR_BLOCK", SMALL_BLOCK)
+            assert_same_bytes(autocorrelation(x, radius, tol, max_range), reference)
+
+    @pytest.mark.parametrize(
+        "x, radius, tol, max_range",
+        [
+            # copies of k + sqrt(5) on both sides of a 1e-9 edge
+            (gen_fibonacci(4100.0), 4000.0, 1e-9, 5.0),
+            (gen_fibonacci(330.0), 300.0, 1e-9, None),
+            (gen_fibonacci(330.0), 300.0, 0.0, None),
+            (gen_cut_project(ammann_beenker_config(22.0)), 12.0, 1e-9, None),
+            (gen_cut_project(ammann_beenker_config(22.0)), 20.0, 1e-9, 3.0),
+            (gen_cut_project(ammann_beenker_config(22.0)), 20.0, 0.0, 3.0),
+        ],
+        ids=["fibonacci-edge", "fibonacci", "fibonacci-exact", "ab", "ab-near", "ab-near-exact"],
+    )
+    def test_quasicrystal_windows_match_every_pair_at_once(self, monkeypatch, x, radius, tol,
+                                                           max_range):
+        reference = one_shot_autocorrelation(x, radius, tol, max_range)
+        assert_same_bytes(autocorrelation(x, radius, tol, max_range), reference)
+        monkeypatch.setattr(measures, "_PAIR_BLOCK", SMALL_BLOCK)
+        assert_same_bytes(autocorrelation(x, radius, tol, max_range), reference)
+
+    @pytest.mark.parametrize("max_range", [None, 3.0])
+    def test_a_block_holds_the_block_size_or_the_table(self, monkeypatch, max_range):
+        folds = []
+        fold = measures._fold
+
+        def recorded(table, vecs, tol):
+            table = fold(table, vecs, tol)
+            folds.append((len(vecs), len(table[0])))
+            return table
+
+        monkeypatch.setattr(measures, "_fold", recorded)
+        monkeypatch.setattr(measures, "_PAIR_BLOCK", 50)
+        x = gen_fibonacci(330.0)
+        n = len(window(x, 300.0).points)
+        gamma = autocorrelation(x, 300.0, max_range=max_range)
+        assert len(folds) > 10 and folds[-1][1] >= len(gamma)
+        held = 0
+        for pairs, atoms in folds:
+            # whole rows of at most max(block, atoms so far) pairs, or one row
+            assert pairs <= max(50, held) or (max_range is None and pairs == n)
+            held = atoms
+        assert sum(pairs for pairs, _ in folds) == round(gamma.total_mass.real * 300.0)
+
+    def test_refusals_come_before_any_block(self, monkeypatch):
+        def unreachable(table, vecs, tol):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(geometry, "_CANDIDATE_BUDGET", 121)
+        monkeypatch.setattr(measures, "_fold", unreachable)
+        x = gen_lattice(1, 1.0, 10.0)
+        for max_range in (None, 10.0):
+            with pytest.raises(InvalidArgumentError, match="over the budget of 121$"):
+                autocorrelation(x, 6.0, max_range=max_range)
+
+    @pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")
+    def test_memory_holds_a_block_and_the_atoms(self):
+        # 2.1M ordered pairs, 5,765 atoms: building every pair at once grew
+        # the peak resident set by about 60 MB
+        script = (
+            "import resource, sys\n"
+            "from quasidiff import autocorrelation, gen_fibonacci\n"
+            "x = gen_fibonacci(1100.0)\n"
+            "autocorrelation(x, 10.0)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "autocorrelation(x, 1000.0)\n"
+            "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            # ru_maxrss counts bytes on macOS and KiB elsewhere
+            "print(grown if sys.platform == 'darwin' else grown * 1024)\n"
+        )
+        src = os.path.dirname(os.path.dirname(quasidiff.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 20 * 2**20
 
 
 # ---------------------------------------------------------------------------

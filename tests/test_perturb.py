@@ -355,6 +355,19 @@ def test_draws_past_the_float_range_are_refused_where_drawn():
         perturb(gen_lattice(1, 1.0, 50.0), huge, 0)
 
 
+def test_finite_draws_whose_squares_overflow_are_refused():
+    # every draw is finite, but a displaced coordinate past about 1.3e154
+    # squares to inf: perturb reported an infinite extent
+    with pytest.warns(RuntimeWarning, match="infinite"):
+        heavy = NoiseModel.pareto_radial(1, 0.01, 1.0)
+    refusal = r"^lattice1d\[1.0\]: the displaced points' extent is too large: its square overflows$"
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        perturb(gen_lattice(1, 1.0, 60.0), heavy, 0)
+    # a draw that stays below the overflow still gives a set
+    far = perturb(gen_lattice(1, 1.0, 60.0), heavy, 3)
+    assert math.isfinite(far.extent) and far.extent > 60.0
+
+
 # ---------------------------------------------------------------------------
 # recover
 
