@@ -2,6 +2,8 @@
 approximations for uniformly discrete point sets.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AmbiguousRemovalError,
     ConfigError,
@@ -57,7 +59,6 @@ from .pointset import (
     TAU,
     CutProjectConfig,
     PointSet,
-    SetStats,
     ammann_beenker_config,
     fibonacci_cut_project_config,
     gen_cut_project,
@@ -66,7 +67,6 @@ from .pointset import (
     gen_poisson,
     gen_visible,
     remove_near,
-    set_stats,
     sparse_union,
     splice,
     window,
@@ -87,11 +87,13 @@ from .spectral import (
     Spectrum,
     amplitude_spectrum,
     analyze_peaks,
-    exp_sum,
     singularity_diagnostic,
 )
 from .svg import Table, plot_emit
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported names; the submodules are bound here too, but a star
+# import must not rebind a name such as io
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

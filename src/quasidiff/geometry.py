@@ -32,11 +32,14 @@ Conventions used everywhere in this package:
 * so is each argument rule, which every caller's number goes through:
   :func:`_require_finite` (a real, optionally with a floor),
   :func:`_require_positive_finite`, :func:`_require_vector` (a frequency,
-  centre or location: one finite real per axis), :func:`_require_radii` and
-  :func:`_require_integer`.  Each checks before it converts, returns Python
-  floats (ints, float64 arrays), and refuses in one wording.  The entries of
-  a vector, of :func:`as_points`' points and of atom weights pass one scan,
-  :func:`_numbers`, which refuses a str, None or bool rather than cast it;
+  centre or location: one finite real per axis), :func:`_require_radii`,
+  :func:`_require_integer` and :func:`_require_items` (a sequence, such as
+  seeds, or of tuples, such as grid axes, mixture components or balls).
+  Each checks before it converts, returns Python floats (ints, float64
+  arrays, lists), and refuses in one wording.  The entries of a vector, of
+  :func:`as_points`' points, of atom weights and of a spectrum's amplitudes
+  and mask pass one scan, :func:`_numbers`, which refuses a str, None or a
+  bool among numbers rather than cast it;
 * :func:`nearest` is the one nearest-neighbour primitive: exact Euclidean
   distances plus the index of the target attaining them.  1-d makes the same
   binary search; higher dimensions grow a pair search radius until every
@@ -152,17 +155,19 @@ def _require_positive_finite(value, what: str) -> float:
 
 def _numbers(values, kinds: str) -> np.ndarray | None:
     """``values`` as an array whose dtype kind is one of ``kinds`` ("iuf" for
-    reals, "iufc" for complex numbers), or None where it is not: a str, None,
-    bool or other object entry, a bool array and ragged rows are refused,
-    never cast."""
+    reals, "iufc" for complex numbers, "b" for a mask), or None where it is
+    not: a str, None, other object entry, a bool among numbers and ragged
+    rows are refused, never cast."""
     try:
         v = np.asarray(values)
     except ValueError:  # ragged rows
         return None
+    if v.dtype.kind not in kinds:
+        return None
     # numpy casts a bool among numbers to 1.0 or 0; a numeric array holds
     # none, so only the entries of other input are looked at
-    if v.dtype.kind not in kinds or (not isinstance(values, np.ndarray) and not {
-            bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat))):
+    if v.dtype.kind != "b" and not isinstance(values, np.ndarray) and not {
+            bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat)):
         return None
     return v
 
@@ -195,6 +200,20 @@ def _require_radii(values, what: str) -> tuple[float, ...]:
     if not (len(radii) and 0 < radii[0] and (radii[:-1] < radii[1:]).all()):
         raise InvalidArgumentError(f"{what} must be a list 0 < r_1 < ... < r_n < inf, n >= 1")
     return tuple(radii.tolist())
+
+
+def _require_items(values, what: str, form: str, size: int | None = None) -> list:
+    """The items of the sequence ``values``, each as a tuple of ``size``
+    entries when ``size`` is given; ``form`` names what ``what`` must be."""
+    try:
+        items = list(values)
+        if size is not None:
+            items = [tuple(item) for item in items]
+    except TypeError:  # not iterable
+        items = None
+    if items is None or size is not None and any(len(item) != size for item in items):
+        raise InvalidArgumentError(f"{what} must be {form}, got {reprlib.repr(values)}")
+    return items
 
 
 def _power(x: float, d: int) -> float:

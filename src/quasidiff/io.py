@@ -43,7 +43,6 @@ __all__ = [
     "write_points",
     "read_spectrum",
     "write_spectrum",
-    "sidecar_path",
 ]
 
 
@@ -148,7 +147,7 @@ def read_points(path: str) -> PointSet:
     raise refused
 
 
-def sidecar_path(path: str) -> str:
+def _sidecar_path(path: str) -> str:
     return path + ".json"
 
 
@@ -169,11 +168,11 @@ def write_spectrum(path: str, spec: Spectrum) -> None:
         "label": spec.label,
         "valid_count": int(spec.valid.sum()),
     }
-    atomic_write_text(sidecar_path(path), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(_sidecar_path(path), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def read_spectrum(path: str) -> Spectrum:
-    side = sidecar_path(path)
+    side = _sidecar_path(path)
     if not os.path.exists(side):
         raise FormatError(f"{path}: missing grid sidecar {side}")
     with open(side, "r", encoding="utf-8") as handle:

@@ -38,6 +38,7 @@ from .geometry import (
     _require_budget,
     _require_finite,
     _require_integer,
+    _require_items,
     _require_positive_finite,
     _require_vector,
     _sorted_gap,
@@ -126,10 +127,6 @@ class AtomicMeasure:
             f"bucket_tol={self.bucket_tol!r})"
         )
 
-    @property
-    def total_mass(self) -> complex:
-        return complex(self.weights.sum())
-
     def mass_in_ball(self, center, radius: float, closed: bool = True) -> complex:
         """Measure of the closed (or open) ball around ``center``."""
         c = _require_vector(center, "ball center", self.dim)
@@ -137,12 +134,6 @@ class AtomicMeasure:
         d2 = sq_norms(self.locations - c)
         mask = d2 <= r * r if closed else d2 < r * r
         return complex(self.weights[mask].sum())
-
-    def scaled(self, factor: complex) -> "AtomicMeasure":
-        if factor == 0:
-            return AtomicMeasure(self.dim, np.zeros((0, self.dim)), np.zeros(0, np.complex128),
-                                 self.bucket_tol)
-        return AtomicMeasure(self.dim, self.locations, self.weights * factor, self.bucket_tol)
 
 
 @dataclass(frozen=True)
@@ -189,9 +180,15 @@ class TestFamily:
     region_radius: float
 
     def __post_init__(self):
-        if not self.functions:
+        form = "a sequence of TestFunction tents"
+        functions = tuple(_require_items(self.functions, "a TestFamily's functions", form))
+        if not functions:
             raise InvalidArgumentError("a TestFamily must contain a function")
-        object.__setattr__(self, "functions", tuple(self.functions))
+        if not all(isinstance(f, TestFunction) for f in functions):
+            raise InvalidArgumentError(
+                f"a TestFamily's functions must be {form}, got {reprlib.repr(self.functions)}"
+            )
+        object.__setattr__(self, "functions", functions)
         rc = _require_vector(self.region_center, "region_center")
         object.__setattr__(self, "region_center", tuple(rc.tolist()))
         _require_positive_finite(self.region_radius, "region_radius")
@@ -204,21 +201,6 @@ class TestFamily:
 
     def __len__(self) -> int:
         return len(self.functions)
-
-    @classmethod
-    def tents_1d(
-        cls, lo: float, hi: float, count: int, radius: float, amplitude: float = 1.0
-    ) -> "TestFamily":
-        """Evenly spaced tents with centers from lo to hi inclusive; the family refuses hi < lo."""
-        _require_integer(count, "count", 1)
-        lo, hi = _require_finite(lo, "lo"), _require_finite(hi, "hi")
-        centers = np.linspace(lo, hi, count) if count > 1 else np.array([(lo + hi) / 2])
-        funcs = tuple(TestFunction((c,), radius, amplitude) for c in centers)
-        return cls(
-            functions=funcs,
-            region_center=((lo + hi) / 2.0,),
-            region_radius=(hi - lo) / 2.0 + radius,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +218,11 @@ def dirac_comb(x: PointSet) -> AtomicMeasure:
 
 
 def _quantize(vals: np.ndarray, tol: float) -> np.ndarray:
-    scaled = vals / tol
-    np.round(scaled, out=scaled)
-    if scaled.size and max(scaled.max(), -scaled.min()) >= 2.0**62:
+    steps = vals / tol
+    np.round(steps, out=steps)
+    if steps.size and max(steps.max(), -steps.min()) >= 2.0**62:
         raise InvalidArgumentError("bucket_tol too small for the coordinate range")
-    return scaled.astype(np.int64)
+    return steps.astype(np.int64)
 
 
 def _fold(table, vecs: np.ndarray, tol: float):
@@ -429,6 +411,8 @@ def portmanteau_check(
     if len(seq) < 2:
         raise InvalidArgumentError("need a sequence of at least two measures")
     tail = seq[len(seq) // 2 :]
+    compacts = _require_items(compacts, "compacts", "(center, radius) pairs", 2)
+    opens = _require_items(opens, "opens", "(center, radius) pairs", 2)
     compact_ok = []
     for center, radius in compacts:
         cap = limit.mass_in_ball(center, radius, closed=True).real + tol

@@ -35,7 +35,7 @@ import numpy as np
 from . import rng
 from .errors import DegenerateTrialError, InvalidArgumentError
 from .geometry import _require_finite, _require_integer, _require_positive_finite, _require_radii
-from .geometry import _SAMPLE_BUDGET, _require_budget, _require_vector
+from .geometry import _SAMPLE_BUDGET, _require_budget, _require_items, _require_vector
 from .geometry import lex_sort, require_extent, sq_norms, window_mask
 from .pointset import PointSet, _with_measured_gap
 from .spectral import Spectrum, _free_sums, _phases
@@ -110,13 +110,8 @@ class NoiseModel:
             values = _require_vector(getattr(self, name), what, self.dim)
             object.__setattr__(self, name, tuple(_require_finite(v, what, 0) for v in values))
         elif self.kind == "gaussian_mixture":
-            try:
-                triples = [(w, mean, s) for w, mean, s in self.components]
-            except (TypeError, ValueError):  # not iterable, or no triple
-                raise InvalidArgumentError(
-                    "noise mixture components must be (weight, mean, sigma) triples, "
-                    f"got {reprlib.repr(self.components)}"
-                ) from None
+            triples = _require_items(self.components, "noise mixture components",
+                                     "(weight, mean, sigma) triples", 3)
             components = tuple(
                 (_require_positive_finite(w, "noise mixture weight"),
                  tuple(_require_vector(mean, "noise mixture mean", self.dim).tolist()),
@@ -434,7 +429,8 @@ def recovery_trial(
     """
     if model.dim != x.dim:
         raise InvalidArgumentError("noise model and set dimensions differ")
-    seeds = [_require_integer(s, "seed") for s in seeds]
+    seeds = [_require_integer(s, "seed")
+             for s in _require_items(seeds, "seeds", "a sequence of seeds")]
     if not seeds:
         raise InvalidArgumentError("need at least one seed")
     lams = _require_vector(lambdas, "frequencies", x.dim, rows=True)

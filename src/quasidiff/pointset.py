@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .geometry import (
     _require_finite,
     _require_integer,
     _require_positive_finite,
-    _require_radii,
     _require_vector,
     _sorted_gap,
     as_points,
@@ -64,7 +63,6 @@ _EXTENT_SLACK = 1e-9        # relative slack when checking points against extent
 __all__ = [
     "TAU",
     "PointSet",
-    "SetStats",
     "CutProjectConfig",
     "gen_lattice",
     "gen_fibonacci",
@@ -77,7 +75,6 @@ __all__ = [
     "splice",
     "sparse_union",
     "remove_near",
-    "set_stats",
 ]
 
 
@@ -182,18 +179,6 @@ def _with_measured_gap(
     gap = _sorted_gap(x.points)
     object.__setattr__(x, "sep_radius", gap if np.isfinite(gap) else fallback)
     return x
-
-
-@dataclass(frozen=True)
-class SetStats:
-    """Summary returned by :func:`set_stats`."""
-
-    dim: int
-    label: str
-    min_gap: float | None
-    l_values: tuple[float, ...]
-    counts: tuple[int, ...]
-    densities: tuple[float, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -517,19 +502,3 @@ def remove_near(x: PointSet, targets, tol: float) -> PointSet:
     logger.info("remove_near: removed %d of %d points", len(matches), len(x.points))
     return PointSet(x.dim, x.sep_radius, x.extent, x.points[mask], x.label)
 
-
-def set_stats(x: PointSet, l_values) -> SetStats:
-    """Per-window counts and densities plus the exact minimum gap."""
-    ls = np.asarray(_require_radii(l_values, "l_values"))
-    require_extent(ls[-1], x.extent, "stats window")
-    sq = np.sort(sq_norms(x.points))
-    counts = np.searchsorted(sq, ls * ls, side="right")
-    gap = _sorted_gap(x.points)
-    return SetStats(
-        dim=x.dim,
-        label=x.label,
-        min_gap=float(gap) if np.isfinite(gap) else None,
-        l_values=tuple(float(v) for v in ls),
-        counts=tuple(int(c) for c in counts),
-        densities=tuple(float(c / v**x.dim) for c, v in zip(counts, ls)),
-    )

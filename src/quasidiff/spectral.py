@@ -46,7 +46,7 @@ about 1e-14 n.  The node nearest 0 is summed directly, so lambda = 0, when
 it is a node, gives the count exactly.  The spreading sums with
 ``np.bincount``, in input order, and pocketfft is not a BLAS, so amplitudes
 are bit-identical run to run and for any BLAS thread count.  Sums at a free
-list of frequencies (``exp_sum``, the noise-recovery trials) take the phases
+list of frequencies (the noise-recovery trials) take the phases
 ``freqs @ points.T`` and sum each row over the points, under the table
 budget.
 """
@@ -56,13 +56,14 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptySpectrumError, InvalidArgumentError
 from .geometry import _power, _require_finite, _require_positive_finite, _require_radii
-from .geometry import _require_vector, require_extent, window_mask
+from .geometry import _numbers, _require_items, require_extent, window_mask
 from .geometry import _NODE_BUDGET, _SPREAD_BUDGET, _TABLE_BUDGET, _require_budget
 from .pointset import PointSet
 
@@ -73,7 +74,6 @@ __all__ = [
     "PeakReport",
     "DiagnosticRow",
     "SingularityReport",
-    "exp_sum",
     "amplitude_spectrum",
     "analyze_peaks",
     "singularity_diagnostic",
@@ -87,10 +87,11 @@ class FrequencyGrid:
     axes: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
+        triples = _require_items(self.axes, "grid axes", "(min, max, step) triples", 3)
         axes = tuple(
             (_require_finite(lo, "grid axis min"), _require_finite(hi, "grid axis max"),
              _require_positive_finite(step, "grid step"))
-            for lo, hi, step in self.axes
+            for lo, hi, step in triples
         )
         object.__setattr__(self, "axes", axes)
         if not axes:
@@ -153,12 +154,14 @@ class Spectrum:
 
     def __post_init__(self):
         m = self.grid.node_count
-        amp = np.asarray(self.amplitude, dtype=np.complex128).reshape(-1)
-        valid = (
-            np.ones(m, dtype=bool)
-            if self.valid is None
-            else np.asarray(self.valid, dtype=bool).reshape(-1)
-        )
+        amp = _numbers(self.amplitude, "iufc")
+        valid = np.ones(m, dtype=bool) if self.valid is None else _numbers(self.valid, "b")
+        if amp is None or valid is None:
+            raise InvalidArgumentError(
+                f"a spectrum's amplitudes must be complex numbers and its valid mask bools, got "
+                f"{reprlib.repr(self.amplitude)} and {reprlib.repr(self.valid)}"
+            )
+        amp, valid = amp.astype(np.complex128, copy=False).reshape(-1), valid.reshape(-1)
         if len(amp) != m or len(valid) != m:
             raise InvalidArgumentError("spectrum arrays must match the grid's node count")
         object.__setattr__(
@@ -350,11 +353,6 @@ def _free_sums(points: np.ndarray, lams: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         t = lams @ points.T
     return _phases(t).sum(axis=1)
-
-
-def exp_sum(x: PointSet, lam) -> complex:
-    """Exponential sum of the whole set at one frequency; |result| <= #points."""
-    return complex(_free_sums(x.points, _require_vector(lam, "frequency", x.dim)[None])[0])
 
 
 def amplitude_spectrum(x: PointSet, radius: float, grid: FrequencyGrid) -> Spectrum:

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from quasidiff.geometry import min_pairwise_gap
 from quasidiff.measures import TestFamily, TestFunction, autocorrelation, vague_gap
 from quasidiff.metrics import (
     LGrid,
@@ -30,7 +31,6 @@ from quasidiff.pointset import (
     gen_poisson,
     gen_visible,
     remove_near,
-    set_stats,
     splice,
     window,
 )
@@ -196,7 +196,7 @@ def test_04_window_counting_bound():
         radii = LGrid.integers(int(min(x.extent, 200.0))).array()
         # a set with no declared separation (Poisson) gets its measured
         # minimum gap as the packing radius
-        r0 = x.sep_radius or set_stats(x, [x.extent]).min_gap
+        r0 = x.sep_radius or min_pairwise_gap(x.points)
         for radius in radii:
             count = len(window(x, float(radius)))
             bound = (3.0 * float(radius) / r0) ** x.dim

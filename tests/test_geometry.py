@@ -1,6 +1,6 @@
 """The nearest-neighbour, close-pair and minimum-gap primitives against
 O(n*m) brute force, and the argument rules: finite and positive finite
-numbers, vectors, radius lists, seeds and counts."""
+numbers, vectors, radius lists, seeds, counts and parameter sequences."""
 
 import dataclasses
 import math
@@ -56,7 +56,6 @@ from quasidiff.pointset import (
     gen_lattice,
     gen_poisson,
     remove_near,
-    set_stats,
     splice,
     window,
 )
@@ -65,7 +64,6 @@ from quasidiff.spectral import (
     Spectrum,
     amplitude_spectrum,
     analyze_peaks,
-    exp_sum,
     singularity_diagnostic,
 )
 
@@ -285,7 +283,6 @@ RADIUS_LISTS = {
     "boundary_crossings": lambda radii: boundary_crossings(
         LINE, NoiseModel.gaussian(1, 0.1), 0, radii
     ),
-    "set_stats": lambda radii: set_stats(LINE, radii),
     "singularity_diagnostic": lambda radii: singularity_diagnostic(
         LINE, radii, FrequencyGrid(((0.0, 1.0, 0.5),))
     ),
@@ -363,7 +360,6 @@ REALS = {
     "TestFamily region_center": (
         lambda v: TestFamily((TestFunction((0.0,), 0.5),), (v,), 1.0), 0.5
     ),
-    "TestFamily.tents_1d lo": (lambda v: TestFamily.tents_1d(v, 1.0, 2, 0.3), 0.5),
     "PointSet sep_radius": (lambda v: PointSet(1, v, 10.0, [[0.0], [1.0]]), 0.5),
     "PointSet extent": (lambda v: PointSet(1, 0.5, v, [[0.0]]), 0.5),
     "AtomicMeasure bucket_tol": (lambda v: AtomicMeasure(1, [[0.0], [1.0]], [1.0, 1.0], v), 0.5),
@@ -376,7 +372,6 @@ REALS = {
     "window radius": (lambda v: window(LINE, v), 0.5),
     "gen_lattice spacing": (lambda v: gen_lattice(1, v, 3.0), 0.5),
     "LGrid radius": (lambda v: LGrid((v,)), 0.5),
-    "set_stats radius": (lambda v: set_stats(LINE, (v,)), 0.5),
     "ratio_sup exponent": (lambda v: ratio_sup(LINE, LINE, 0.25, v, GRID_10), 0.5),
     "portmanteau_check tol": (lambda v: portmanteau_check([COMB, COMB], COMB, tol=v), 0.5),
 }
@@ -399,7 +394,6 @@ PLANE = gen_lattice(2, 1.0, 5.0)
 NOISE_2D = NoiseModel.gaussian(2, 0.1)
 # each argument that is one vector of the set's dimension, 2, taken at v
 VECTORS = {
-    "exp_sum": lambda v: exp_sum(PLANE, v),
     "char_fn": lambda v: char_fn(NOISE_2D, v),
     "char_fn_mc": lambda v: char_fn_mc(NOISE_2D, v, 100),
     "char_fn_grid": lambda v: char_fn_grid(NOISE_2D, [v]),
@@ -463,6 +457,28 @@ def test_atom_weights_refuse_entries_that_are_no_complex_numbers(weights):
     assert AtomicMeasure(1, locations, [0.5 - 1j] * len(weights)).weights.dtype == np.complex128
 
 
+# each parameter sequence that is not a sequence of its items: these ended
+# in a bare TypeError, ValueError or AttributeError, but for the mask, whose
+# str was taken as True
+SEQUENCES = {
+    "FrequencyGrid axes None": lambda: FrequencyGrid(axes=None),
+    "FrequencyGrid axes pair": lambda: FrequencyGrid([(0, 1)]),
+    "recovery_trial seeds": lambda: recovery_trial(LINE, NOISE, 5, [[0.5]], 10.0),
+    "portmanteau_check compacts None": lambda: portmanteau_check([COMB, COMB], COMB, compacts=None),
+    "portmanteau_check compacts int": lambda: portmanteau_check([COMB, COMB], COMB, compacts=[1]),
+    "TestFamily functions": lambda: TestFamily(functions=[1], region_center=(0.0,),
+                                               region_radius=1.0),
+    "Spectrum amplitude": lambda: Spectrum(SPECTRUM.grid, 1.0, "", ["a", "b", "c"]),
+    "Spectrum valid": lambda: Spectrum(SPECTRUM.grid, 1.0, "", np.zeros(3), valid=[1, "x", 0]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(SEQUENCES))
+def test_parameter_sequences_refuse_what_is_not_their_items(call):
+    with pytest.raises(InvalidArgumentError, match=", got "):
+        SEQUENCES[call]()
+
+
 @pytest.mark.parametrize(
     "value, expected",
     [(0.5, 0.5), (np.float64(0.5), 0.5), (np.float32(0.1), float(np.float32(0.1))),
@@ -512,7 +528,6 @@ COUNTED_CALLS = {
     "LGrid.integers": (LGrid.integers, 1),
     # the standard error takes the sample variance, so two samples at least
     "char_fn_mc": (lambda n: char_fn_mc(NOISE, [0.5], n), 2),
-    "TestFamily.tents_1d": (lambda n: TestFamily.tents_1d(-1.0, 1.0, n, 0.3), 1),
     "PointSet dim": (lambda n: PointSet(n, 1.0, 10.0, np.zeros((0, 1))), 1),
     # the factories repeated a scalar dim times: 2.5 ended in a TypeError
     "NoiseModel.gaussian dim": (lambda n: NoiseModel.gaussian(n, 0.1), 1),

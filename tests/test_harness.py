@@ -28,7 +28,7 @@ from quasidiff.errors import (
     UnknownScenarioError,
 )
 from quasidiff.measures import autocorrelation
-from quasidiff.io import read_points, read_spectrum, sidecar_path, write_points, write_spectrum
+from quasidiff.io import _sidecar_path, read_points, read_spectrum, write_points, write_spectrum
 from quasidiff.perturb import NoiseModel, recover
 from quasidiff.pointset import PointSet, gen_fibonacci, gen_lattice, window
 from quasidiff.scenarios import SCENARIOS, ScenarioConfig, run_scenario
@@ -202,8 +202,17 @@ class TestSpectrumIO:
     def test_missing_sidecar_rejected(self, tmp_path, spectrum):
         path = str(tmp_path / "orphan.csv")
         write_spectrum(path, spectrum)
-        os.unlink(sidecar_path(path))
+        os.unlink(_sidecar_path(path))
         with pytest.raises(FormatError, match="sidecar"):
+            read_spectrum(path)
+
+    @pytest.mark.parametrize("axes", [None, [[0.0, 1.0]], "abc", [[0.0, 1.0, "a"]], 5])
+    def test_bad_sidecar_axes_name_the_sidecar(self, tmp_path, spectrum, axes):
+        path = str(tmp_path / "axes.csv")
+        write_spectrum(path, spectrum)
+        side = Path(_sidecar_path(path))
+        side.write_text(json.dumps(dict(json.loads(side.read_text()), axes=axes)))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(side))}: bad metadata: "):
             read_spectrum(path)
 
     def test_header_only_file_rejected_as_empty(self, tmp_path, spectrum):
@@ -349,7 +358,7 @@ class TestRowCodec:
             rows[0] += "\n"
         path = tmp_path / "fault.csv"
         path.write_text("lambda_1,re,im,power,L\n" + "\n".join(rows) + "\n")
-        Path(sidecar_path(str(path))).write_text(
+        Path(_sidecar_path(str(path))).write_text(
             json.dumps({"axes": [[0.0, 1.0, 0.5]], "window_radius": 2.0, "label": "t"})
         )
         with pytest.raises(FormatError) as info:

@@ -50,6 +50,12 @@ def empty_measure(dim: int = 1) -> AtomicMeasure:
     return AtomicMeasure(dim, np.zeros((0, dim)), np.zeros(0, dtype=np.complex128))
 
 
+def tents(lo: float, hi: float, count: int, radius: float) -> TestFamily:
+    """``count`` tents with centres evenly spaced from lo to hi, in the ball their supports span."""
+    funcs = tuple(TestFunction((c,), radius) for c in np.linspace(lo, hi, count))
+    return TestFamily(funcs, ((lo + hi) / 2.0,), (hi - lo) / 2.0 + radius)
+
+
 @pytest.fixture(scope="module")
 def gamma_z2():
     return autocorrelation(gen_lattice(1, 1.0, 10.0), 2.0)
@@ -68,7 +74,7 @@ class TestDiracComb:
 
     def test_total_mass_equals_count(self):
         for x in (gen_lattice(1, 1.0, 30.0), gen_fibonacci(30.0)):
-            assert dirac_comb(x).total_mass == complex(len(x.points))
+            assert complex(dirac_comb(x).weights.sum()) == complex(len(x.points))
 
     def test_pairing_sees_single_atom(self):
         comb = dirac_comb(window(gen_lattice(1, 1.0, 10.0), 2.0))
@@ -109,7 +115,7 @@ class TestAutocorrelation:
         for x, radius in ((gen_lattice(1, 1.0, 10.0), 2.0), (gen_fibonacci(30.0), 20.0)):
             gamma = autocorrelation(x, radius)
             count = len(window(x, radius).points)
-            assert gamma.total_mass.real == pytest.approx(
+            assert complex(gamma.weights.sum()).real == pytest.approx(
                 count**2 / radius, rel=1e-12
             )
 
@@ -199,7 +205,7 @@ class TestAutocorrelation:
         gamma = autocorrelation(x, 4000.0, max_range=5.0)
         p = window(x, 4000.0).points[:, 0]
         pairs = (np.searchsorted(p, p + 5.0, side="right") - np.searchsorted(p, p - 5.0)).sum()
-        assert round(gamma.total_mass.real * 4000.0) == pairs
+        assert round(complex(gamma.weights.sum()).real * 4000.0) == pairs
         assert len(gamma) == 13  # 0 and +-1, tau, tau^2, 2 tau, tau + 2, tau^3
 
     def test_bucket_merges_chains_into_the_lowest_key(self, monkeypatch):
@@ -333,7 +339,7 @@ class TestRowBlocks:
             # whole rows of at most max(block, atoms so far) pairs, or one row
             assert pairs <= max(50, held) or (max_range is None and pairs == n)
             held = atoms
-        assert sum(pairs for pairs, _ in folds) == round(gamma.total_mass.real * 300.0)
+        assert sum(pairs for pairs, _ in folds) == round(complex(gamma.weights.sum()).real * 300.0)
 
     def test_refusals_come_before_any_block(self, monkeypatch):
         def unreachable(table, vecs, tol):
@@ -417,12 +423,6 @@ class TestTvOnBall:
     def test_autocorrelation_ball_at_origin(self, gamma_z2):
         assert tv_on_ball(gamma_z2, [0.0], 0.5) == 2.5
 
-    def test_scaling(self, gamma_z2):
-        doubled = gamma_z2.scaled(2.0)
-        assert tv_on_ball(doubled, [0.0], 3.0) == 2.0 * tv_on_ball(
-            gamma_z2, [0.0], 3.0
-        )
-
 
 # ---------------------------------------------------------------------------
 # vague_gap
@@ -430,12 +430,12 @@ class TestTvOnBall:
 
 class TestVagueGap:
     def test_identical_zero(self, gamma_z2):
-        fam = TestFamily.tents_1d(-3.0, 3.0, 7, 0.4)
+        fam = tents(-3.0, 3.0, 7, 0.4)
         assert vague_gap(gamma_z2, gamma_z2, fam) == 0.0
 
     def test_hundredth_shift(self):
         # every tent of slope 2 sees at most two atoms moved by 0.01
-        fam = TestFamily.tents_1d(-10.0, 10.0, 64, 0.5)
+        fam = tents(-10.0, 10.0, 64, 0.5)
         z = window(gen_lattice(1, 1.0, 20.0), 12.0)
         shifted = PointSet(1, 1.0, 20.0, z.points + 0.01, "shifted")
         gap = vague_gap(dirac_comb(z), dirac_comb(shifted), fam)
@@ -444,7 +444,7 @@ class TestVagueGap:
 
     def test_autocorrelation_window_growth(self):
         z = gen_lattice(1, 1.0, 250.0)
-        fam = TestFamily.tents_1d(-2.0, 2.0, 5, 0.3)
+        fam = tents(-2.0, 2.0, 5, 0.3)
         gap = vague_gap(
             autocorrelation(z, 100.0, max_range=3.0),
             autocorrelation(z, 200.0, max_range=3.0),
@@ -525,7 +525,7 @@ class TestMeasureProperties:
         extent = 200.0
         grid = LGrid.integers(150)
         base = gen_lattice(1, 1.0, extent)
-        fam = TestFamily.tents_1d(-1.0, 1.0, 3, 0.5)
+        fam = tents(-1.0, 1.0, 3, 0.5)
         comb_base = dirac_comb(window(base, 100.0))
         prev_dist = prev_gap = float("inf")
         for n in (1, 2, 4, 8):

@@ -26,7 +26,6 @@ from quasidiff.pointset import (
     gen_poisson,
     gen_visible,
     remove_near,
-    set_stats,
     sparse_union,
     splice,
     window,
@@ -447,35 +446,6 @@ def test_remove_near_quartic_removal_count_growth():
     counts = np.array([(np.abs(removed) <= r).sum() for r in radii])
     slope = np.polyfit(np.log(radii), np.log(counts), 1)[0]
     assert abs(slope - 0.25) <= 0.05
-
-
-# ---------------------------------------------------------------------------
-# set_stats
-
-
-def test_set_stats_lattice():
-    z = gen_lattice(1, 1.0, 200.0)
-    stats = set_stats(z, [100.0])
-    assert stats.min_gap == 1.0
-    assert stats.counts[0] == 201
-    assert math.isclose(stats.densities[0], 2.01, rel_tol=1e-12)
-
-
-def test_set_stats_visible_density():
-    stats = set_stats(gen_visible(500.0), [500.0])
-    assert abs(stats.densities[0] - 6 / math.pi) / (6 / math.pi) < 0.02
-
-
-def test_set_stats_fibonacci_density():
-    stats = set_stats(gen_fibonacci(1001.0), [1000.0])
-    assert abs(stats.densities[0] - 1.447) / 1.447 < 0.01
-
-
-def test_set_stats_empty():
-    empty = PointSet(1, 1.0, 10.0, np.zeros((0, 1)), "empty")
-    stats = set_stats(empty, [5.0])
-    assert stats.min_gap is None
-    assert stats.counts[0] == 0
 
 
 # ---------------------------------------------------------------------------

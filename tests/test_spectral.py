@@ -37,7 +37,6 @@ from quasidiff.spectral import (
     Spectrum,
     amplitude_spectrum,
     analyze_peaks,
-    exp_sum,
     singularity_diagnostic,
 )
 
@@ -173,15 +172,15 @@ class TestPhases:
 
     @pytest.mark.parametrize("call", [
         # 5 x 1e308 overflows: these returned nan + nan j with RuntimeWarnings
-        lambda: exp_sum(gen_lattice(1, 1.0, 5.0), [1e308]),
-        lambda: exp_sum(gen_lattice(2, 1.0, 5.0), [1e308, -1e308]),
+        lambda: spectral._free_sums(gen_lattice(1, 1.0, 5.0).points, np.array([[1e308]])),
+        lambda: spectral._free_sums(gen_lattice(2, 1.0, 5.0).points, np.array([[1e308, -1e308]])),
         # the first step of this grid times a point 2 overflows in the taps
         lambda: amplitude_spectrum(gen_lattice(1, 1.0, 5.0), 5.0,
                                    FrequencyGrid(((0.0, 1.5e308, 1e308),))),
         # and so does the centre node of this one, in the points' weights
         lambda: amplitude_spectrum(gen_lattice(2, 1.0, 5.0), 5.0,
                                    FrequencyGrid(((1e308, 1.5e308, 1e307), (0.0, 1.0, 0.5)))),
-    ], ids=["exp_sum-1d", "exp_sum-2d", "grid-taps", "grid-weights"])
+    ], ids=["free-sums-1d", "free-sums-2d", "grid-taps", "grid-weights"])
     def test_sums_whose_phases_overflow_are_refused(self, call):
         # a RuntimeWarning fails the test (see conftest), so none is raised
         with pytest.raises(InvalidArgumentError, match="phase <p, lambda> is not finite"):
@@ -198,35 +197,36 @@ class TestPhases:
 
 
 # ---------------------------------------------------------------------------
-# exp_sum
+# sums at free frequencies (the noise-recovery trials)
 
 
-class TestExpSum:
+class TestFreeSums:
     def test_zero_frequency_counts_points(self):
         z5 = window(gen_lattice(1, 1.0, 10.0), 5.0)
-        assert exp_sum(z5, [0.0]) == 11 + 0j
+        assert spectral._free_sums(z5.points, np.array([[0.0]]))[0] == 11 + 0j
 
     def test_half_frequency_alternates(self):
         # five even against six odd integers in [-5, 5]
         z5 = window(gen_lattice(1, 1.0, 10.0), 5.0)
-        value = exp_sum(z5, [0.5])
+        value = spectral._free_sums(z5.points, np.array([[0.5]]))[0]
         assert value == pytest.approx(-1.0 + 0j, abs=1e-12)
 
     def test_quarter_frequency_on_a_long_lattice_is_exact(self):
         # every phase k/4 is reduced mod 1 before the exponential, so the
         # 10,001 terms cancel to the one left over without rounding drift
-        assert abs(exp_sum(gen_lattice(1, 1.0, 5000.0), [0.25]) - 1.0) <= 1e-13
+        z = gen_lattice(1, 1.0, 5000.0)
+        assert abs(spectral._free_sums(z.points, np.array([[0.25]]))[0] - 1.0) <= 1e-13
 
     def test_single_point_unit_modulus(self):
-        pt = PointSet(1, 1.0, 5.0, np.array([[0.37]]), "pt")
-        for lam in (0.0, 0.31, -1.7, 12.25):
-            assert abs(exp_sum(pt, [lam])) == pytest.approx(1.0, abs=1e-12)
+        lams = np.array([[0.0], [0.31], [-1.7], [12.25]])
+        sums = spectral._free_sums(np.array([[0.37]]), lams)
+        assert np.abs(sums) == pytest.approx(np.ones(4), abs=1e-12)
 
     def test_bounded_by_count(self):
         rng = np.random.default_rng(5)
         fib = gen_fibonacci(40.0)
-        for lam in rng.uniform(-3, 3, size=25):
-            assert abs(exp_sum(fib, [float(lam)])) <= len(fib.points) + 1e-9
+        sums = spectral._free_sums(fib.points, rng.uniform(-3, 3, size=(25, 1)))
+        assert (np.abs(sums) <= len(fib.points) + 1e-9).all()
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +436,6 @@ class TestAmplitudeSpectrum:
         )
         with pytest.raises(InvalidArgumentError, match=refusal):
             spectral._free_sums(x.points, lams)
-        # exp_sum takes one frequency row
-        monkeypatch.setattr(spectral, "_TABLE_BUDGET", len(x))
-        assert exp_sum(x, lams[0]) == complex(spectral._free_sums(x.points, lams[:1])[0])
-        monkeypatch.setattr(spectral, "_TABLE_BUDGET", len(x) - 1)
-        with pytest.raises(InvalidArgumentError, match=f"^{len(x)} free-frequency"):
-            exp_sum(x, lams[0])
 
     def test_amplitudes_do_not_depend_on_blas_threads(self):
         src = os.path.dirname(os.path.dirname(quasidiff.__file__))
@@ -475,7 +469,7 @@ class TestPeriodogram:
         spec = amplitude_spectrum(lattice_220, 2.0, self.GRID)
         assert spec.power[node_index(self.GRID, 0.0)] == pytest.approx(12.5, abs=1e-12)
         gamma = autocorrelation(lattice_220, 2.0)
-        assert gamma.total_mass.real == pytest.approx(12.5, abs=1e-12)
+        assert complex(gamma.weights.sum()).real == pytest.approx(12.5, abs=1e-12)
 
     def test_wiener_identity_on_random_sets(self):
         # the periodogram must be the Fourier sum of autocorrelation atoms
