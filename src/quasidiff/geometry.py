@@ -33,8 +33,9 @@ Conventions used everywhere in this package:
   :func:`_require_finite` (a real, optionally with a floor),
   :func:`_require_positive_finite`, :func:`_require_vector` (a frequency,
   centre or location: one finite real per axis), :func:`_require_radii`,
-  :func:`_require_integer` and :func:`_require_items` (a sequence, such as
-  seeds, or of tuples, such as grid axes, mixture components or balls).
+  :func:`_require_integer`, :func:`_require_items` (a sequence, such as
+  seeds, or of tuples, such as grid axes, mixture components or balls) and
+  :func:`_require_type` (an object of a named class, such as a point set).
   Each checks before it converts, returns Python floats (ints, float64
   arrays, lists), and refuses in one wording.  The entries of a vector, of
   :func:`as_points`' points, of atom weights and of a spectrum's amplitudes
@@ -216,6 +217,15 @@ def _require_items(values, what: str, form: str, size: int | None = None) -> lis
     return items
 
 
+def _require_type(value, kind, what: str):
+    """``value`` itself if it is an instance of ``kind``, a class or a tuple
+    of classes; a wrong object is refused with the type wanted named."""
+    if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise InvalidArgumentError(f"{what} must be of type {names}, got {reprlib.repr(value)}")
+    return value
+
+
 def _power(x: float, d: int) -> float:
     """``x ** d`` as Python floats compute it, +inf where that overflows."""
     try:
@@ -271,7 +281,8 @@ _CANDIDATE_BUDGET = 2**25
 # ~140 MB at the budget, and rho_gh takes one windowed Hausdorff distance each
 _RADIUS_BUDGET = 2**22
 # points (or integer candidates) one generator enumerates; a cut-and-project
-# candidate holds n float64 lattice coordinates, ~0.8 GB at n = 5
+# candidate holds n float64 lattice coordinates and its running share of the
+# ellipsoid's squared radius, ~0.96 GB at n = 5
 _ENUM_BUDGET = 20_000_000
 # displacement coordinates (samples times axes) of one Monte Carlo estimate:
 # a bound on its work, 2^22 planar samples taking about 1 s (x86-64); its

@@ -33,7 +33,7 @@ from .errors import (
     FormatError,
     QuasidiffError,
 )
-from .geometry import _require_positive_finite, lex_order_faults
+from .geometry import _require_positive_finite, _require_type, lex_order_faults
 from .pointset import PointSet
 from .spectral import FrequencyGrid, Spectrum
 
@@ -111,7 +111,7 @@ def write_points(path: str, x: PointSet) -> None:
 
 
 def read_points(path: str) -> PointSet:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(_require_type(path, (str, os.PathLike), "path"), "r", encoding="utf-8") as handle:
         raw = handle.read().splitlines()
     if not raw:
         raise FormatError(f"{path}: empty file")

@@ -40,6 +40,7 @@ from .geometry import (
     _require_integer,
     _require_items,
     _require_positive_finite,
+    _require_type,
     _require_vector,
     _sorted_gap,
     as_points,
@@ -209,6 +210,7 @@ class TestFamily:
 
 def dirac_comb(x: PointSet) -> AtomicMeasure:
     """Unit point mass at every point of the set."""
+    _require_type(x, PointSet, "x")
     return AtomicMeasure(
         dim=x.dim,
         locations=x.points.copy(),
@@ -316,7 +318,7 @@ def autocorrelation(
     a test family supported in that ball.  Either way the pairs are built
     in blocks of rows, so memory holds one block and the atoms found so far.
     """
-    r0 = x.require_separation()
+    r0 = _require_type(x, PointSet, "x").require_separation()
     bucket_tol = _require_finite(bucket_tol, "bucket_tol", 0)
     if not bucket_tol <= r0 / 4:
         raise InvalidArgumentError(f"bucket_tol must lie in [0, sep_radius/4] = [0, {r0 / 4!r}]")
@@ -407,7 +409,10 @@ def portmanteau_check(
     measures are expected to be positive (real parts are compared).
     """
     tol = _require_finite(tol, "tol", 0)
-    seq = list(seq)
+    _require_type(limit, AtomicMeasure, "limit")
+    seq = _require_items(seq, "seq", "a sequence of measures")
+    for m in seq:
+        _require_type(m, AtomicMeasure, "seq entry")
     if len(seq) < 2:
         raise InvalidArgumentError("need a sequence of at least two measures")
     tail = seq[len(seq) // 2 :]

@@ -38,7 +38,7 @@ from .errors import InvalidArgumentError
 from .pointset import PointSet
 from .geometry import _close_pairs, as_points, nearest, require_extent, sq_norms, window_mask
 from .geometry import _RADIUS_BUDGET, _require_budget, _require_integer, _require_positive_finite
-from .geometry import _require_finite, _require_radii
+from .geometry import _require_finite, _require_radii, _require_type
 
 __all__ = [
     "LGrid",
@@ -156,7 +156,7 @@ def _matched_counts(
 
 
 def _check_pair(x: PointSet, y: PointSet) -> None:
-    if x.dim != y.dim:
+    if _require_type(x, PointSet, "x").dim != _require_type(y, PointSet, "y").dim:
         raise InvalidArgumentError("operands must share a dimension")
 
 
@@ -199,7 +199,7 @@ def ratio_sup(
     _require_positive_finite(eps, "eps")
     if not (0 < _require_finite(exponent, "exponent") <= x.dim):
         raise InvalidArgumentError("exponent must lie in (0, dim]")
-    grid.require_within(x, y)
+    _require_type(grid, LGrid, "grid").require_within(x, y)
     t = _pair_table(x, y, eps, grid) if _table is None else _table
     k = int(np.searchsorted(t.d, eps, side="left"))
     key = (k, float(exponent))
@@ -238,7 +238,7 @@ def rho_stat(
     r0 = min(x.require_separation(), y.require_separation())
     if x == y:
         return MetricResult(0.0)
-    grid.require_within(x, y)
+    _require_type(grid, LGrid, "grid").require_within(x, y)
     cap = r0 / 2.0
     table = _pair_table(x, y, cap, grid)
 
@@ -326,7 +326,7 @@ def rho_aut(x: PointSet, y: PointSet, grid: LGrid) -> MetricResult:
     """Symmetric-difference density over windows: max_L #(X_L xor Y_L) / L^d,
     the largest ratio over the grid and the first radius attaining it."""
     _check_pair(x, y)
-    grid.require_within(x, y)
+    _require_type(grid, LGrid, "grid").require_within(x, y)
     if x == y:
         return MetricResult(0.0)
     radii = grid.array()

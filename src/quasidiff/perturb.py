@@ -35,7 +35,7 @@ import numpy as np
 from . import rng
 from .errors import DegenerateTrialError, InvalidArgumentError
 from .geometry import _require_finite, _require_integer, _require_positive_finite, _require_radii
-from .geometry import _SAMPLE_BUDGET, _require_budget, _require_items, _require_vector
+from .geometry import _SAMPLE_BUDGET, _require_budget, _require_items, _require_type, _require_vector
 from .geometry import lex_sort, require_extent, sq_norms, window_mask
 from .pointset import PointSet, _with_measured_gap
 from .spectral import Spectrum, _free_sums, _phases
@@ -236,7 +236,7 @@ def perturb(x: PointSet, model: NoiseModel, seed: int) -> PointSet:
     The result's ``sep_radius`` is the measured minimum gap of the displaced
     points (the input's when fewer than two points remain).
     """
-    if model.dim != x.dim:
+    if _require_type(model, NoiseModel, "model").dim != _require_type(x, PointSet, "x").dim:
         raise InvalidArgumentError("noise model and set dimensions differ")
     moved = x.points + _displacements(model, seed, x.label, range(len(x.points)))
     pts = lex_sort(moved)

@@ -41,6 +41,7 @@ from .geometry import (
     _require_finite,
     _require_integer,
     _require_positive_finite,
+    _require_type,
     _require_vector,
     _sorted_gap,
     as_points,
@@ -332,61 +333,61 @@ class CutProjectConfig:
 def gen_cut_project(cfg: CutProjectConfig, label: str | None = None) -> PointSet:
     """Enumerate the model set defined by ``cfg``.
 
-    Enumeration walks the lattice coordinates one axis at a time, pruning
-    each axis range with interval arithmetic on the physical/internal
-    constraints, so the visited tree stays proportional to the actual number
-    of accepted points rather than to a bounding box of Z^n.
+    Every accepted shifted lattice point v = z + offset, with images y = S v,
+    lies in the ellipsoid sum_j ((y_j - mid_j) / half_j)^2 <= n - d + 1,
+    where mid +- half is the box of the extent ball's axes and the window:
+    the ball adds at most 1 and each window axis at most 1.  With
+    diag(1 / half) S = QR that is |R v - Q^T (mid / half)|^2 <= n - d + 1,
+    R upper triangular, so the coordinates are fixed from the last one down,
+    each to the exact interval the ellipsoid leaves it given those already
+    fixed (Fincke & Pohst, Math. Comp. 44, 1985).  v_0, fixed last, is also
+    cut to every row's slab y_lo_j <= y_j <= y_hi_j, and the exact
+    acceptance test decides.  Each axis's candidates are counted in floats,
+    and refused over the budget, before any is built.
     """
-    n = cfg.total_dim
-    d = len(cfg.physical)
-    s = cfg.stacked()
-    m = np.linalg.inv(s)
+    _require_type(cfg, CutProjectConfig, "cfg")
+    n, d, s = cfg.total_dim, len(cfg.physical), cfg.stacked()
     offset = np.asarray(cfg.offset, dtype=np.float64)
+    y_lo, y_hi = np.array([(-cfg.extent, cfg.extent)] * d + list(cfg.window), dtype=np.float64).T
+    mid = 0.5 * y_lo + 0.5 * y_hi
+    # half-widths of at least 2^-1000 of their row keep the scaled rows
+    # finite at a subnormal extent; a wider box only adds candidates
+    least = 2.0**-1000 * np.maximum(np.abs(s).max(axis=1), np.abs(mid))
+    half = np.maximum(0.5 * y_hi - 0.5 * y_lo, least)
+    scaled = s / half[:, None]
+    # Householder QR keeps the digits of small rows when the large rows come
+    # first (Powell & Reid); in stacked order the physical rows are lost once
+    # the extent is 2^53 times the window, and pivots of R come out 0
+    rows = np.argsort(-np.abs(scaled).max(axis=1), kind="stable")
+    q, r = np.linalg.qr(scaled[rows])
+    t = q.T @ (mid / half)[rows]
+    # the squared radius, widened past the acceptance test's 1e-12 slack and
+    # far past the rounding of the sums below
+    bound = (n - d + 1) * (1.0 + 1e-6)
 
-    y_lo = np.array([-cfg.extent] * d + [lo for lo, _ in cfg.window])
-    y_hi = np.array([cfg.extent] * d + [hi for _, hi in cfg.window])
-    y_mid = 0.5 * (y_lo + y_hi)
-    y_half = 0.5 * (y_hi - y_lo)
-
-    # static bounds on the shifted coordinates v = z + offset
-    v_mid = m @ y_mid
-    v_half = np.abs(m) @ y_half
-    v_lo_static = v_mid - v_half - 1e-9
-    v_hi_static = v_mid + v_half + 1e-9
-
-    partial = np.zeros((1, 0), dtype=np.float64)  # rows: fixed v_0..v_{k-1}
-    for k in range(n):
-        fixed = partial @ s[:, :k].T if k else np.zeros((len(partial), n))
-        tail_lo = np.zeros(n)
-        tail_hi = np.zeros(n)
-        if k + 1 < n:
-            rest = s[:, k + 1 :]
-            lo_part = np.where(rest > 0, rest * v_lo_static[k + 1 :], rest * v_hi_static[k + 1 :])
-            hi_part = np.where(rest > 0, rest * v_hi_static[k + 1 :], rest * v_lo_static[k + 1 :])
-            tail_lo = lo_part.sum(axis=1)
-            tail_hi = hi_part.sum(axis=1)
-        lo_k = np.full(len(partial), v_lo_static[k])
-        hi_k = np.full(len(partial), v_hi_static[k])
-        for j in range(n):
-            c = s[j, k]
-            if c == 0.0:
-                continue
-            a = (y_lo[j] - fixed[:, j] - tail_hi[j]) / c
-            b = (y_hi[j] - fixed[:, j] - tail_lo[j]) / c
-            if c < 0:
-                a, b = b, a
-            lo_k = np.maximum(lo_k, a - 1e-9)
-            hi_k = np.minimum(hi_k, b + 1e-9)
-        z_lo = np.ceil(lo_k - offset[k]).astype(np.int64)
-        z_hi = np.floor(hi_k - offset[k]).astype(np.int64)
-        counts = np.maximum(z_hi - z_lo + 1, 0)
-        total = int(counts.sum())
-        _require_budget(total, _ENUM_BUDGET, f"cut-and-project candidates on {k + 1} of {n} axes")
-        keep = counts > 0
-        partial, counts, z_lo = partial[keep], counts[keep], z_lo[keep]
+    partial = np.zeros((1, 0), dtype=np.float64)  # rows: fixed v_{k+1}..v_{n-1}
+    used = np.zeros(1)  # each row's share of the squared radius
+    for k in reversed(range(n)):
+        centre = (t[k] - partial @ r[k, k + 1 :]) / r[k, k]
+        reach = np.sqrt(np.maximum(bound - used, 0.0)) / abs(r[k, k])
+        lo_k, hi_k = centre - reach, centre + reach
+        if k == 0:
+            fixed = partial @ s[:, 1:].T
+            for j in np.flatnonzero(s[:, 0]):
+                ends = (y_lo[j] - fixed[:, j]) / s[j, 0], (y_hi[j] - fixed[:, j]) / s[j, 0]
+                lo_k = np.maximum(lo_k, np.minimum(*ends) - 1e-9)
+                hi_k = np.minimum(hi_k, np.maximum(*ends) + 1e-9)
+        z_lo = np.ceil(lo_k - offset[k])
+        with np.errstate(over="ignore"):  # an interval past the float range counts inf
+            counts = np.maximum(np.floor(hi_k - offset[k]) - z_lo + 1.0, 0.0)
+        total = float(counts.sum())
+        _require_budget(int(total) if math.isfinite(total) else total, _ENUM_BUDGET,
+                        f"cut-and-project candidates on {n - k} of {n} axes")
+        counts, total = counts.astype(np.int64), int(total)
         starts = np.repeat(np.cumsum(counts) - counts, counts)
-        z_k = np.arange(total) - starts + np.repeat(z_lo, counts)
-        partial = np.column_stack([np.repeat(partial, counts, axis=0), z_k + offset[k]])
+        v = np.arange(total) - starts + np.repeat(z_lo, counts) + offset[k]
+        used = np.repeat(used, counts) + (r[k, k] * (v - np.repeat(centre, counts))) ** 2
+        partial = np.column_stack([v, np.repeat(partial, counts, axis=0)])
 
     phys = partial @ s[:d].T
     keep = sq_norms(phys) <= cfg.extent * cfg.extent * (1.0 + 1e-12)
@@ -436,6 +437,7 @@ def ammann_beenker_config(extent: float) -> CutProjectConfig:
 
 def window(x: PointSet, radius: float) -> PointSet:
     """Restrict to the closed ball of the given radius (must be <= extent)."""
+    _require_type(x, PointSet, "x")
     radius = require_extent(radius, x.extent, f"{x.label or 'set'} window radius")
     pts = x.points[window_mask(x.points, radius)]
     return PointSet(x.dim, x.sep_radius, radius, pts, x.label)
@@ -443,7 +445,7 @@ def window(x: PointSet, radius: float) -> PointSet:
 
 def splice(inner: PointSet, outer: PointSet, radius: float, allow_smaller: bool = False) -> PointSet:
     """Take ``inner`` on the closed radius ball and ``outer`` strictly outside it."""
-    if inner.dim != outer.dim:
+    if _require_type(inner, PointSet, "inner").dim != _require_type(outer, PointSet, "outer").dim:
         raise InvalidArgumentError("splice requires equal dimensions")
     require_extent(radius, min(inner.extent, outer.extent), "splice radius")
     inside = inner.points[window_mask(inner.points, radius)]
@@ -464,7 +466,7 @@ def splice(inner: PointSet, outer: PointSet, radius: float, allow_smaller: bool 
 
 def sparse_union(x: PointSet, extra: PointSet) -> PointSet:
     """Union with a (typically vanishing-density) extra set; duplicates are errors."""
-    if x.dim != extra.dim:
+    if _require_type(x, PointSet, "x").dim != _require_type(extra, PointSet, "extra").dim:
         raise InvalidArgumentError("sparse_union requires equal dimensions")
     extent = min(x.extent, extra.extent)
     a = x.points[window_mask(x.points, extent)]
@@ -484,7 +486,7 @@ def remove_near(x: PointSet, targets, tol: float) -> PointSet:
     ``tol`` must stay below half the separation radius so a target can match
     at most one point; two targets claiming the same point is an error.
     """
-    sep = x.require_separation()
+    sep = _require_type(x, PointSet, "x").require_separation()
     if not (0 < _require_finite(tol, "tol") < sep / 2):
         raise InvalidArgumentError(f"tol must lie in (0, sep_radius/2) = (0, {sep / 2!r})")
     tg = as_points(targets, x.dim)

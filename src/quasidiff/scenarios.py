@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError, UnknownScenarioError
-from .geometry import _finite_float, _require_integer
+from .geometry import _finite_float, _require_integer, _require_type
 from .measures import (
     TestFamily,
     TestFunction,
@@ -797,7 +797,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     default is a count, passed as an int; a configured value that is not a
     whole number >= 1 is refused.
     """
-    if cfg.scenario not in SCENARIOS:
+    if _require_type(cfg, ScenarioConfig, "cfg").scenario not in SCENARIOS:
         raise UnknownScenarioError(
             f"unknown scenario {cfg.scenario!r}; registered: {sorted(SCENARIOS)}"
         )

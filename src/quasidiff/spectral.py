@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import EmptySpectrumError, InvalidArgumentError
 from .geometry import _power, _require_finite, _require_positive_finite, _require_radii
-from .geometry import _numbers, _require_items, require_extent, window_mask
+from .geometry import _numbers, _require_items, _require_type, require_extent, window_mask
 from .geometry import _NODE_BUDGET, _SPREAD_BUDGET, _TABLE_BUDGET, _require_budget
 from .pointset import PointSet
 
@@ -357,7 +357,7 @@ def _free_sums(points: np.ndarray, lams: np.ndarray) -> np.ndarray:
 
 def amplitude_spectrum(x: PointSet, radius: float, grid: FrequencyGrid) -> Spectrum:
     """Normalized transform on the window: exp-sum / radius^dim per node."""
-    if grid.dim != x.dim:
+    if _require_type(grid, FrequencyGrid, "grid").dim != _require_type(x, PointSet, "x").dim:
         raise InvalidArgumentError("grid and point set dimensions differ")
     radius = require_extent(radius, x.extent, "window radius")
     sums = _grid_sums(x.points[window_mask(x.points, radius)], grid)
@@ -418,7 +418,7 @@ def analyze_peaks(
     background is the median (the mean is also reported) of power outside
     all peak intervals.  The intervals double as estimated support boxes.
     """
-    if spec.grid.dim != 1:
+    if _require_type(spec, Spectrum, "spec").grid.dim != 1:
         raise InvalidArgumentError("peak analysis is defined for 1-d spectra")
     if not spec.valid.all():
         raise InvalidArgumentError("peak analysis needs a fully valid spectrum")

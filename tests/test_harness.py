@@ -1071,6 +1071,8 @@ def _run_limited(args, cwd):
     "argv, code",
     [
         (["gen", "--kind", "fibonacci", "--extent", "1e9", "--out", "f.pts"], 2),
+        # candidate counts cast to int64 wrapped to 0: no points, and exit 0
+        (["gen", "--kind", "ammann-beenker", "--extent", "1e20", "--out", "ab.pts"], 2),
         # an extent whose square overflows
         (["gen", "--kind", "lattice", "--extent", "1e300", "--spacing", "1e300",
           "--out", "z.pts"], 2),
@@ -1102,7 +1104,7 @@ def _run_limited(args, cwd):
         (["spectrum", "--input", "two-b.pts", "--radius", "5", "--grid", "0:1.5e308:1e308",
           "--out", "s.csv"], 2),
     ],
-    ids=["fibonacci-1e9", "lattice-1e300", "read-extent-1e300", "poisson-d342",
+    ids=["fibonacci-1e9", "gen-ab-1e20", "lattice-1e300", "read-extent-1e300", "poisson-d342",
          "read-d-1", "autocorr-221GiB", "autocorr-full-window", "dist-sep-inf",
          "peaks-radius-1e200-d2", "spectrum-extent-1e120-d3", "spectrum-12GiB-tables",
          "alignment-scan-2.5e11", "spectrum-phase-overflow"],

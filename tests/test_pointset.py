@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +116,9 @@ def test_cut_project_fibonacci_matches_substitution_chain():
     [
         (ammann_beenker_config(20.0), 0.41421356237309287),
         (ammann_beenker_config(40.0), 0.4142135623730895),
+        # past the reach of the reference box enumeration below
+        (ammann_beenker_config(120.0), 0.414213562373087),
+        (ammann_beenker_config(200.0), 0.4142135623730719),
         (fibonacci_cut_project_config(100.0), 1.0),
     ],
 )
@@ -158,6 +164,148 @@ def test_cut_project_ammann_beenker_density_stability():
     d100 = len(gen_cut_project(ammann_beenker_config(100.0))) / 100.0**2
     d200 = len(gen_cut_project(ammann_beenker_config(200.0))) / 200.0**2
     assert abs(d100 - d200) / d200 < 0.02
+
+
+def _box_enumeration(cfg):
+    """The model set of ``cfg`` by the enumeration ``gen_cut_project`` used
+    before the ellipsoid: static box bounds on the shifted coordinates, each
+    axis pruned with the box bounds of the axes not yet fixed.  Its visited
+    tree grows as extent^3 on Ammann-Beenker, so it serves small configs."""
+    n, d, s = cfg.total_dim, len(cfg.physical), cfg.stacked()
+    m = np.linalg.inv(s)
+    offset = np.asarray(cfg.offset, dtype=np.float64)
+    y_lo = np.array([-cfg.extent] * d + [lo for lo, _ in cfg.window])
+    y_hi = np.array([cfg.extent] * d + [hi for _, hi in cfg.window])
+    v_mid = m @ (0.5 * (y_lo + y_hi))
+    v_half = np.abs(m) @ (0.5 * (y_hi - y_lo))
+    v_lo_static, v_hi_static = v_mid - v_half - 1e-9, v_mid + v_half + 1e-9
+    partial = np.zeros((1, 0), dtype=np.float64)
+    for k in range(n):
+        fixed = partial @ s[:, :k].T if k else np.zeros((len(partial), n))
+        tail_lo = np.zeros(n)
+        tail_hi = np.zeros(n)
+        if k + 1 < n:
+            rest = s[:, k + 1 :]
+            lo_part = np.where(rest > 0, rest * v_lo_static[k + 1 :], rest * v_hi_static[k + 1 :])
+            hi_part = np.where(rest > 0, rest * v_hi_static[k + 1 :], rest * v_lo_static[k + 1 :])
+            tail_lo, tail_hi = lo_part.sum(axis=1), hi_part.sum(axis=1)
+        lo_k = np.full(len(partial), v_lo_static[k])
+        hi_k = np.full(len(partial), v_hi_static[k])
+        for j in range(n):
+            c = s[j, k]
+            if c == 0.0:
+                continue
+            a = (y_lo[j] - fixed[:, j] - tail_hi[j]) / c
+            b = (y_hi[j] - fixed[:, j] - tail_lo[j]) / c
+            if c < 0:
+                a, b = b, a
+            lo_k = np.maximum(lo_k, a - 1e-9)
+            hi_k = np.minimum(hi_k, b + 1e-9)
+        z_lo = np.ceil(lo_k - offset[k]).astype(np.int64)
+        counts = np.maximum(np.floor(hi_k - offset[k]).astype(np.int64) - z_lo + 1, 0)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        z_k = np.arange(counts.sum()) - starts + np.repeat(z_lo, counts)
+        partial = np.column_stack([np.repeat(partial, counts, axis=0), z_k + offset[k]])
+    phys = partial @ s[:d].T
+    keep = geometry.sq_norms(phys) <= cfg.extent * cfg.extent * (1.0 + 1e-12)
+    internal = partial @ s[d:].T
+    for i, (lo, hi) in enumerate(cfg.window):
+        keep &= (internal[:, i] >= lo) & (internal[:, i] < hi)
+    return pointset._with_measured_gap(d, cfg.extent, geometry.lex_sort(phys[keep]), "box", 0.0)
+
+
+def _assert_same_model_set(cfg):
+    x, ref = gen_cut_project(cfg), _box_enumeration(cfg)
+    assert x.points.tobytes() == ref.points.tobytes()
+    assert repr(x.sep_radius) == repr(ref.sep_radius)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [ammann_beenker_config(e) for e in (5.0, 20.0, 60.0)]
+    + [dataclasses.replace(ammann_beenker_config(50.0), offset=v)
+       for v in ((0.3, 0.1, -0.2, 0.45), (0.0, 0.0, 0.0, 0.0))]
+    + [fibonacci_cut_project_config(e) for e in (10.0, 1e3, 1e5)]
+    # subnormal extents: diag(1 / half) S overflowed without its floor
+    + [config(e) for config in (ammann_beenker_config, fibonacci_cut_project_config)
+       for e in (1e-300, 5e-324)],
+)
+def test_cut_project_matches_the_box_enumeration(cfg):
+    _assert_same_model_set(cfg)
+
+
+def _offsets(n):
+    return st.tuples(*[st.floats(-0.5, 0.5, exclude_max=True)] * n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1.0, 60.0), _offsets(4))
+def test_ammann_beenker_matches_the_box_enumeration_at_any_offset(extent, offset):
+    _assert_same_model_set(dataclasses.replace(ammann_beenker_config(extent), offset=offset))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1.0, 1e4), _offsets(2))
+def test_fibonacci_matches_the_box_enumeration_at_any_offset(extent, offset):
+    _assert_same_model_set(dataclasses.replace(fibonacci_cut_project_config(extent), offset=offset))
+
+
+@pytest.mark.parametrize("extent", [1e19, 1e20, 1e100])
+@pytest.mark.parametrize("config", [ammann_beenker_config, fibonacci_cut_project_config])
+def test_cut_project_at_a_huge_extent_is_refused_with_its_count(config, extent):
+    # the candidate counts were cast to int64 and wrapped: Ammann-Beenker
+    # gave 0 points at 1e19 and 1e20 and Fibonacci 1 point at 1e20, the
+    # casts past 1e19 with a RuntimeWarning
+    n = config(extent).total_dim
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match=rf"^[1-9][0-9]* cut-and-project candidates "
+                           rf"on 1 of {n} axes, over the budget of 20000000$"):
+            gen_cut_project(config(extent))
+
+
+def test_cut_project_at_the_largest_float_extent_counts_inf():
+    # the interval of the first axis is wider than the float range: its
+    # count overflowed with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="^inf cut-and-project candidates on 1 of 4"):
+            gen_cut_project(ammann_beenker_config(sys.float_info.max))
+
+
+@pytest.mark.parametrize(
+    "budget, config, extent, generated",
+    [
+        # the largest axis: 144,722 candidates for 144,721 points
+        (150_000, fibonacci_cut_project_config, 1e5, 144_721),
+        # the box enumeration visited 6,792,595 candidates on 3 of 4 axes
+        (400_000, ammann_beenker_config, 200.0, 125_676),
+        (1_000, ammann_beenker_config, 40.0, None),
+    ],
+)
+def test_cut_project_budget_bounds_every_axis(monkeypatch, budget, config, extent, generated):
+    monkeypatch.setattr(pointset, "_ENUM_BUDGET", budget)
+    if generated is None:
+        with pytest.raises(InvalidArgumentError, match=rf"^[0-9]+ cut-and-project candidates on "
+                           rf"[1-4] of 4 axes, over the budget of {budget}$"):
+            gen_cut_project(config(extent))
+    else:
+        assert len(gen_cut_project(config(extent))) == generated
+
+
+def test_cut_project_memory_follows_the_points():
+    # Ammann-Beenker at extent 120 peaked at 194 MB of arrays (and grew the
+    # resident set by 195 MB) under the box enumeration.  tracemalloc counts
+    # numpy's buffers; a child process's ru_maxrss would not do, because a
+    # child starts with its parent's high-water mark
+    gen_cut_project(ammann_beenker_config(10.0))
+    tracemalloc.start()
+    try:
+        gen_cut_project(ammann_beenker_config(120.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from quasidiff import (
     TAU,
     AtomicMeasure,
     FrequencyGrid,
+    InvalidArgumentError,
     LGrid,
     NoiseModel,
     PointSet,
@@ -210,3 +211,30 @@ def test_public_call(name, tmp_path):
     result = CALLS[name](tmp_path)
     if isinstance(obj, type):
         assert isinstance(result, obj)
+
+
+# a wrong object where a library type is wanted: each ended in a bare
+# AttributeError or TypeError
+WRONG_OBJECTS = {
+    "gen_cut_project-cfg": lambda: gen_cut_project(None),
+    "window-x": lambda: window(None, 5.0),
+    "splice-inner": lambda: splice(None, LINE, 1.0),
+    "sparse_union-extra": lambda: sparse_union(LINE, None),
+    "remove_near-x": lambda: remove_near(None, [[0.0]], 0.1),
+    "autocorrelation-x": lambda: autocorrelation(None, 1.0),
+    "dirac_comb-x": lambda: dirac_comb(None),
+    "perturb-model": lambda: perturb(LINE, None, 0),
+    "ratio_sup-grid": lambda: ratio_sup(LINE, LINE, 0.25, 1.0, [1.0, 2.0]),
+    "amplitude_spectrum-grid": lambda: amplitude_spectrum(LINE, 5.0, None),
+    "analyze_peaks-spec": lambda: analyze_peaks(None, 1.0),
+    "run_scenario-cfg": lambda: run_scenario(None),
+    "portmanteau_check-seq": lambda: portmanteau_check(None, COMB),
+    "portmanteau_check-entry": lambda: portmanteau_check([1, 2], COMB),
+    "read_points-path": lambda: read_points(None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_OBJECTS))
+def test_a_wrong_object_is_refused_naming_the_type_wanted(case):
+    with pytest.raises(InvalidArgumentError, match=" must be "):
+        WRONG_OBJECTS[case]()
