@@ -261,7 +261,9 @@ def _sorted_gap(pts: np.ndarray) -> float:
     # the closest lexicographic neighbours give an attained upper bound u, and
     # every pair at distance <= u passes the strict test at nextafter(u)
     u = np.sqrt(sq_norms(np.diff(pts, axis=0))).min()
-    i, j = _close_pairs(pts, pts, np.nextafter(u, np.inf))
+    _, pairs = _pair_runs(pts, pts, np.nextafter(u, np.inf),
+                          "the minimum-gap check of a point set or measure")
+    i, j = pairs(0, n)
     keep = i < j
     return float(np.sqrt(sq_norms(pts[j[keep]] - pts[i[keep]])).min())
 
@@ -297,7 +299,8 @@ _NODE_BUDGET = 2**22
 # index and a weight), so ~540 MB at the budget
 _SPREAD_BUDGET = 2**23
 # phase-table entries of one sum at a free list of frequencies, frequencies
-# times points; complex128, so 256 MB at the budget
+# times points: a bound on its work, as the sum takes one frequency at a
+# time; its memory is one row of phases, 24 bytes a point
 _TABLE_BUDGET = 2**24
 
 
@@ -353,10 +356,13 @@ def _cell_ranges(a: np.ndarray, b: np.ndarray, r: float):
     return qa, qb, lo.ravel(), n.ravel()
 
 
-def _pair_runs(a: np.ndarray, b: np.ndarray, r: float):
+def _pair_runs(a: np.ndarray, b: np.ndarray, r: float,
+               why: str = "max_range, --max-range, bounds them"):
     """The candidates of ``_close_pairs(a, b, r)``, counted before any is built.
 
-    More than ``_CANDIDATE_BUDGET`` candidates over all of ``a`` are refused.
+    More than ``_CANDIDATE_BUDGET`` candidates over all of ``a`` are
+    refused, with ``why`` in parentheses: what bounds them, or the check
+    that asked for them.
     Returns the candidate count of every query, in input order, and a
     function ``pairs(start, stop)`` that builds the pairs of queries
     start..stop-1 as ``_close_pairs`` does, with i indexing ``a``: a caller
@@ -382,7 +388,7 @@ def _pair_runs(a: np.ndarray, b: np.ndarray, r: float):
         place[qa] = np.arange(len(a))
         counts = n.reshape(-1, len(a)).sum(axis=0)[place]
     _require_budget(int(n.sum()), _CANDIDATE_BUDGET, f"candidate pairs at radius {float(r)!r} "
-                    f"over {len(a)} x {len(b)} points (max_range, --max-range, bounds them)")
+                    f"over {len(a)} x {len(b)} points ({why})")
 
     def pairs(start: int, stop: int):
         if qa is None:

@@ -44,7 +44,8 @@ _MARGIN_SAMPLES = 200_000
 _MARGIN_PERCENTILE = 99.9
 _MOMENT_EPS = 0.5  # finite_moment asks for E |xi|^(dim + _MOMENT_EPS) < infinity
 _GUARD = 1e-3  # smallest |psi| that recovery divides by
-# samples per block of char_fn_mc: its memory, about 10 MB, whatever the count
+# samples per block of char_fn_mc and displacement_margin: char_fn_mc's
+# memory, about 10 MB, whatever the count
 _MC_BLOCK = 2**16
 
 __all__ = [
@@ -258,6 +259,7 @@ def perturb(x: PointSet, model: NoiseModel, seed: int) -> PointSet:
 
 def char_fn_grid(model: NoiseModel, freqs: np.ndarray) -> np.ndarray:
     """Closed-form psi at every frequency row; heavy-tail models have none."""
+    _require_type(model, NoiseModel, "model")
     freqs = _require_vector(freqs, "frequencies", model.dim, rows=True)
     if model.kind == "gaussian":
         sig = np.asarray(model.sigmas)
@@ -289,6 +291,7 @@ def char_fn_mc(model: NoiseModel, lam, mc_samples: int, seed: int = 0) -> tuple[
     memory stays at one block whatever ``mc_samples`` is, and nothing
     cancels the way sum |v|^2 - n |mean|^2 would with a mean near 1.
     """
+    _require_type(model, NoiseModel, "model")
     mc_samples = _require_integer(mc_samples, "mc_samples", 2)
     lam = _require_vector(lam, "frequency", model.dim)
     _require_budget(mc_samples * model.dim, _SAMPLE_BUDGET,
@@ -315,6 +318,7 @@ def char_fn(model: NoiseModel, lam) -> complex:
 
     The heavy-tailed radial model has none: estimate it with :func:`char_fn_mc`.
     """
+    _require_type(model, NoiseModel, "model")
     return complex(char_fn_grid(model, [_require_vector(lam, "frequency", model.dim)])[0])
 
 
@@ -331,7 +335,8 @@ def recover(spec: Spectrum, model: NoiseModel, guard: float = _GUARD) -> Spectru
     every downstream comparison.
     """
     guard = _require_positive_finite(guard, "guard")
-    if model.dim != spec.grid.dim:
+    _require_type(spec, Spectrum, "spec")
+    if _require_type(model, NoiseModel, "model").dim != spec.grid.dim:
         raise InvalidArgumentError("noise model and spectrum dimensions differ")
     psi = char_fn_grid(model, spec.grid.nodes())
     good = spec.valid & (np.abs(psi) >= guard)
@@ -343,15 +348,27 @@ def recover(spec: Spectrum, model: NoiseModel, guard: float = _GUARD) -> Spectru
 # boundary behavior and end-to-end trials
 
 
-@functools.lru_cache(maxsize=None)
 def displacement_margin(model: NoiseModel) -> float:
     """High quantile (99.9%) of the displacement length, by fixed-seed MC.
 
-    The draw is keyed by the model alone, so the result is memoised per
-    (frozen, hashable) model: each distinct law pays for its samples once.
+    The 200,000 samples are drawn ``_MC_BLOCK`` counters at a time, and only
+    their lengths are kept: each sample is keyed by its counter, so the
+    blocks give the lengths of one draw bit for bit.  The stream is keyed by
+    the model alone, so the result is memoised per (frozen, hashable) model:
+    each distinct law pays for its samples once.
     """
-    xi = _displacements(model, 0, f"margin:{model.kind}:{model.dim}", range(_MARGIN_SAMPLES))
-    return float(np.percentile(np.sqrt(sq_norms(xi)), _MARGIN_PERCENTILE))
+    return _margin(_require_type(model, NoiseModel, "model"))
+
+
+@functools.lru_cache(maxsize=None)
+def _margin(model: NoiseModel) -> float:
+    """:func:`displacement_margin` of a checked model, memoised."""
+    label = f"margin:{model.kind}:{model.dim}"
+    lengths = np.empty(_MARGIN_SAMPLES)
+    for start in range(0, _MARGIN_SAMPLES, _MC_BLOCK):
+        stop = min(start + _MC_BLOCK, _MARGIN_SAMPLES)
+        lengths[start:stop] = np.sqrt(sq_norms(_displacements(model, 0, label, range(start, stop))))
+    return float(np.percentile(lengths, _MARGIN_PERCENTILE))
 
 
 @dataclass(frozen=True)
@@ -378,7 +395,7 @@ def boundary_crossings(x: PointSet, model: NoiseModel, seed: int, l_list) -> Bou
     high-quantile displacement margin, so no crossing is missed for lack of
     data.
     """
-    if model.dim != x.dim:
+    if _require_type(model, NoiseModel, "model").dim != _require_type(x, PointSet, "x").dim:
         raise InvalidArgumentError("noise model and set dimensions differ")
     radii = _require_radii(l_list, "l_list")
     margin = displacement_margin(model)
@@ -427,7 +444,7 @@ def recovery_trial(
     :func:`recover`'s default guard 1e-3 are reported invalid (nothing is
     divided); if every frequency is invalid the trial is degenerate and raises.
     """
-    if model.dim != x.dim:
+    if _require_type(model, NoiseModel, "model").dim != _require_type(x, PointSet, "x").dim:
         raise InvalidArgumentError("noise model and set dimensions differ")
     seeds = [_require_integer(s, "seed")
              for s in _require_items(seeds, "seeds", "a sequence of seeds")]

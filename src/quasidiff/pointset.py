@@ -346,6 +346,14 @@ def gen_cut_project(cfg: CutProjectConfig, label: str | None = None) -> PointSet
     and refused over the budget, before any is built.
     """
     _require_type(cfg, CutProjectConfig, "cfg")
+    # the candidates are freed with the enumeration's frame, before the gap check
+    return _with_measured_gap(len(cfg.physical), cfg.extent, _accepted_points(cfg),
+                              label or "cut-project", 0.0)
+
+
+def _accepted_points(cfg: CutProjectConfig) -> np.ndarray:
+    """The physical images of the lattice points :func:`gen_cut_project`
+    accepts, in lexicographic order."""
     n, d, s = cfg.total_dim, len(cfg.physical), cfg.stacked()
     offset = np.asarray(cfg.offset, dtype=np.float64)
     y_lo, y_hi = np.array([(-cfg.extent, cfg.extent)] * d + list(cfg.window), dtype=np.float64).T
@@ -395,7 +403,7 @@ def gen_cut_project(cfg: CutProjectConfig, label: str | None = None) -> PointSet
         internal = partial @ s[d:].T
         for i, (lo, hi) in enumerate(cfg.window):
             keep &= (internal[:, i] >= lo) & (internal[:, i] < hi)
-    return _with_measured_gap(d, cfg.extent, lex_sort(phys[keep]), label or "cut-project", 0.0)
+    return lex_sort(phys[keep])
 
 
 def fibonacci_cut_project_config(extent: float) -> CutProjectConfig:

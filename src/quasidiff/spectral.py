@@ -46,9 +46,11 @@ about 1e-14 n.  The node nearest 0 is summed directly, so lambda = 0, when
 it is a node, gives the count exactly.  The spreading sums with
 ``np.bincount``, in input order, and pocketfft is not a BLAS, so amplitudes
 are bit-identical run to run and for any BLAS thread count.  Sums at a free
-list of frequencies (the noise-recovery trials) take the phases
-``freqs @ points.T`` and sum each row over the points, under the table
-budget.
+list of frequencies (the noise-recovery trials) are direct, one frequency
+at a time: its phases <p, lambda> are the fixed-order column sum
+p_0 lambda_0 + p_1 lambda_1 + ..., with no BLAS product, and they are
+summed over the points, so memory holds one row of phases and the table
+budget bounds the work.
 """
 
 from __future__ import annotations
@@ -347,12 +349,18 @@ def _grid_sums(points: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
 
 
 def _free_sums(points: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """sum_p e^(-2 pi i <p, lambda>) at each row of ``lams``, under the table budget."""
+    """sum_p e^(-2 pi i <p, lambda>) at each row of ``lams``, one row at a
+    time: the table budget bounds the work, and memory holds one row."""
     _require_budget(len(lams) * len(points), _TABLE_BUDGET, "free-frequency phase-table entries")
-    # _turns refuses a product that overflows, and inf - inf where two do
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = lams @ points.T
-    return _phases(t).sum(axis=1)
+    sums = np.empty(len(lams), dtype=np.complex128)
+    for k, lam in enumerate(lams):
+        # _turns refuses a product that overflows, and inf + -inf where two do
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = points[:, 0] * lam[0]
+            for i in range(1, len(lam)):
+                t += points[:, i] * lam[i]
+        sums[k] = _phases(t).sum()
+    return sums
 
 
 def amplitude_spectrum(x: PointSet, radius: float, grid: FrequencyGrid) -> Spectrum:

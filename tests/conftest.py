@@ -1,5 +1,6 @@
 import os
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,19 @@ def remove_points(x: PointSet, coords) -> PointSet:
     """Drop the points whose first coordinate matches ``coords`` exactly."""
     mask = ~np.isin(x.points[:, 0], np.asarray(coords, dtype=np.float64))
     return PointSet(x.dim, x.sep_radius, x.extent, x.points[mask], x.label)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes held at once while ``call()`` runs, by tracemalloc, which
+    counts numpy's buffers.  A child process's ru_maxrss would not do: on
+    Linux a child starts with its parent's high-water mark, so after other
+    tests have run it cannot see a smaller regression."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -134,6 +134,16 @@ def test_mismatched_dimensions_are_refused_whatever_the_sizes(a, b):
                 call(q, t)
 
 
+def test_a_gap_check_over_the_pair_budget_is_refused_naming_the_check(monkeypatch):
+    # gen_lattice(2, 1.0, 1100.0), 3.8M points, passes the point budget, and
+    # its gap check's refusal named max_range and --max-range, which gen lacks
+    monkeypatch.setattr(quasidiff.geometry, "_CANDIDATE_BUDGET", 1000)
+    refusal = (r"^[0-9]+ candidate pairs at radius \S+ over 2821 x 2821 points "
+               r"\(the minimum-gap check of a point set or measure\), over the budget of 1000$")
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        gen_lattice(2, 1.0, 30.0)
+
+
 def test_nearest_of_far_apart_sets_in_chunks_under_the_budget(monkeypatch):
     # the radius reaches the far set for every query at once, so one
     # enumeration would test all 400 x 400 candidates, one over the budget;

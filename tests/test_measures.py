@@ -1,14 +1,6 @@
 """Atomic measures, pairings, autocorrelation, and vague-convergence proxies."""
 
-import os
-import subprocess
-import sys
 from collections import Counter
-
-try:
-    import resource
-except ImportError:  # not POSIX
-    resource = None
 
 import numpy as np
 import pytest
@@ -16,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import quasidiff
 from quasidiff import geometry, measures
 from quasidiff.errors import InvalidArgumentError
 from quasidiff.geometry import nearest, sq_norms
@@ -40,6 +31,8 @@ from quasidiff.pointset import (
     gen_lattice,
     window,
 )
+
+from conftest import traced_peak
 
 
 def delta(coord: float) -> AtomicMeasure:
@@ -352,28 +345,12 @@ class TestRowBlocks:
             with pytest.raises(InvalidArgumentError, match="over the budget of 121$"):
                 autocorrelation(x, 6.0, max_range=max_range)
 
-    @pytest.mark.skipif(resource is None, reason="needs the POSIX resource module")
     def test_memory_holds_a_block_and_the_atoms(self):
         # 2.1M ordered pairs, 5,765 atoms: building every pair at once grew
         # the peak resident set by about 60 MB
-        script = (
-            "import resource, sys\n"
-            "from quasidiff import autocorrelation, gen_fibonacci\n"
-            "x = gen_fibonacci(1100.0)\n"
-            "autocorrelation(x, 10.0)\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "autocorrelation(x, 1000.0)\n"
-            "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
-            # ru_maxrss counts bytes on macOS and KiB elsewhere
-            "print(grown if sys.platform == 'darwin' else grown * 1024)\n"
-        )
-        src = os.path.dirname(os.path.dirname(quasidiff.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        run = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        assert int(run.stdout) < 20 * 2**20
+        x = gen_fibonacci(1100.0)
+        autocorrelation(x, 10.0)
+        assert traced_peak(lambda: autocorrelation(x, 1000.0)) < 20 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +32,8 @@ from quasidiff.pointset import (
     splice,
     window,
 )
+
+from conftest import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +296,11 @@ def test_cut_project_budget_bounds_every_axis(monkeypatch, budget, config, exten
 
 def test_cut_project_memory_follows_the_points():
     # Ammann-Beenker at extent 120 peaked at 194 MB of arrays (and grew the
-    # resident set by 195 MB) under the box enumeration.  tracemalloc counts
-    # numpy's buffers; a child process's ru_maxrss would not do, because a
-    # child starts with its parent's high-water mark
+    # resident set by 195 MB) under the box enumeration, and at 43 MB with
+    # the ellipsoid's candidates alive through the gap check; freed before
+    # it, at 28 MB
     gen_cut_project(ammann_beenker_config(10.0))
-    tracemalloc.start()
-    try:
-        gen_cut_project(ammann_beenker_config(120.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 80 * 2**20
+    assert traced_peak(lambda: gen_cut_project(ammann_beenker_config(120.0))) < 36 * 2**20
 
 
 # ---------------------------------------------------------------------------

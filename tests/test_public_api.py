@@ -231,6 +231,18 @@ WRONG_OBJECTS = {
     "portmanteau_check-seq": lambda: portmanteau_check(None, COMB),
     "portmanteau_check-entry": lambda: portmanteau_check([1, 2], COMB),
     "read_points-path": lambda: read_points(None),
+    "recovery_trial-x": lambda: recovery_trial(None, NOISE, [0], [[0.5]], 5.0),
+    "recovery_trial-model": lambda: recovery_trial(LINE, None, [0], [[0.5]], 5.0),
+    "boundary_crossings-x": lambda: boundary_crossings(None, NOISE, 0, [5.0]),
+    "boundary_crossings-model": lambda: boundary_crossings(LINE, None, 0, [5.0]),
+    "displacement_margin-model": lambda: displacement_margin(None),
+    # the memo's hash of a list failed before the function ran: unhashable type
+    "displacement_margin-list": lambda: displacement_margin([]),
+    "char_fn-model": lambda: char_fn(None, (0.5,)),
+    "char_fn_grid-model": lambda: char_fn_grid(None, [[0.5]]),
+    "char_fn_mc-model": lambda: char_fn_mc(None, (0.5,), 100),
+    "recover-spec": lambda: recover(None, NOISE),
+    "recover-model": lambda: recover(SPECTRUM, None),
 }
 
 

@@ -40,6 +40,8 @@ from quasidiff.spectral import (
     singularity_diagnostic,
 )
 
+from conftest import traced_peak
+
 
 def node_index(grid: FrequencyGrid, freq: float) -> int:
     idx = np.flatnonzero(np.abs(grid.axis_values(0) - freq) < 1e-9)
@@ -227,6 +229,29 @@ class TestFreeSums:
         fib = gen_fibonacci(40.0)
         sums = spectral._free_sums(fib.points, rng.uniform(-3, 3, size=(25, 1)))
         assert (np.abs(sums) <= len(fib.points) + 1e-9).all()
+
+    def test_rows_match_one_phase_table(self):
+        # a row's phases are one product a point in 1-d, as in the table
+        # lams @ points.T, and a contiguous row sums pairwise as .sum(axis=1)
+        # does; in 2-d they are the fixed-order column sum, with no BLAS
+        rng = np.random.default_rng(7)
+        line = gen_lattice(1, 1.0, 5000.0).points
+        lams = rng.uniform(-3, 3, size=(8, 1))
+        table = spectral._phases(lams @ line.T).sum(axis=1)
+        assert spectral._free_sums(line, lams).tobytes() == table.tobytes()
+        plane = gen_cut_project(ammann_beenker_config(30.0)).points
+        lams = rng.uniform(-3, 3, size=(8, 2))
+        rows = [spectral._phases(plane[:, 0] * lam[0] + plane[:, 1] * lam[1]).sum()
+                for lam in lams]
+        assert spectral._free_sums(plane, lams).tobytes() == np.array(rows).tobytes()
+
+    def test_memory_holds_one_row(self):
+        # 8 x 100,001 phases: the whole table peaked at 19.2 MB, a row at a
+        # time at 3.2 MB
+        line = gen_lattice(1, 1.0, 50000.0).points
+        lams = np.linspace(-3.3, 2.9, 8).reshape(-1, 1)
+        spectral._free_sums(line[:10], lams)
+        assert traced_peak(lambda: spectral._free_sums(line, lams)) < 6 * 2**20
 
 
 # ---------------------------------------------------------------------------
