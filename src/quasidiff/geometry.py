@@ -288,7 +288,7 @@ _RADIUS_BUDGET = 2**22
 _ENUM_BUDGET = 20_000_000
 # displacement coordinates (samples times axes) of one Monte Carlo estimate:
 # a bound on its work, 2^22 planar samples taking about 1 s (x86-64); its
-# memory is one block of samples, about 10 MB, whatever the count
+# memory is one block of samples, about 3.5 MB, whatever the count
 _SAMPLE_BUDGET = 2**23
 # nodes of one FrequencyGrid; a spectrum's amplitude, power and valid mask
 # take 25 bytes a node, ~105 MB at the budget

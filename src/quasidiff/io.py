@@ -46,9 +46,14 @@ __all__ = [
 ]
 
 
+def _require_path(path):
+    """``path`` itself if it is a str or path-like object, else refused."""
+    return _require_type(path, (str, os.PathLike), "path")
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write the whole file or nothing: temp file in place, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.path.dirname(os.path.abspath(_require_path(path)))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
@@ -106,12 +111,13 @@ def _first(mask: np.ndarray) -> int | None:
 
 
 def write_points(path: str, x: PointSet) -> None:
+    _require_type(x, PointSet, "x")
     header = f"# d={x.dim} r0={x.sep_radius!r} extent={x.extent!r} label={x.label}"
     atomic_write_text(path, _format_rows(header, x.points))
 
 
 def read_points(path: str) -> PointSet:
-    with open(_require_type(path, (str, os.PathLike), "path"), "r", encoding="utf-8") as handle:
+    with open(_require_path(path), "r", encoding="utf-8") as handle:
         raw = handle.read().splitlines()
     if not raw:
         raise FormatError(f"{path}: empty file")
@@ -148,7 +154,7 @@ def read_points(path: str) -> PointSet:
 
 
 def _sidecar_path(path: str) -> str:
-    return path + ".json"
+    return os.fspath(path) + ".json"
 
 
 def _spectrum_header(d: int) -> str:
@@ -156,7 +162,7 @@ def _spectrum_header(d: int) -> str:
 
 
 def write_spectrum(path: str, spec: Spectrum) -> None:
-    nodes = spec.grid.nodes()
+    nodes = _require_type(spec, Spectrum, "spec").grid.nodes()
     # an invalid node's power is nan already; its amplitude is blanked here
     parts = np.where(spec.valid, [spec.amplitude.real, spec.amplitude.imag], np.nan)
     radius = np.full(len(nodes), float(spec.window_radius))
@@ -172,7 +178,7 @@ def write_spectrum(path: str, spec: Spectrum) -> None:
 
 
 def read_spectrum(path: str) -> Spectrum:
-    side = _sidecar_path(path)
+    side = _sidecar_path(_require_path(path))
     if not os.path.exists(side):
         raise FormatError(f"{path}: missing grid sidecar {side}")
     with open(side, "r", encoding="utf-8") as handle:

@@ -355,7 +355,7 @@ def autocorrelation(
 
 def pair(mu: AtomicMeasure, f: TestFunction) -> complex:
     """Integral of the tent against the measure: sum of weight * f(atom)."""
-    if f.dim != mu.dim:
+    if _require_type(f, TestFunction, "f").dim != _require_type(mu, AtomicMeasure, "mu").dim:
         raise InvalidArgumentError("test function and measure dimensions differ")
     if len(mu) == 0:
         return 0j
@@ -364,7 +364,7 @@ def pair(mu: AtomicMeasure, f: TestFunction) -> complex:
 
 def tv_on_ball(mu: AtomicMeasure, center, radius: float) -> float:
     """Total variation of the measure on the closed ball: sum of |weight|."""
-    c = _require_vector(center, "ball center", mu.dim)
+    c = _require_vector(center, "ball center", _require_type(mu, AtomicMeasure, "mu").dim)
     r = _require_positive_finite(radius, "ball radius")
     mask = sq_norms(mu.locations - c) <= r * r
     return float(np.abs(mu.weights[mask]).sum())
@@ -372,8 +372,9 @@ def tv_on_ball(mu: AtomicMeasure, center, radius: float) -> float:
 
 def vague_gap(mu: AtomicMeasure, nu: AtomicMeasure, family: TestFamily) -> float:
     """Largest pairing discrepancy over the declared family."""
-    if mu.dim != nu.dim:
+    if _require_type(mu, AtomicMeasure, "mu").dim != _require_type(nu, AtomicMeasure, "nu").dim:
         raise InvalidArgumentError("measures must share a dimension")
+    _require_type(family, TestFamily, "family")
     return max(abs(pair(mu, f) - pair(nu, f)) for f in family.functions)
 
 

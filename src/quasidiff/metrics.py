@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .pointset import PointSet
-from .geometry import _close_pairs, as_points, nearest, require_extent, sq_norms, window_mask
+from .geometry import _pair_runs, as_points, nearest, require_extent, sq_norms, window_mask
 from .geometry import _RADIUS_BUDGET, _require_budget, _require_integer, _require_positive_finite
 from .geometry import _require_finite, _require_radii, _require_type
 
@@ -131,8 +131,9 @@ def _pair_table(x: PointSet, y: PointSet, eps: float, grid: LGrid) -> _PairTable
     nx, ny = sq_norms(x.points), sq_norms(y.points)
     inside = np.searchsorted(np.sort(nx), r2, side="right")
     inside = inside + np.searchsorted(np.sort(ny), r2, side="right")
-    i, j = _close_pairs(x.points, y.points, eps)
-    # the distance _close_pairs compared with eps, so d < eps picks its pairs
+    i, j = _pair_runs(x.points, y.points, eps,
+                      "the mismatch ratio's close-pair table")[1](0, len(x.points))
+    # the distance _pair_runs compared with eps, so d < eps picks its pairs
     d = np.sqrt(sq_norms(np.take(y.points, j, axis=0) - np.take(x.points, i, axis=0)))
     order = np.argsort(d, kind="stable")
     return _PairTable(radii, r2, nx, ny, inside, i[order], j[order], d[order])

@@ -38,14 +38,16 @@ from .geometry import _require_finite, _require_integer, _require_positive_finit
 from .geometry import _SAMPLE_BUDGET, _require_budget, _require_items, _require_type, _require_vector
 from .geometry import lex_sort, require_extent, sq_norms, window_mask
 from .pointset import PointSet, _with_measured_gap
-from .spectral import Spectrum, _free_sums, _phases
+from .spectral import _BLOCK, Spectrum, _free_sums, _phases
 
 _MARGIN_SAMPLES = 200_000
 _MARGIN_PERCENTILE = 99.9
 _MOMENT_EPS = 0.5  # finite_moment asks for E |xi|^(dim + _MOMENT_EPS) < infinity
 _GUARD = 1e-3  # smallest |psi| that recovery divides by
-# samples per block of char_fn_mc and displacement_margin: char_fn_mc's
-# memory, about 10 MB, whatever the count
+# samples per block of char_fn_mc and displacement_margin, and the fold
+# block of char_fn_mc's estimate (its bits depend on it): each block is
+# drawn spectral._BLOCK counters at a time and folded in place, so
+# char_fn_mc holds about 3.5 MB of planar samples whatever the count
 _MC_BLOCK = 2**16
 
 __all__ = [
@@ -184,21 +186,26 @@ def _displacements(model: NoiseModel, seed: int, label: str, counters: range) ->
     matching rows of a longer draw bit for bit.
 
     Every keyed noise draw (perturbation, boundary counts, recovery trials,
-    Monte Carlo psi, the displacement margin) comes from here.  A draw past
-    the float range (a heavy tail's radius, or a huge scale times a normal)
-    is refused, naming the law.
+    Monte Carlo psi, the displacement margin) comes from here.  The output
+    is allocated once and filled ``_BLOCK`` counters at a time, so the
+    draw's temporaries are one block's whatever the count.  A draw past the
+    float range (a heavy tail's radius, or a huge scale times a normal) is
+    refused, naming the law.
     """
     key = rng.stream_key(seed, label)
-    indices = np.arange(counters.start, counters.stop, dtype=np.uint64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        xi = _draw(model, key, indices)
-    if not np.isfinite(xi).all():
-        law = ", ".join(f"{name}={reprlib.repr(getattr(model, name))}"
-                        for name in _PARAMETERS[model.kind])
-        raise InvalidArgumentError(
-            f"{model.kind} noise ({law}) in dimension {model.dim} draws a displacement "
-            "past the float range"
-        )
+    xi = np.empty((len(counters), model.dim))
+    for s in range(0, len(counters), _BLOCK):
+        block = counters[s:s + _BLOCK]
+        indices = np.arange(block.start, block.stop, dtype=np.uint64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            xi[s:s + _BLOCK] = _draw(model, key, indices)
+        if not np.isfinite(xi[s:s + _BLOCK]).all():
+            law = ", ".join(f"{name}={reprlib.repr(getattr(model, name))}"
+                            for name in _PARAMETERS[model.kind])
+            raise InvalidArgumentError(
+                f"{model.kind} noise ({law}) in dimension {model.dim} draws a displacement "
+                "past the float range"
+            )
     return xi
 
 
@@ -289,7 +296,9 @@ def char_fn_mc(model: NoiseModel, lam, mc_samples: int, seed: int = 0) -> tuple[
     time, and each block's mean and sum of squared deviations joins the
     running pair by the pairwise update of Chan, Golub & LeVeque (1979):
     memory stays at one block whatever ``mc_samples`` is, and nothing
-    cancels the way sum |v|^2 - n |mean|^2 would with a mean near 1.
+    cancels the way sum |v|^2 - n |mean|^2 would with a mean near 1.  A
+    block's draws are dropped once phased, and its deviations and their
+    squares overwrite its phases in place.
     """
     _require_type(model, NoiseModel, "model")
     mc_samples = _require_integer(mc_samples, "mc_samples", 2)
@@ -303,13 +312,18 @@ def char_fn_mc(model: NoiseModel, lam, mc_samples: int, seed: int = 0) -> tuple[
         # _phases refuses a product that overflows, and inf - inf where two do
         with np.errstate(over="ignore", invalid="ignore"):
             t = xi @ lam
+        del xi
         vals = _phases(t)
+        del t
         k, block_mean = len(vals), complex(vals.mean())
-        dev = (vals - block_mean).view(np.float64)
+        # the deviations overwrite the phases, and their squares the deviations
+        vals -= block_mean
+        dev = vals.view(np.float64)
+        dev *= dev
         delta = block_mean - mean
         n += k
         mean += delta * (k / n)
-        m2 += float((dev * dev).sum()) + abs(delta) ** 2 * (n - k) * (k / n)
+        m2 += float(dev.sum()) + abs(delta) ** 2 * (n - k) * (k / n)
     return mean, math.sqrt(m2 / (n - 1) / n)
 
 

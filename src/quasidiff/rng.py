@@ -9,10 +9,12 @@ is the point's canonical (lexicographic) index and ``slot`` distinguishes
 the several uniforms one point may consume (Box-Muller pairs, mixture
 component picks, radial draws...).
 
-The mixer is the standard splitmix64 finalizer applied to a combination of
-key, counter and slot.  It is vectorised over uint64 numpy arrays, exact on
-every platform, and plenty for Monte-Carlo noise (it is not, and does not
-need to be, cryptographic).
+The mixer is the standard splitmix64 finalizer (Steele, Lea & Flood,
+OOPSLA 2014) applied to a combination of key, counter and slot.  It is
+vectorised over uint64 numpy arrays, mixes each draw's array in place (uint64
+arithmetic wraps exactly, so no step needs a copy), is exact on every
+platform, and is plenty for Monte-Carlo noise (it is not, and does not need
+to be, cryptographic).
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ def stream_key(seed: int, label: str) -> int:
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    x = (x + _GOLDEN).astype(np.uint64)
+    """Finalise ``x`` in place and return it."""
+    x += _GOLDEN
     x ^= x >> np.uint64(30)
     x *= _MIX1
     x ^= x >> np.uint64(27)
@@ -48,16 +51,18 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 
 def _raw(key: int, counters: np.ndarray, slot: int) -> np.ndarray:
-    c = np.asarray(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        h = _splitmix64(c ^ (np.uint64(slot) * _SLOT_SALT))
-        h = _splitmix64(h ^ np.uint64(key))
-    return h
+        h = np.asarray(counters, dtype=np.uint64) ^ (np.uint64(slot) * _SLOT_SALT)
+        h = _splitmix64(h)
+        h ^= np.uint64(key)
+        return _splitmix64(h)
 
 
 def uniforms(key: int, counters: np.ndarray, slot: int) -> np.ndarray:
     """Deterministic float64 uniforms in [0, 1) for the given counters/slot."""
-    return (_raw(key, counters, slot) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    h = _raw(key, counters, slot)
+    h >>= np.uint64(11)
+    return np.multiply(h, 2.0 ** -53)
 
 
 def normals(key: int, counters: np.ndarray, slot: int) -> np.ndarray:

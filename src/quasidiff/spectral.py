@@ -570,7 +570,8 @@ def singularity_diagnostic(x: PointSet, l_list, grid: FrequencyGrid) -> Singular
 
     All raw numbers and thresholds ride along in the report.
     """
-    if grid.dim != 1:
+    _require_type(x, PointSet, "x")
+    if _require_type(grid, FrequencyGrid, "grid").dim != 1:
         raise InvalidArgumentError("the singularity diagnostic needs a 1-d frequency grid")
     radii = _require_radii(l_list, "l_list")
     if len(radii) < 3:

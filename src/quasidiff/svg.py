@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
+from .geometry import _require_type
 from .io import atomic_write_text
 
 __all__ = ["Table", "plot_emit"]
@@ -106,6 +107,7 @@ def plot_emit(
     config_hash: str = "",
 ) -> None:
     """Write one standalone SVG; byte-identical for identical arguments."""
+    _require_type(table, Table, "table")
     if kind not in ("line", "scatter"):
         raise InvalidArgumentError(f"unknown plot kind {kind!r}")
     if len(table.columns) < 2:

@@ -173,6 +173,12 @@ class TestSpectrumIO:
         assert np.array_equal(back.power, spectrum.power)
         assert bool(back.valid.all())
 
+    def test_a_path_object_round_trips(self, tmp_path, spectrum):
+        # the sidecar's name was the path plus ".json", a TypeError for a Path
+        path = tmp_path / "spec.csv"
+        write_spectrum(path, spectrum)
+        assert np.array_equal(read_spectrum(path).amplitude, spectrum.amplitude)
+
     def test_invalid_nodes_survive_round_trip(self, tmp_path):
         # uniform noise of half-width 0.25 has a transform zero at frequency
         # 2, so recovery marks that node invalid; the file must keep the mask

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import quasidiff.geometry
 from quasidiff import metrics
 from quasidiff.errors import (
     InsufficientExtentError,
@@ -297,7 +298,7 @@ def call_log(monkeypatch, name: str) -> list:
 @pytest.fixture
 def enumerations(monkeypatch):
     """The number of pair enumerations the metrics have made so far."""
-    return call_log(monkeypatch, "_close_pairs")
+    return call_log(monkeypatch, "_pair_runs")
 
 
 @pytest.fixture
@@ -313,6 +314,15 @@ def pair_distances(x: PointSet, y: PointSet) -> np.ndarray:
 
 
 class TestPairTable:
+    def test_a_table_over_the_pair_budget_is_refused_naming_the_table(self, monkeypatch):
+        # the refusal named max_range and --max-range, which dist lacks
+        monkeypatch.setattr(quasidiff.geometry, "_CANDIDATE_BUDGET", 10)
+        x = gen_lattice(1, 1.0, 20.0)
+        refusal = (r"^21 candidate pairs at radius 0.5 over 41 x 21 points "
+                   r"\(the mismatch ratio's close-pair table\), over the budget of 10$")
+        with pytest.raises(InvalidArgumentError, match=refusal):
+            rho_stat(x, window(x, 10.0), LGrid.integers(5))
+
     @pytest.mark.parametrize("dim, extent", [(1, 60.0), (2, 9.0)])
     def test_every_call_enumerates_once_and_keeps_no_history(self, dim, extent, enumerations):
         x, y = moved_lattice(dim, extent, 1), moved_lattice(dim, extent, 2)

@@ -300,10 +300,90 @@ class TestCounterBlocks:
 
     def test_memory_does_not_grow_with_the_sample_count(self):
         # 2^22 planar samples, the whole sample budget: one draw of them grew
-        # the peak resident set by about 350 MB
+        # the peak resident set by about 350 MB; blocks whose draws and fold
+        # made whole-block temporaries traced 8.57 MB, in place 3.38 MB
         model = NoiseModel.pareto_radial(2, 3.0, 0.1)
         char_fn_mc(model, [0.7, 0.3], 2)
-        assert traced_peak(lambda: char_fn_mc(model, [0.7, 0.3], 2**22)) < 32 * 2**20
+        assert traced_peak(lambda: char_fn_mc(model, [0.7, 0.3], 2**22)) < 6 * 2**20
+
+
+DRAW_BLOCK = NOISE_MODULE._BLOCK
+RNG_MODULE = importlib.import_module("quasidiff.rng")
+
+
+def out_of_place_uniforms(key, counters, slot):
+    """The keyed uniforms by the copying formulas the in-place mixer replaced."""
+    def splitmix64(x):
+        x = (x + RNG_MODULE._GOLDEN).astype(np.uint64)
+        x ^= x >> np.uint64(30)
+        x *= RNG_MODULE._MIX1
+        x ^= x >> np.uint64(27)
+        x *= RNG_MODULE._MIX2
+        x ^= x >> np.uint64(31)
+        return x
+
+    c = np.asarray(counters, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        h = splitmix64(c ^ (np.uint64(slot) * RNG_MODULE._SLOT_SALT))
+        h = splitmix64(h ^ np.uint64(key))
+    return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def copying_fold(model, lam, mc_samples, seed):
+    """char_fn_mc's fold with a fresh array for the deviations and their squares."""
+    label = f"charfn:{model.kind}:{model.dim}"
+    n, mean, m2 = 0, 0j, 0.0
+    for start in range(0, mc_samples, BLOCK):
+        xi = NOISE_MODULE._displacements(model, seed, label,
+                                         range(start, min(start + BLOCK, mc_samples)))
+        vals = NOISE_MODULE._phases(xi @ np.asarray(lam, dtype=np.float64))
+        k, block_mean = len(vals), complex(vals.mean())
+        dev = (vals - block_mean).view(np.float64)
+        delta = block_mean - mean
+        n += k
+        mean += delta * (k / n)
+        m2 += float((dev * dev).sum()) + abs(delta) ** 2 * (n - k) * (k / n)
+    return mean, math.sqrt(m2 / (n - 1) / n)
+
+
+class TestDrawsInPlace:
+    @pytest.mark.parametrize("name", sorted(STREAM_LAWS))
+    def test_blocks_give_the_bytes_of_one_draw(self, name):
+        model, _ = STREAM_LAWS[name]
+        n = 3 * DRAW_BLOCK + 5
+        key = RNG_MODULE.stream_key(5, "blocks")
+        with np.errstate(over="ignore", invalid="ignore"):
+            one_draw = NOISE_MODULE._draw(model, key, np.arange(n, dtype=np.uint64))
+        whole = NOISE_MODULE._displacements(model, 5, "blocks", range(n))
+        assert whole.tobytes() == one_draw.tobytes()
+        for start, stop in ((DRAW_BLOCK - 3, DRAW_BLOCK + 3), (DRAW_BLOCK + 1, 3 * DRAW_BLOCK - 1),
+                            (2 * DRAW_BLOCK - 1, n)):
+            part = NOISE_MODULE._displacements(model, 5, "blocks", range(start, stop))
+            assert part.tobytes() == one_draw[start:stop].tobytes()
+
+    def test_mixing_in_place_gives_the_copying_formulas_bits(self):
+        counters = np.arange(10**5, dtype=np.uint64)
+        key = RNG_MODULE.stream_key(3, "mix")
+        for slot in (0, 1, 7):
+            expected = out_of_place_uniforms(key, counters, slot)
+            assert RNG_MODULE.uniforms(key, counters, slot).tobytes() == expected.tobytes()
+        u1, u2 = out_of_place_uniforms(key, counters, 4), out_of_place_uniforms(key, counters, 5)
+        expected = np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
+        assert RNG_MODULE.normals(key, counters, 4).tobytes() == expected.tobytes()
+        assert counters.tobytes() == np.arange(10**5, dtype=np.uint64).tobytes()
+
+    @pytest.mark.parametrize("n", [2, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("name", sorted(STREAM_LAWS))
+    def test_fold_in_place_gives_the_copying_folds_bits(self, name, n):
+        model, lam = STREAM_LAWS[name]
+        assert char_fn_mc(model, lam, n, seed=6) == copying_fold(model, lam, n, seed=6)
+
+    def test_memory_holds_the_output_and_one_block(self):
+        # 10^6 planar mixture draws at once traced 5 times their output
+        model, _ = STREAM_LAWS["mixture-2d"]
+        n = 10**6
+        assert traced_peak(lambda: NOISE_MODULE._displacements(model, 0, "x", range(n))) \
+            < 1.25 * n * model.dim * 8
 
 
 # ---------------------------------------------------------------------------

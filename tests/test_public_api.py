@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import quasidiff
+from quasidiff import measures
 from quasidiff import (
     SCENARIOS,
     TAU,
@@ -243,6 +244,21 @@ WRONG_OBJECTS = {
     "char_fn_mc-model": lambda: char_fn_mc(None, (0.5,), 100),
     "recover-spec": lambda: recover(None, NOISE),
     "recover-model": lambda: recover(SPECTRUM, None),
+    "vague_gap-mu": lambda: vague_gap(None, COMB, TENTS),
+    "vague_gap-nu": lambda: vague_gap(COMB, None, TENTS),
+    "vague_gap-family": lambda: vague_gap(COMB, COMB, None),
+    "tv_on_ball-mu": lambda: tv_on_ball(None, (0.0,), 1.0),
+    "pair-mu": lambda: measures.pair(None, TENTS.functions[0]),
+    "pair-f": lambda: measures.pair(COMB, None),
+    "singularity_diagnostic-x": lambda: singularity_diagnostic(None, [2.0, 4.0, 8.0], GRID),
+    "singularity_diagnostic-grid": lambda: singularity_diagnostic(LINE, [2.0, 4.0, 8.0], None),
+    "write_points-x": lambda: write_points("unwritten.txt", None),
+    "write_points-path": lambda: write_points(None, LINE),
+    "write_spectrum-spec": lambda: write_spectrum("unwritten.csv", None),
+    "write_spectrum-path": lambda: write_spectrum(None, SPECTRUM),
+    "read_spectrum-path": lambda: read_spectrum(None),
+    "plot_emit-table": lambda: plot_emit(None, "line", "unwritten.svg"),
+    "plot_emit-path": lambda: plot_emit(TABLE, "line", None),
 }
 
 
