@@ -20,11 +20,17 @@ Conventions, applied uniformly and without floating-point slack:
 Mismatch ratios are read from a pair table of ``(x, y, grid)``: the
 in-window counts and the close pairs of one enumeration, sorted by distance,
 so the pairs closer than a smaller eps are a prefix of them.  A ratio depends
-on eps only through the length of that prefix.  :func:`rho_stat` builds one
-table at its cap and hands it to each bisection probe, which reads its
-prefix there, and each prefix's ratio is counted once per call.  Each probe
-stays one public :func:`ratio_sup` call, which is what perfbench's tracer
-counts as a probe; a lone :func:`ratio_sup` call enumerates for itself.
+on eps only through the length of that prefix.  In 1-d, at an eps no larger
+than the smallest gap of y, a point of x has at most one close partner on
+each side, so the table's pairs are the two sorted neighbours of each point
+that pass the distance test; otherwise they come from the candidate runs of
+the shared pair search.  :func:`rho_stat` builds one table at its cap and
+hands it to each bisection probe, which reads its prefix there, and each
+prefix's ratio is counted once per call.  Each probe stays one public
+:func:`ratio_sup` call, which is what perfbench's tracer counts as a probe,
+and trusts the checks :func:`rho_stat` made before building the table: it
+checks nothing again.  A lone :func:`ratio_sup` call checks its arguments
+and enumerates for itself.
 """
 
 from __future__ import annotations
@@ -57,9 +63,13 @@ class LGrid:
     """Strictly increasing window radii over which suprema are taken."""
 
     values: tuple[float, ...]
+    _radii: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _require_radii(self.values, "LGrid radii"))
+        radii = np.array(self.values, dtype=np.float64)
+        radii.flags.writeable = False
+        object.__setattr__(self, "_radii", radii)
 
     @classmethod
     def integers(cls, hi: int) -> "LGrid":
@@ -72,7 +82,8 @@ class LGrid:
         require_extent(self.values[-1], min(s.extent for s in sets), "grid radius")
 
     def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
+        """The radii as a read-only float64 array, built once per grid."""
+        return self._radii
 
 
 @dataclass(frozen=True)
@@ -90,7 +101,12 @@ class MetricResult:
     capped: bool = False
 
     def __post_init__(self):
-        if not (self.value >= 0):  # NaN fails the comparison too
+        try:
+            nonnegative = self.value >= 0  # NaN fails the comparison too
+        except TypeError:  # None, a str: no order against numbers
+            raise InvalidArgumentError(
+                f"a metric value must be a number, got {self.value!r}") from None
+        if not nonnegative:
             raise InvalidArgumentError(f"metric values are nonnegative, got {self.value!r}")
 
 
@@ -124,17 +140,44 @@ class _PairTable:
     ratios: dict = field(default_factory=dict)
 
 
+def _neighbour_pairs(a: np.ndarray, b: np.ndarray, eps: float):
+    """The pairs (i, j), in (i, j) order, and distances d of the 1-d points
+    ``a[i]`` and ``b[j]`` closer than ``eps``, where ``b`` is sorted and
+    ``eps`` is at most its smallest gap, computed as a pair distance is.
+
+    Rounding is monotone, so the computed distance from a point to a farther
+    b on one side is at least the computed gap between those two b, hence
+    >= eps: only the nearest b on each side can be closer than eps.  Both
+    are tested, as both pass when eps is more than half a gap.
+    """
+    q = a[:, 0]
+    # infinite ends give every point two neighbours, at infinite distance
+    t = np.concatenate(([-np.inf], b[:, 0], [np.inf]))
+    right = np.searchsorted(t, q, side="left")
+    diff = np.empty((len(q), 2))
+    np.subtract(t[right - 1], q, out=diff[:, 0])
+    np.subtract(t[right], q, out=diff[:, 1])
+    # the distance _pair_runs compares with its radius
+    d = np.sqrt(sq_norms(diff.reshape(-1, 1)))
+    k = np.flatnonzero(d < eps)
+    i = k >> 1
+    return i, right[i] + (k & 1) - 2, d[k]
+
+
 def _pair_table(x: PointSet, y: PointSet, eps: float, grid: LGrid) -> _PairTable:
     """The pair table of ``(x, y, grid)`` enumerated at the eps ceiling ``eps``."""
     radii = grid.array()
     r2 = radii * radii
     nx, ny = sq_norms(x.points), sq_norms(y.points)
-    inside = np.searchsorted(np.sort(nx), r2, side="right")
-    inside = inside + np.searchsorted(np.sort(ny), r2, side="right")
-    i, j = _pair_runs(x.points, y.points, eps,
-                      "the mismatch ratio's close-pair table")[1](0, len(x.points))
-    # the distance _pair_runs compared with eps, so d < eps picks its pairs
-    d = np.sqrt(sq_norms(np.take(y.points, j, axis=0) - np.take(x.points, i, axis=0)))
+    inside = np.sort(np.concatenate((nx, ny))).searchsorted(r2, side="right")
+    # the smallest gap of y, computed as every pair distance is
+    if x.dim == 1 and eps <= np.sqrt(sq_norms(np.diff(y.points, axis=0))).min(initial=np.inf):
+        i, j, d = _neighbour_pairs(x.points, y.points, eps)
+    else:
+        i, j = _pair_runs(x.points, y.points, eps,
+                          "the mismatch ratio's close-pair table")[1](0, len(x.points))
+        # the distance _pair_runs compared with eps, so d < eps picks its pairs
+        d = np.sqrt(sq_norms(np.take(y.points, j, axis=0) - np.take(x.points, i, axis=0)))
     order = np.argsort(d, kind="stable")
     return _PairTable(radii, r2, nx, ny, inside, i[order], j[order], d[order])
 
@@ -194,15 +237,19 @@ def ratio_sup(
     instead hands each of its probes ``_table``, the table it enumerated at
     its cap, and the probe counts a prefix only when no earlier probe of that
     table selected it at the same exponent.  The result is the same bit for
-    bit either way.
+    bit either way.  A probe handed ``_table`` trusts its caller: the sets,
+    the grid, a positive eps up to the table's ceiling and an exponent in
+    (0, dim] are not checked again.
     """
-    _check_pair(x, y)
-    _require_positive_finite(eps, "eps")
-    if not (0 < _require_finite(exponent, "exponent") <= x.dim):
-        raise InvalidArgumentError("exponent must lie in (0, dim]")
-    _require_type(grid, LGrid, "grid").require_within(x, y)
-    t = _pair_table(x, y, eps, grid) if _table is None else _table
-    k = int(np.searchsorted(t.d, eps, side="left"))
+    t = _table
+    if t is None:
+        _check_pair(x, y)
+        _require_positive_finite(eps, "eps")
+        if not (0 < _require_finite(exponent, "exponent") <= x.dim):
+            raise InvalidArgumentError("exponent must lie in (0, dim]")
+        _require_type(grid, LGrid, "grid").require_within(x, y)
+        t = _pair_table(x, y, eps, grid)
+    k = int(t.d.searchsorted(eps, side="left"))
     key = (k, float(exponent))
     kept = t.ratios.get(key)
     if kept is None:

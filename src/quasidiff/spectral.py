@@ -155,7 +155,7 @@ class Spectrum:
     power: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        m = self.grid.node_count
+        m = _require_type(self.grid, FrequencyGrid, "grid").node_count
         amp = _numbers(self.amplitude, "iufc")
         valid = np.ones(m, dtype=bool) if self.valid is None else _numbers(self.valid, "b")
         if amp is None or valid is None:
@@ -244,7 +244,13 @@ _OVERSAMPLING = 2
 
 
 def _kernel(z: np.ndarray) -> np.ndarray:
-    return np.exp(_BETA * (np.sqrt(1.0 - z * z) - 1.0))
+    """The kernel at each entry of ``z``, computed in z's own array."""
+    np.multiply(z, z, out=z)
+    np.subtract(1.0, z, out=z)
+    np.sqrt(z, out=z)
+    z -= 1.0
+    z *= _BETA
+    return np.exp(z, out=z)
 
 
 # the kernel at half-step offsets j / 2, j = 0 .. _TAPS, in fine-grid steps
@@ -286,8 +292,15 @@ def _taps(t: np.ndarray, fine: int) -> tuple[np.ndarray, np.ndarray]:
     base = np.floor(u)
     offsets = np.arange(1 - _TAPS // 2, 1 + _TAPS // 2)
     # each point's distance to its taps, within [-_TAPS / 2, _TAPS / 2]
-    weights = _kernel((offsets - (u - base)[:, None]) / (_TAPS / 2))
-    return (base.astype(np.int64)[:, None] + offsets) % fine, weights
+    z = np.subtract(offsets, (u - base)[:, None])
+    z /= _TAPS / 2
+    # one modulo a point places its first tap; the others count up from it
+    index = ((base.astype(np.int64) + offsets[0]) % fine)[:, None] + np.arange(_TAPS)
+    over = index >= fine
+    while over.any():  # a grid of fewer than _TAPS nodes wraps more than once
+        np.subtract(index, fine, out=index, where=over)
+        np.greater_equal(index, fine, out=over)
+    return index, _kernel(z)
 
 
 def _node_phases(points: np.ndarray, grid: FrequencyGrid, node) -> np.ndarray:

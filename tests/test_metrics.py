@@ -26,7 +26,7 @@ from quasidiff.metrics import (
     rho_stat,
 )
 from quasidiff.geometry import lex_sort, min_pairwise_gap
-from quasidiff.pointset import PointSet, gen_lattice, gen_poisson, remove_near, window
+from quasidiff.pointset import _GAP_SLACK, PointSet, gen_lattice, gen_poisson, remove_near, window
 
 from conftest import remove_points, shifted_lattice
 
@@ -297,8 +297,22 @@ def call_log(monkeypatch, name: str) -> list:
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """The number of pair enumerations the metrics have made so far."""
-    return call_log(monkeypatch, "_pair_runs")
+    """The pair enumerations the metrics have made so far, by name: the
+    candidate runs of the shared pair search, or the 1-d sorted neighbours."""
+    names = []
+    for name in ("_pair_runs", "_neighbour_pairs"):
+        monkeypatch.setattr(metrics, name, logged(getattr(metrics, name), names, name))
+    return names
+
+
+def logged(inner, names: list, name: str):
+    """``inner``, appending ``name`` to ``names`` at every call."""
+
+    def counted(*args, **kwargs):
+        names.append(name)
+        return inner(*args, **kwargs)
+
+    return counted
 
 
 @pytest.fixture
@@ -315,13 +329,21 @@ def pair_distances(x: PointSet, y: PointSet) -> np.ndarray:
 
 class TestPairTable:
     def test_a_table_over_the_pair_budget_is_refused_naming_the_table(self, monkeypatch):
-        # the refusal named max_range and --max-range, which dist lacks
+        # the refusal named max_range and --max-range, which dist lacks.  A
+        # table enumerates candidates in the plane, and in 1-d past the gap
+        plane, line = gen_lattice(2, 1.0, 3.0), gen_lattice(1, 1.0, 20.0)
+        plane_part, line_part = window(plane, 2.0), window(line, 10.0)
         monkeypatch.setattr(quasidiff.geometry, "_CANDIDATE_BUDGET", 10)
-        x = gen_lattice(1, 1.0, 20.0)
-        refusal = (r"^21 candidate pairs at radius 0.5 over 41 x 21 points "
-                   r"\(the mismatch ratio's close-pair table\), over the budget of 10$")
-        with pytest.raises(InvalidArgumentError, match=refusal):
-            rho_stat(x, window(x, 10.0), LGrid.integers(5))
+        table = r" \(the mismatch ratio's close-pair table\), over the budget of 10$"
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^33 candidate pairs at radius 0.5 over 29 x 13 points" + table):
+            rho_stat(plane, plane_part, LGrid.integers(2))
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^63 candidate pairs at radius 1.5 over 41 x 21 points" + table):
+            ratio_sup(line, line_part, 1.5, 1.0, LGrid.integers(5))
+        # up to the gap, a 1-d table takes the sorted neighbours: no candidates
+        assert ratio_sup(line, line_part, 1.0, 1.0, LGrid.integers(5)).value == 0.0
+        assert not rho_stat(line, line_part, LGrid.integers(5)).capped
 
     @pytest.mark.parametrize("dim, extent", [(1, 60.0), (2, 9.0)])
     def test_every_call_enumerates_once_and_keeps_no_history(self, dim, extent, enumerations):
@@ -384,12 +406,13 @@ class TestPairTable:
         assert repr(ratio_sup(*args, _table=table)) == repr(ratio_sup(*args))
 
     def test_one_enumeration_per_rho_stat(self, enumerations):
-        # the bisection makes ten probes here, and all read one pair table
+        # the bisection makes ten probes here, and all read one pair table,
+        # which in 1-d comes from the sorted neighbours
         lattice = gen_lattice(1, 1.0, 60.0)
         defect = remove_near(lattice, [(55.0,), (-57.0,)], tol=0.25)
         res = rho_stat(lattice, defect, LGrid.integers(60), eps_tol=1e-3)
         assert not res.capped
-        assert len(enumerations) == 1
+        assert enumerations == ["_neighbour_pairs"]
 
     def test_one_count_per_distinct_prefix(self, monkeypatch, enumerations, countings):
         # a probe counts mismatches only when it selects a prefix of the pair
@@ -479,6 +502,97 @@ class TestRhoStatExactInfimum:
         else:
             assert not res.capped
             assert exact <= res.value <= exact + ORACLE_EPS_TOL
+
+
+# ---------------------------------------------------------------------------
+# rho_stat and its 1-d neighbour table against lone public calls
+
+
+def declared_sets(dim: int):
+    """edited_lattices, some moved by half a step along the first axis, and
+    some declaring a separation up to _GAP_SLACK above their measured gap,
+    the most the set's check accepts: then rho_stat's cap exceeds half the
+    gap, and a point midway between two others is close to both."""
+
+    def build(x, half, above):
+        pts = lex_sort(x.points + np.eye(dim)[0] / 2) if half else x.points
+        gap = sep = min_pairwise_gap(pts)
+        if above:
+            sep += _GAP_SLACK
+            while sep - _GAP_SLACK > gap:
+                sep = np.nextafter(sep, 0.0)
+        return PointSet(dim, sep, x.extent + 0.5, pts)
+
+    return st.builds(build, edited_lattices(dim), st.booleans(), st.booleans())
+
+
+def bisected_rho_stat(x: PointSet, y: PointSet, grid: LGrid, eps_tol: float) -> MetricResult:
+    """rho_stat's bisection, each probe a lone ratio_sup call that checks its
+    arguments and enumerates its own pairs."""
+    if x == y:
+        return MetricResult(0.0)
+    cap = min(x.sep_radius, y.sep_radius) / 2
+    top = ratio_sup(x, y, cap, float(x.dim), grid)
+    if not top.value < cap:
+        return MetricResult(cap, attained_L=top.attained_L, attained_eps=cap, capped=True)
+    lo, hi, best = 0.0, cap, top
+    while hi - lo > eps_tol:
+        mid = 0.5 * (lo + hi)
+        probe = ratio_sup(x, y, mid, float(x.dim), grid)
+        if probe.value < mid:
+            hi, best = mid, probe
+        else:
+            lo = mid
+    return MetricResult(hi, attained_L=best.attained_L, attained_eps=hi, capped=False)
+
+
+def candidate_pairs(x: PointSet, y: PointSet, eps: float):
+    """The close pairs of _pair_runs' candidates at eps, in (i, j) order,
+    with their distances."""
+    i, j = quasidiff.geometry._pair_runs(x.points, y.points, eps)[1](0, len(x.points))
+    return i, j, np.sqrt(quasidiff.geometry.sq_norms(y.points[j] - x.points[i]))
+
+
+# the unit lattice and its half-step shift, each declaring 1 + _GAP_SLACK:
+# every shifted point lies exactly 0.5 from two lattice points, below the cap
+MIDWAY = tuple(PointSet(1, 1.0 + _GAP_SLACK, ORACLE_EXTENT[1] + 0.5,
+                        gen_lattice(1, 1.0, ORACLE_EXTENT[1]).points + shift)
+               for shift in (0.0, 0.5))
+
+
+class TestRhoStatAgainstLoneProbes:
+    @settings(max_examples=120, deadline=None)
+    @given(pair=st.sampled_from([1, 2]).flatmap(lambda dim: declared_sets(dim).flatmap(
+               lambda x: st.tuples(st.just(x), st.one_of(declared_sets(dim), st.just(x))))),
+           eps_tol=st.sampled_from([1e-3, 1e-6]))
+    @example(pair=MIDWAY, eps_tol=1e-6)
+    @example(pair=MIDWAY[::-1], eps_tol=1e-6)
+    def test_equals_a_bisection_over_lone_calls(self, pair, eps_tol):
+        x, y = pair
+        grid = LGrid.integers(int(ORACLE_EXTENT[x.dim]))
+        assert repr(rho_stat(x, y, grid, eps_tol)) == repr(bisected_rho_stat(x, y, grid, eps_tol))
+
+    @pytest.mark.parametrize("pair", [MIDWAY, MIDWAY[::-1]])
+    def test_a_point_midway_pairs_with_both_neighbours(self, pair):
+        x, y = pair
+        cap = min(x.sep_radius, y.sep_radius) / 2
+        # every point but the one at an end lies 0.5 from two others
+        i = metrics._neighbour_pairs(x.points, y.points, cap)[0]
+        assert sorted(np.bincount(i)) == [1] + [2] * (len(x) - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=declared_sets(1), y=declared_sets(1))
+    @example(x=MIDWAY[0], y=MIDWAY[1])
+    @example(x=MIDWAY[1], y=MIDWAY[0])
+    def test_the_neighbour_pairs_are_the_candidates_close_pairs(self, x, y):
+        # at the cap, and at the gap, the largest eps the neighbours serve
+        cap = min(x.sep_radius, y.sep_radius) / 2
+        gap = float(np.diff(y.points[:, 0]).min())
+        for eps in (cap, gap):
+            assert eps <= gap
+            got = metrics._neighbour_pairs(x.points, y.points, eps)
+            for a, b in zip(got, candidate_pairs(x, y, eps)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from quasidiff import (
     FrequencyGrid,
     InvalidArgumentError,
     LGrid,
+    MetricResult,
     NoiseModel,
     PointSet,
     QuasidiffError,
@@ -259,6 +260,8 @@ WRONG_OBJECTS = {
     "read_spectrum-path": lambda: read_spectrum(None),
     "plot_emit-table": lambda: plot_emit(None, "line", "unwritten.svg"),
     "plot_emit-path": lambda: plot_emit(TABLE, "line", None),
+    "MetricResult-value": lambda: MetricResult(None),
+    "Spectrum-grid": lambda: Spectrum(None, 1.0, "", SPECTRUM.amplitude),
 }
 
 

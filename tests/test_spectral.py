@@ -197,6 +197,23 @@ class TestPhases:
             full += spectral._HALF_STEPS[j] * np.cos((np.pi * j / fine) * modes)
         assert spectral._kernel_transform(modes, fine).tobytes() == full.tobytes()
 
+    @pytest.mark.parametrize("fine", [2, 6, 10, 16, 32768])
+    def test_taps_are_their_modulo_form(self, fine):
+        # a modulo over every tap, and the kernel formed in new arrays, before
+        # one modulo a point and the kernel in place; a fine grid of fewer
+        # nodes than taps wraps them more than once
+        t = np.random.default_rng(fine).uniform(-50.0, 50.0, 4014)
+        t[:4] = [0.0, 0.5, -0.5, 1.0 - 2.0**-53]
+        u = spectral._turns(t) * fine
+        base = np.floor(u)
+        offsets = np.arange(1 - spectral._TAPS // 2, 1 + spectral._TAPS // 2)
+        z = (offsets - (u - base)[:, None]) / (spectral._TAPS / 2)
+        weights = np.exp(spectral._BETA * (np.sqrt(1.0 - z * z) - 1.0))
+        index = (base.astype(np.int64)[:, None] + offsets) % fine
+        got = spectral._taps(t, fine)
+        assert got[0].dtype == index.dtype and got[0].tobytes() == index.tobytes()
+        assert got[1].tobytes() == weights.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # sums at free frequencies (the noise-recovery trials)
