@@ -283,12 +283,22 @@ def _bucket(row_pairs, block, dim: int, tol: float):
         table = _fold(table, block(start, stop), tol)
         start = stop
     reps, counts = table
-    if tol == 0:
+    if tol == 0 or len(reps) < 2:
         return reps, counts
-    # in 1-d the key order sorts the representatives, as _close_pairs needs;
-    # its pairs come in both orders, so lowering each j's label to its i's,
-    # until nothing moves, labels every linked group with its lowest index
-    i, j = _close_pairs(reps, reps, tol * _MERGE_GAP)
+    r = tol * _MERGE_GAP
+    if dim == 1:
+        # the key order sorts the representatives, so a linked group is a run
+        # of neighbours, and a run starts where _close_pairs would not pair a
+        # neighbour with the one before it: it tests the interval rep + r and
+        # the Euclidean distance, and once a square underflows, the second
+        # passes where the first fails
+        ends = reps[:, 0]
+        linked = (ends[1:] <= ends[:-1] + r) & (np.sqrt(sq_norms(np.diff(reps, axis=0))) < r)
+        starts = np.flatnonzero(np.concatenate(([True], ~linked)))
+        return reps[starts], np.add.reduceat(counts, starts)
+    # _close_pairs' pairs come in both orders, so lowering each j's label to
+    # its i's, until nothing moves, labels every linked group with its lowest index
+    i, j = _close_pairs(reps, reps, r)
     label, last = np.arange(len(reps)), None
     while not np.array_equal(label, last):
         last = label.copy()

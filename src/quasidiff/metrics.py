@@ -36,6 +36,7 @@ and enumerates for itself.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,12 +103,16 @@ class MetricResult:
 
     def __post_init__(self):
         try:
-            nonnegative = self.value >= 0  # NaN fails the comparison too
-        except TypeError:  # None, a str: no order against numbers
+            nonnegative = bool(self.value >= 0)  # NaN fails the comparison too
+        except (TypeError, ValueError):  # None, a str: no order; an array: no one truth
             raise InvalidArgumentError(
                 f"a metric value must be a number, got {self.value!r}") from None
         if not nonnegative:
             raise InvalidArgumentError(f"metric values are nonnegative, got {self.value!r}")
+        # every probe of rho_stat builds one: two Python floats skip the ABC check
+        if not type(self.attained_L) is type(self.attained_eps) is float:
+            for what in ("attained_L", "attained_eps"):
+                _require_type(getattr(self, what), (type(None), numbers.Real), what)
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,20 @@ class TestAutocorrelation:
 # autocorrelation in row blocks against every pair at once
 
 
+def merged_by_label_propagation(reps, counts, tol):
+    """Buckets linked by pairs closer than tol * _MERGE_GAP, merged into the
+    lowest: each pair lowers its j's label to its i's until nothing moves."""
+    i, j = geometry._close_pairs(reps, reps, tol * measures._MERGE_GAP)
+    label, last = np.arange(len(reps)), None
+    while not np.array_equal(label, last):
+        last = label.copy()
+        np.minimum.at(label, j, label[i])
+    merged = np.zeros_like(counts)
+    np.add.at(merged, label, counts)
+    root = label == np.arange(len(reps))
+    return reps[root], merged[root]
+
+
 def one_shot_autocorrelation(x, radius, bucket_tol, max_range=None):
     """Locations and weights from every ordered pair at once, bucketed once:
     the autocorrelation as it was computed before row blocks."""
@@ -236,15 +250,7 @@ def one_shot_autocorrelation(x, radius, bucket_tol, max_range=None):
     first = np.flatnonzero(starts)
     reps, counts = vecs[order[first]], np.diff(first, append=len(keys))
     if bucket_tol > 0:
-        i, j = geometry._close_pairs(reps, reps, bucket_tol * measures._MERGE_GAP)
-        label, last = np.arange(len(reps)), None
-        while not np.array_equal(label, last):
-            last = label.copy()
-            np.minimum.at(label, j, label[i])
-        merged = np.zeros_like(counts)
-        np.add.at(merged, label, counts)
-        root = label == np.arange(len(reps))
-        reps, counts = reps[root], merged[root]
+        reps, counts = merged_by_label_propagation(reps, counts, bucket_tol)
     order = np.lexsort(reps.T[::-1])
     return reps[order], (counts[order] / radius**x.dim).astype(np.complex128)
 
@@ -333,6 +339,26 @@ class TestRowBlocks:
             assert pairs <= max(50, held) or (max_range is None and pairs == n)
             held = atoms
         assert sum(pairs for pairs, _ in folds) == round(complex(gamma.weights.sum()).real * 300.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tol=st.sampled_from([1e-9, 0.5, 1e-160, 1e-300]), data=st.data())
+    def test_a_1d_merge_takes_the_groups_of_label_propagation(self, tol, data):
+        # sorted differences whose gaps are often the merge radius r or a
+        # float beside it; at tol 1e-160 their squares are subnormal, and at
+        # 1e-300 they underflow to 0, so neither the interval test nor the
+        # Euclidean one alone decides a pair there
+        r = tol * measures._MERGE_GAP
+        edges = st.sampled_from([r, np.nextafter(r, 0.0), np.nextafter(r, 1.0), 0.999 * r, tol])
+        gaps = data.draw(st.lists(st.one_of(edges, st.floats(0.0, 2.0).map(lambda g: g * tol)),
+                                  max_size=60), label="gaps")
+        start = data.draw(st.integers(-40, 40), label="start") * tol
+        vecs = np.cumsum([start] + gaps).reshape(-1, 1)
+        vecs = vecs[data.draw(st.permutations(range(len(vecs))), label="order")]
+        reps, counts = measures._fold((np.empty((0, 1)), np.empty(0, dtype=np.intp)), vecs, tol)
+        want = merged_by_label_propagation(reps, counts, tol)
+        got = measures._bucket([len(vecs)], lambda start, stop: vecs, 1, tol)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
 
     def test_refusals_come_before_any_block(self, monkeypatch):
         def unreachable(table, vecs, tol):

@@ -261,7 +261,11 @@ WRONG_OBJECTS = {
     "plot_emit-table": lambda: plot_emit(None, "line", "unwritten.svg"),
     "plot_emit-path": lambda: plot_emit(TABLE, "line", None),
     "MetricResult-value": lambda: MetricResult(None),
+    "MetricResult-array": lambda: MetricResult(np.array([1.0, 2.0])),
+    "MetricResult-attained_L": lambda: MetricResult(1.0, attained_L="x"),
+    "MetricResult-attained_eps": lambda: MetricResult(1.0, attained_eps=[0.5]),
     "Spectrum-grid": lambda: Spectrum(None, 1.0, "", SPECTRUM.amplitude),
+    "Spectrum-label": lambda: Spectrum(GRID, 1.0, None, np.ones(GRID.node_count)),
 }
 
 
@@ -269,3 +273,10 @@ WRONG_OBJECTS = {
 def test_a_wrong_object_is_refused_naming_the_type_wanted(case):
     with pytest.raises(InvalidArgumentError, match=" must be "):
         WRONG_OBJECTS[case]()
+
+
+@pytest.mark.parametrize("value", [0, 2.5, np.float64(0.5), np.int64(3), float("inf"), np.array([0.5])])
+@pytest.mark.parametrize("attained", [None, 1, 2.0, np.float64(4.0), np.int32(5)])
+def test_a_metric_result_takes_every_number_it_took_before_its_checks(value, attained):
+    result = MetricResult(value, attained_L=attained, attained_eps=attained)
+    assert result.attained_L is attained and result.attained_eps is attained

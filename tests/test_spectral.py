@@ -157,6 +157,30 @@ class TestPhases:
         q = np.round((t - np.round(t)) * spectral._TURNS).astype(int)
         assert np.array_equal(spectral._phases(t), spectral._TABLE[q + spectral._TURNS // 2])
 
+    @settings(max_examples=100, deadline=None)
+    @given(t=PHASES)
+    def test_off_the_literal_entries_the_bytes_are_the_first_kernels(self, t):
+        # the kernel as it was first written, block by block, with its table
+        # all from np.exp; the quarter and half turns are literals since
+        turns = spectral._TURNS
+        table = np.exp((-2j * np.pi / turns) * np.arange(-turns // 2, turns // 2 + 1))
+        cos, sin = spectral._COS, spectral._SIN
+        old = np.empty(len(t), dtype=np.complex128)
+        for s in range(0, len(t), spectral._BLOCK):
+            r = t[s:s + spectral._BLOCK] - np.round(t[s:s + spectral._BLOCK])
+            q = np.round(r * turns)
+            b = r - q / turns
+            b2 = b * b
+            e = table[q.astype(np.intp) + turns // 2]
+            old[s:s + spectral._BLOCK] = e + e * (b2 * (cos[0] + b2 * (cos[1] + b2 * cos[2]))
+                                                  - 1j * (b * (sin[0] + b2 * (sin[1] + b2 * sin[2]))))
+        q = np.round((t - np.round(t)) * turns)
+        off = ~np.isin(q, [-turns // 2, -turns // 4, turns // 4, turns // 2])
+        assert spectral._phases(t)[off].tobytes() == old[off].tobytes()
+        literal = np.isin(np.arange(len(table)), [0, turns // 4, 3 * turns // 4, turns])
+        assert (spectral._TABLE[~literal] == table[~literal]).all()
+        assert spectral._TABLE[literal].tolist() == [-1, 1j, -1j, -1]
+
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (1,), (7,), (3, 5), (3, 9000)])
     def test_shapes_are_kept(self, shape):
         t = np.random.default_rng(1).uniform(-50, 50, shape)
@@ -247,28 +271,55 @@ class TestFreeSums:
         sums = spectral._free_sums(fib.points, rng.uniform(-3, 3, size=(25, 1)))
         assert (np.abs(sums) <= len(fib.points) + 1e-9).all()
 
-    def test_rows_match_one_phase_table(self):
-        # a row's phases are one product a point in 1-d, as in the table
-        # lams @ points.T, and a contiguous row sums pairwise as .sum(axis=1)
-        # does; in 2-d they are the fixed-order column sum, with no BLAS
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is double here")
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32), dim=st.sampled_from([1, 2]),
+           n=st.sampled_from([1, 40, spectral._BLOCK + 3, 3 * spectral._BLOCK - 1]))
+    def test_within_1e_15_n_of_a_long_double_reference(self, seed, dim, n):
+        # perturbed integer points, so many phases share a table entry, at
+        # frequencies that put them in few entries or in all of them
+        rng = np.random.default_rng(seed)
+        points = rng.integers(-2000, 2000, (n, dim)) + rng.normal(0.0, 0.05, (n, dim))
+        lams = np.concatenate([rng.integers(-8, 9, (3, dim)) / 4, rng.uniform(-3, 3, (3, dim))])
+        sums = spectral._free_sums(points, lams)
+        tau = 8 * np.arctan(np.longdouble(1))
+        for value, lam in zip(sums, lams):
+            t = points[:, 0] * lam[0]
+            for i in range(1, dim):
+                t += points[:, i] * lam[i]
+            # t - round(t) is exact, so the reference needs no wider reduction
+            turns = (t - np.round(t)).astype(np.longdouble) * tau
+            assert abs(value.real - np.cos(turns).sum()) <= 1e-15 * n
+            assert abs(value.imag + np.sin(turns).sum()) <= 1e-15 * n
+
+    @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 1.0])
+    def test_lattices_at_quarter_turns_sum_exactly(self, lam):
+        # every phase is a quarter turn, so each term is 1, -i, -1 or i and
+        # the sum is a difference of counts, without rounding
+        for x in (gen_lattice(1, 1.0, 5000.0), gen_lattice(2, 1.0, 40.0)):
+            lams = np.array([[lam] * x.dim, [lam, -0.5][:x.dim], [0.25, lam][-x.dim:]])
+            quarter = np.round(4 * (x.points @ lams.T)).astype(int) % 4
+            counts = [(quarter == k).sum(axis=0) for k in range(4)]
+            expected = (counts[0] - counts[2]) + 1j * (counts[3] - counts[1])
+            assert spectral._free_sums(x.points, lams).tolist() == expected.tolist()
+
+    def test_planar_rows_are_their_fixed_order_column_sums(self):
+        # a planar row's phases are p_0 lambda_0 + p_1 lambda_1, with no BLAS
+        # product: its sum is the 1-d sum of those phases at lambda = 1
         rng = np.random.default_rng(7)
-        line = gen_lattice(1, 1.0, 5000.0).points
-        lams = rng.uniform(-3, 3, size=(8, 1))
-        table = spectral._phases(lams @ line.T).sum(axis=1)
-        assert spectral._free_sums(line, lams).tobytes() == table.tobytes()
         plane = gen_cut_project(ammann_beenker_config(30.0)).points
         lams = rng.uniform(-3, 3, size=(8, 2))
-        rows = [spectral._phases(plane[:, 0] * lam[0] + plane[:, 1] * lam[1]).sum()
-                for lam in lams]
+        rows = [spectral._free_sums((plane[:, 0] * lam[0] + plane[:, 1] * lam[1])[:, None],
+                                    np.ones((1, 1)))[0] for lam in lams]
         assert spectral._free_sums(plane, lams).tobytes() == np.array(rows).tobytes()
 
     def test_memory_holds_one_row(self):
         # 8 x 100,001 phases: the whole table peaked at 19.2 MB, a row at a
-        # time at 3.2 MB
+        # time at 3.2 MB, and a row binned by table entry at 1.6 MB
         line = gen_lattice(1, 1.0, 50000.0).points
         lams = np.linspace(-3.3, 2.9, 8).reshape(-1, 1)
         spectral._free_sums(line[:10], lams)
-        assert traced_peak(lambda: spectral._free_sums(line, lams)) < 6 * 2**20
+        assert traced_peak(lambda: spectral._free_sums(line, lams)) < 2.5 * 2**20
 
 
 # ---------------------------------------------------------------------------
