@@ -36,7 +36,7 @@ and enumerates for itself.
 from __future__ import annotations
 
 import math
-import numbers
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,10 +109,15 @@ class MetricResult:
                 f"a metric value must be a number, got {self.value!r}") from None
         if not nonnegative:
             raise InvalidArgumentError(f"metric values are nonnegative, got {self.value!r}")
-        # every probe of rho_stat builds one: two Python floats skip the ABC check
-        if not type(self.attained_L) is type(self.attained_eps) is float:
-            for what in ("attained_L", "attained_eps"):
-                _require_type(getattr(self, what), (type(None), numbers.Real), what)
+        for what in ("attained_L", "attained_eps"):
+            v = getattr(self, what)
+            kind = type(v)
+            # None or one number float() reads, as taken before this check: a
+            # float, an int, a numpy scalar or 0-d array, a Decimal, a Fraction
+            if v is not None and not (
+                    (hasattr(kind, "__float__") or hasattr(kind, "__index__"))
+                    and getattr(v, "ndim", 0) == 0):
+                raise InvalidArgumentError(f"{what} must be None or a number, got {reprlib.repr(v)}")
 
 
 # ---------------------------------------------------------------------------

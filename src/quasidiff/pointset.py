@@ -97,6 +97,8 @@ class PointSet:
 
     def __post_init__(self):
         _require_integer(self.dim, "dim", 1)
+        # every message and perturbation key reads it as a str
+        _require_type(self.label, str, "label")
         # Python floats, whatever real type came in, so a file header reads
         # back; an infinite separation would make every search radius infinite
         object.__setattr__(self, "extent", _require_positive_finite(self.extent, "extent"))

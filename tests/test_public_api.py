@@ -4,6 +4,8 @@ new public name comes with a caller.  An exported error's entry is a library
 call that raises exactly that error."""
 
 import types
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -264,8 +266,12 @@ WRONG_OBJECTS = {
     "MetricResult-array": lambda: MetricResult(np.array([1.0, 2.0])),
     "MetricResult-attained_L": lambda: MetricResult(1.0, attained_L="x"),
     "MetricResult-attained_eps": lambda: MetricResult(1.0, attained_eps=[0.5]),
+    # float() reads no array of two values
+    "MetricResult-attained_L-array": lambda: MetricResult(1.0, attained_L=np.array([1.0, 2.0])),
     "Spectrum-grid": lambda: Spectrum(None, 1.0, "", SPECTRUM.amplitude),
     "Spectrum-label": lambda: Spectrum(GRID, 1.0, None, np.ones(GRID.node_count)),
+    "PointSet-label": lambda: PointSet(1, 0.0, 5.0, [[0.0], [1.0]], None),
+    "gen_fibonacci-label": lambda: gen_fibonacci(5.0, label=None),
 }
 
 
@@ -276,7 +282,8 @@ def test_a_wrong_object_is_refused_naming_the_type_wanted(case):
 
 
 @pytest.mark.parametrize("value", [0, 2.5, np.float64(0.5), np.int64(3), float("inf"), np.array([0.5])])
-@pytest.mark.parametrize("attained", [None, 1, 2.0, np.float64(4.0), np.int32(5)])
+@pytest.mark.parametrize("attained", [None, 1, 2.0, np.float64(4.0), np.int32(5), np.array(2.0),
+                                      Decimal("0.5"), Fraction(1, 3), True, 10 ** 400])
 def test_a_metric_result_takes_every_number_it_took_before_its_checks(value, attained):
     result = MetricResult(value, attained_L=attained, attained_eps=attained)
     assert result.attained_L is attained and result.attained_eps is attained
