@@ -11,8 +11,8 @@ Conventions used everywhere in this package:
   :func:`require_extent`, so every module agrees on which boundary points
   belong to a window and on how far a declared extent may be stretched;
 * :func:`_close_pairs` is the one fixed-radius pair enumeration, behind the
-  metrics' mismatch counts, the short-range autocorrelation, the merge of
-  bucketed autocorrelation atoms and, in d >= 2,
+  short-range autocorrelation and, in d >= 2 (1-d takes sorted neighbours),
+  the metrics' mismatch counts, the merge of bucketed autocorrelation atoms,
   :func:`nearest` and :func:`min_pairwise_gap`.  The 1-d path is one
   vectorised binary search over the sorted targets.  Higher dimensions use a
   cell list: both sets are binned into cubes of side w >= r over their first
@@ -41,6 +41,8 @@ Conventions used everywhere in this package:
   :func:`as_points`' points, of atom weights and of a spectrum's amplitudes
   and mask pass one scan, :func:`_numbers`, which refuses a str, None or a
   bool among numbers rather than cast it;
+* :func:`_dot` is the one inner product of the phases <p, lambda>: a
+  fixed-order column sum, with no BLAS product;
 * :func:`nearest` is the one nearest-neighbour primitive: exact Euclidean
   distances plus the index of the target attaining them.  1-d makes the same
   binary search; higher dimensions grow a pair search radius until every
@@ -115,6 +117,17 @@ def lex_order_faults(points: np.ndarray) -> tuple[int | None, int | None]:
 def sq_norms(points: np.ndarray) -> np.ndarray:
     pts = as_points(points)
     return np.einsum("ij,ij->i", pts, pts)
+
+
+def _dot(rows: np.ndarray, vec) -> np.ndarray:
+    """<row, vec> per row, as the fixed-order column sum rows[:, 0] vec_0 +
+    rows[:, 1] vec_1 + ... with no BLAS, so its bits depend on no kernel; a
+    product past the float range, or inf - inf, is left to the phases' check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = rows[:, 0] * vec[0]
+        for i in range(1, len(vec)):
+            t += rows[:, i] * vec[i]
+    return t
 
 
 def window_mask(points: np.ndarray, radius: float) -> np.ndarray:
@@ -306,9 +319,12 @@ _TABLE_BUDGET = 2**24
 
 def _require_budget(count, budget: int, what: str) -> None:
     """Refuse a ``count`` of ``what`` over ``budget``, or a NaN count; callers
-    work the count out from sizes, before anything it counts exists."""
+    work the count out from sizes, before anything it counts exists.  An int
+    past the float range is named by its size: Python prints no 4,301 digits."""
     if not count <= budget:
-        raise InvalidArgumentError(f"{count!r} {what}, over the budget of {budget}")
+        huge = isinstance(count, int) and count.bit_length() > 1024
+        size = f"about 10^{math.log10(count):.1f}" if huge else repr(count)
+        raise InvalidArgumentError(f"{size} {what}, over the budget of {budget}")
 
 
 def _cell_ranges(a: np.ndarray, b: np.ndarray, r: float):

@@ -77,10 +77,12 @@ def _rows(*columns) -> list[list[float]]:
 
 def _format_rows(header: str, *columns) -> str:
     """The header, then the rows as comma-separated float reprs: shortest
-    round-trip decimals, and ``nan`` for a missing value."""
-    lines = [header]
-    lines.extend(",".join(map(repr, row)) for row in _rows(*columns))
-    return "\n".join(lines) + "\n"
+    round-trip decimals, and ``nan`` for a missing value.  ``repr`` maps
+    the flattened values once, and each row joins the next d of them."""
+    table = np.column_stack(columns)
+    values = map(repr, table.ravel().tolist())
+    lines = map(",".join, zip(*[values] * table.shape[1]))
+    return "\n".join(itertools.chain([header], lines)) + "\n"
 
 
 def _parse_rows(path: str, lines: list[str], width: int, columns: str, cell: str):

@@ -356,7 +356,12 @@ def autocorrelation(
     reps, counts = _bucket(row_pairs, block, x.dim, bucket_tol)
     order = np.lexsort(reps.T[::-1])
     weights = (counts[order] / radius**x.dim).astype(np.complex128)
-    return AtomicMeasure(x.dim, reps[order], weights, bucket_tol)
+    # _bucket's merge leaves no two atoms closer than bucket_tol * _MERGE_GAP,
+    # by the gap check's own comparison, so the merge radius is recorded
+    # without a second neighbour search
+    mu = AtomicMeasure(x.dim, reps[order], weights)
+    object.__setattr__(mu, "bucket_tol", bucket_tol)
+    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +381,7 @@ def tv_on_ball(mu: AtomicMeasure, center, radius: float) -> float:
     """Total variation of the measure on the closed ball: sum of |weight|."""
     c = _require_vector(center, "ball center", _require_type(mu, AtomicMeasure, "mu").dim)
     r = _require_positive_finite(radius, "ball radius")
-    mask = sq_norms(mu.locations - c) <= r * r
-    return float(np.abs(mu.weights[mask]).sum())
+    return float(np.abs(mu.weights[window_mask(mu.locations - c, r)]).sum())
 
 
 def vague_gap(mu: AtomicMeasure, nu: AtomicMeasure, family: TestFamily) -> float:

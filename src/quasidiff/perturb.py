@@ -36,7 +36,7 @@ from . import rng
 from .errors import DegenerateTrialError, InvalidArgumentError
 from .geometry import _require_finite, _require_integer, _require_positive_finite, _require_radii
 from .geometry import _SAMPLE_BUDGET, _require_budget, _require_items, _require_type, _require_vector
-from .geometry import lex_sort, require_extent, sq_norms, window_mask
+from .geometry import _dot, lex_sort, require_extent, sq_norms, window_mask
 from .pointset import PointSet, _with_measured_gap
 from .spectral import _BLOCK, Spectrum, _free_sums, _phases
 
@@ -279,10 +279,7 @@ def char_fn_grid(model: NoiseModel, freqs: np.ndarray) -> np.ndarray:
         out = np.zeros(len(freqs), dtype=np.complex128)
         for w, mean, s in model.components:
             decay = np.exp(-2.0 * np.pi**2 * s * s * sq_norms(freqs))
-            # _phases refuses a product that overflows, and inf - inf where two do
-            with np.errstate(over="ignore", invalid="ignore"):
-                t = freqs @ np.asarray(mean)
-            out += w * _phases(t) * decay
+            out += w * _phases(_dot(freqs, mean)) * decay
         return out
     raise InvalidArgumentError(
         f"{model.kind} has no closed-form characteristic function; use char_fn_mc"
@@ -309,9 +306,7 @@ def char_fn_mc(model: NoiseModel, lam, mc_samples: int, seed: int = 0) -> tuple[
     n, mean, m2 = 0, 0j, 0.0
     for start in range(0, mc_samples, _MC_BLOCK):
         xi = _displacements(model, seed, label, range(start, min(start + _MC_BLOCK, mc_samples)))
-        # _phases refuses a product that overflows, and inf - inf where two do
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = xi @ lam
+        t = _dot(xi, lam)
         del xi
         vals = _phases(t)
         del t

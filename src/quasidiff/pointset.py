@@ -188,27 +188,36 @@ def _with_measured_gap(
 # generators
 
 
+def _generated_dim(dim) -> int:
+    """``dim`` as an int >= 1, refused above the point budget: one point
+    holds ``dim`` coordinates."""
+    dim = _require_integer(dim, "dim", 1)
+    _require_budget(dim, _ENUM_BUDGET, "axes of one generated point")
+    return dim
+
+
 def _box_half_width(reach: float, dim: int) -> int:
     """Half-width k of the integer box [-k, k]^dim around the radius-``reach``
     ball, refused (an infinite reach too) when the box holds more candidates
-    than the enumeration budget; counted in Python ints, nothing is allocated."""
+    than the enumeration budget; counted as a float, inf past the float range,
+    so a large dim takes no power in Python ints; nothing is allocated."""
     k = math.floor(reach * (1.0 + 1e-12)) if reach < _ENUM_BUDGET else _ENUM_BUDGET
-    _require_budget((2 * k + 1) ** dim, _ENUM_BUDGET, f"points in a {dim}-d box of reach {reach!r}")
+    _require_budget(_power(2 * k + 1, dim), _ENUM_BUDGET,
+                    f"points in a {dim}-d box of reach {reach!r} ({2 * k + 1}^{dim})")
     return k
 
 
 def gen_lattice(dim: int, spacing: float, extent: float, label: str | None = None) -> PointSet:
     """spacing * Z^d intersected with the closed extent ball."""
-    _require_integer(dim, "dim", 1)
+    dim = _generated_dim(dim)
     _require_positive_finite(spacing, "spacing")
     _require_positive_finite(extent, "extent")
     k = _box_half_width(extent / spacing, dim)
     axis = np.arange(-k, k + 1, dtype=np.float64) * spacing
-    if dim == 1:
-        pts = axis.reshape(-1, 1)
-    else:
-        grids = np.meshgrid(*([axis] * dim), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
+    # each point's digits in base 2k + 1, the first axis's most significant:
+    # meshgrid's order, in any dimension (meshgrid takes at most 64)
+    m = 2 * k + 1
+    pts = axis[np.arange(m**dim)[:, None] // m ** np.arange(dim - 1, -1, -1) % m]
     pts = pts[sq_norms(pts) <= extent * extent * (1.0 + 1e-12)]
     return PointSet(dim, spacing, extent, pts, label or f"lattice{dim}d[{spacing!r}]")
 
@@ -278,7 +287,7 @@ def gen_visible(extent: float, label: str = "visible") -> PointSet:
 def gen_poisson(intensity: float, dim: int, extent: float, seed: int) -> PointSet:
     """Homogeneous Poisson sample on the extent ball; sep_radius 0 by definition."""
     _require_positive_finite(intensity, "intensity")
-    _require_integer(dim, "dim", 1)
+    dim = _generated_dim(dim)
     _require_positive_finite(extent, "extent")
     seed = _require_integer(seed, "seed")
     mean = intensity * ball_volume(dim, extent)

@@ -42,7 +42,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -839,15 +839,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         "config": cfg.canonical(),
         "config_hash": config_hash,
         "passed": all(c.passed for c in criteria),
-        "criteria": [
-            {
-                "name": c.name,
-                "measured": c.measured,
-                "threshold": c.threshold,
-                "passed": c.passed,
-            }
-            for c in criteria
-        ],
+        "criteria": [asdict(c) for c in criteria],
         "tables": {
             name: {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}
         },

@@ -12,7 +12,10 @@ numbers and thresholds it was derived from.
 Amplitude values are exp-sums divided by L^d, so power = L^d |amplitude|^2;
 both are carried on an explicit rectangular :class:`FrequencyGrid`.
 
-Every exponential sum goes through one split of its phases t = <p, lambda>,
+Every phase argument t = <p, lambda> is the fixed-order column sum
+p_0 lambda_0 + p_1 lambda_1 + ... of :func:`quasidiff.geometry._dot`, with
+no BLAS product and no product of per-axis phases (in 1-d, one product).
+Every exponential sum goes through one split of its phases,
 :func:`_split`, of the table-driven method (Tang, "Table-driven
 implementation of the exponential function in IEEE floating-point
 arithmetic", ACM TOMS 1989), with no complex exponential; the kernel
@@ -54,15 +57,14 @@ exponential of a semicircle (Barnett, Magland & af Klinteberg, SISC 2019);
 one ``np.fft.fftn`` takes the grid to the modes, and each axis is divided
 by the kernel's Fourier transform.  The cost is O(n 16^d + M log M) for n points and M nodes,
 instead of the direct sum's n M, and the error stays at rounding level,
-about 1e-14 n.  The node nearest 0 is summed directly, so lambda = 0, when
-it is a node, gives the count exactly.  The spreading sums with
-``np.bincount``, in input order, and pocketfft is not a BLAS, so amplitudes
-are bit-identical run to run and for any BLAS thread count.  Sums at a free
-list of frequencies (the noise-recovery trials) are direct, one frequency
-at a time: its phases <p, lambda> are the fixed-order column sum
-p_0 lambda_0 + p_1 lambda_1 + ..., with no BLAS product, and they are
-binned by table entry as above, so memory holds one row of phase arguments
-and the table budget bounds the work.
+about 1e-14 n.  The centre node's weights, and the node nearest 0, which is
+summed directly so that lambda = 0, when it is a node, counts the points
+exactly, take one phase of the whole <p, lambda> per point.  The spreading
+sums with ``np.bincount``, in input order, and pocketfft is not a BLAS, so
+amplitudes are bit-identical run to run and for any BLAS kernel or thread
+count.  Sums at a free list of frequencies (the noise-recovery trials) are
+direct, one frequency at a time, binned by table entry as above, so memory
+holds one row of phase arguments and the table budget bounds the work.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptySpectrumError, InvalidArgumentError
-from .geometry import _power, _require_finite, _require_positive_finite, _require_radii
+from .geometry import _dot, _power, _require_finite, _require_positive_finite, _require_radii
 from .geometry import _numbers, _require_items, _require_type, require_extent, window_mask
 from .geometry import _NODE_BUDGET, _SPREAD_BUDGET, _TABLE_BUDGET, _require_budget
 from .pointset import PointSet
@@ -141,10 +143,7 @@ class FrequencyGrid:
 
     def nodes(self) -> np.ndarray:
         """All grid nodes as an (M, d) array in lexicographic order."""
-        axes = [self.axis_values(i) for i in range(self.dim)]
-        if self.dim == 1:
-            return axes[0].reshape(-1, 1)
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*[self.axis_values(i) for i in range(self.dim)], indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
 
@@ -342,16 +341,6 @@ def _taps(t: np.ndarray, fine: int) -> tuple[np.ndarray, np.ndarray]:
     return index, _kernel(z)
 
 
-def _node_phases(points: np.ndarray, grid: FrequencyGrid, node) -> np.ndarray:
-    """e^(-2 pi i <p, lambda>) per point at the node of per-axis indices ``node``."""
-    terms = np.ones(len(points), dtype=np.complex128)
-    for (lo, _, step), k, p in zip(grid.axes, node, points.T):
-        with np.errstate(over="ignore"):  # _turns refuses a product that overflows
-            t = (lo + step * k) * p
-        terms = terms * _phases(t)
-    return terms
-
-
 def _grid_sums(points: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     """sum_p e^(-2 pi i <p, lambda>) at every node of the grid, in node order,
     by a type-1 non-uniform FFT (see the module docstring).
@@ -372,13 +361,16 @@ def _grid_sums(points: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
                     f"{n} window points")
     strides = [math.prod(fine[i + 1:]) for i in range(grid.dim)]
     index, kernel = [], []
-    for (_, _, step), p, f, stride in zip(grid.axes, points.T, fine, strides):
-        with np.errstate(over="ignore"):  # _turns refuses a product that overflows
-            t = step * p
-        j, w = _taps(t, f)
+    for i, ((_, _, step), f, stride) in enumerate(zip(grid.axes, fine, strides)):
+        j, w = _taps(_dot(points[:, i:i + 1], (step,)), f)
         index.append(j * stride)
         kernel.append(w)
-    weights = _node_phases(points, grid, centre)
+
+    # e^(-2 pi i <p, lambda>) per point at the node of per-axis indices ``node``
+    def node_phases(node):
+        return _phases(_dot(points, [lo + step * k for (lo, _, step), k in zip(grid.axes, node)]))
+
+    weights = node_phases(centre)
     spread = np.zeros(math.prod(fine), dtype=np.complex128)
     for lead in itertools.product(range(_TAPS), repeat=grid.dim - 1):
         j, w = index[-1], weights
@@ -396,7 +388,7 @@ def _grid_sums(points: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
     # lambda = 0, when it is a node, gives the count exactly
     zero = tuple(round(min(max(-lo / step, 0.0), k - 1))
                  for (lo, _, step), k in zip(grid.axes, shape))
-    sums[zero] = _node_phases(points, grid, zero).sum()
+    sums[zero] = node_phases(zero).sum()
     return sums.ravel()
 
 
@@ -408,15 +400,10 @@ def _free_sums(points: np.ndarray, lams: np.ndarray) -> np.ndarray:
     sums = np.empty(len(lams), dtype=np.complex128)
     bins = len(_TABLE)
     for k, lam in enumerate(lams):
-        # _turns refuses a product that overflows, and inf + -inf where two do
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = points[:, 0] * lam[0]
-            for i in range(1, len(lam)):
-                t += points[:, i] * lam[i]
         # per table entry q: N_q, C_q and S_q of the module docstring
         count = np.zeros(bins, dtype=np.intp)
         cos_m1, sin = np.zeros(bins), np.zeros(bins)
-        for _, j, c, s in _split(t):
+        for _, j, c, s in _split(_dot(points, lam)):
             count += np.bincount(j, minlength=bins)
             cos_m1 += np.bincount(j, c, bins)
             sin += np.bincount(j, s, bins)

@@ -285,6 +285,22 @@ class TestRowCodec:
         assert np.array_equal(back.valid, spec.valid)
         assert back.amplitude[spec.valid].tobytes() == spec.amplitude[spec.valid].tobytes()
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_table_of_zero_rows_is_its_header(self, tmp_path, dim):
+        x = PointSet(dim, 0.0, 1.0, np.empty((0, dim)), "none")
+        path = tmp_path / "none.pts"
+        write_points(str(path), x)
+        assert path.read_bytes() == f"# d={dim} r0=0.0 extent=1.0 label=none\n".encode()
+        assert read_points(str(path)) == x
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_points_bytes_are_the_per_element_reprs(self, tmp_path, dim):
+        x = gen_lattice(dim, 0.1, 1.0)
+        path = tmp_path / "x.pts"
+        write_points(str(path), x)
+        header = f"# d={dim} r0=0.1 extent=1.0 label={x.label}"
+        assert path.read_bytes() == _per_element_text(header, x.points.T).encode()
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_autocorr_bytes_are_the_per_element_reprs(self, tmp_path, dim):
         x = gen_lattice(dim, 0.75, 8.0)
@@ -1109,11 +1125,17 @@ def _run_limited(args, cwd):
         # RuntimeWarnings, before phases were checked
         (["spectrum", "--input", "two-b.pts", "--radius", "5", "--grid", "0:1.5e308:1e308",
           "--out", "s.csv"], 2),
+        # a box of 11^100000 points: its count printed a traceback, past
+        # Python's 4,300 digits
+        (["gen", "--kind", "lattice", "--dim", "100000", "--extent", "5", "--out", "z.pts"], 2),
+        # the box count as a power of 10^20 in Python ints did not return
+        (["gen", "--kind", "lattice", "--dim", "100000000000000000000", "--extent", "5",
+          "--out", "z.pts"], 2),
     ],
     ids=["fibonacci-1e9", "gen-ab-1e20", "lattice-1e300", "read-extent-1e300", "poisson-d342",
          "read-d-1", "autocorr-221GiB", "autocorr-full-window", "dist-sep-inf",
          "peaks-radius-1e200-d2", "spectrum-extent-1e120-d3", "spectrum-12GiB-tables",
-         "alignment-scan-2.5e11", "spectrum-phase-overflow"],
+         "alignment-scan-2.5e11", "spectrum-phase-overflow", "lattice-d1e5", "lattice-d1e20"],
 )
 def test_extreme_input_exits_cleanly_under_a_memory_limit(tmp_path, argv, code):
     (tmp_path / "huge.pts").write_text("# d=1 r0=1 extent=1e300\n-1e300\n0.0\n1e300\n")

@@ -123,6 +123,14 @@ class TestAutocorrelation:
         with pytest.raises(InvalidArgumentError, match="bucket_tol must be finite and >= 0"):
             AtomicMeasure(1, [[0.0], [1.0]], [1.0, 1.0], tol)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_direct_measure_refuses_atoms_closer_than_bucket_tol(self, dim):
+        locs = np.zeros((2, dim))
+        locs[1, -1] = 0.5
+        AtomicMeasure(dim, locs, [1.0, 1.0], 0.5)
+        with pytest.raises(InvalidArgumentError, match="atoms closer than bucket_tol survived"):
+            AtomicMeasure(dim, locs, [1.0, 1.0], 0.6)
+
     def test_max_range_matches_restriction(self):
         x = gen_fibonacci(30.0)
         full = autocorrelation(x, 20.0)
@@ -284,6 +292,17 @@ def nudged_lattice_sets(draw, dim):
     return PointSet(dim, 0.25, 15.0, pts[np.lexsort(pts.T[::-1])])
 
 
+@st.composite
+def spread_lattice_sets(draw, dim):
+    """Up to 40 points of a dim-dimensional lattice, each spread by up to 0.3
+    along every axis: around each lattice vector the differences lie so close
+    that many buckets' representatives fall within a merge radius 0.05."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    pts = np.unique(rng.integers(-4, 5, (40, dim)), axis=0).astype(np.float64)
+    pts += rng.uniform(0.0, 0.3, pts.shape)
+    return PointSet(dim, 0.25, 15.0, pts[np.lexsort(pts.T[::-1])])
+
+
 class TestRowBlocks:
     @settings(max_examples=150, deadline=None)
     @given(dim=st.sampled_from([1, 2]), data=st.data())
@@ -296,6 +315,21 @@ class TestRowBlocks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(measures, "_PAIR_BLOCK", SMALL_BLOCK)
             assert_same_bytes(autocorrelation(x, radius, tol, max_range), reference)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), data=st.data())
+    def test_every_output_passes_the_gap_check_it_skips(self, dim, data):
+        # autocorrelation records its bucket_tol without AtomicMeasure's gap
+        # check: the merge alone must leave no two atoms closer than that
+        x = data.draw(st.one_of(nudged_lattice_sets(dim), spread_lattice_sets(dim)), label="x")
+        radius = data.draw(st.sampled_from([3.0, 8.0, 15.0]), label="radius")
+        tol = data.draw(st.sampled_from([0.0, 1e-9, 0.05]), label="bucket_tol")
+        max_range = data.draw(st.sampled_from([None, 1.0, 4.0]), label="max_range")
+        mu = autocorrelation(x, radius, tol, max_range)
+        assert mu.bucket_tol == tol
+        assert geometry._sorted_gap(mu.locations) >= tol * measures._MERGE_GAP
+        direct = AtomicMeasure(mu.dim, mu.locations, mu.weights, mu.bucket_tol)
+        assert_same_bytes(direct, (mu.locations, mu.weights))
 
     @pytest.mark.parametrize(
         "x, radius, tol, max_range",

@@ -2,6 +2,9 @@
 
 import importlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,9 +25,11 @@ from quasidiff.perturb import (
     recover,
     recovery_trial,
 )
-from quasidiff.geometry import min_pairwise_gap, sq_norms, window_mask
+from quasidiff.geometry import _dot, min_pairwise_gap, sq_norms, window_mask
 from quasidiff.pointset import ammann_beenker_config, gen_cut_project, gen_lattice, window
 from quasidiff.spectral import FrequencyGrid, Spectrum, _free_sums, amplitude_spectrum
+
+import quasidiff
 
 from conftest import traced_peak
 
@@ -218,6 +223,10 @@ class TestCharFn:
         far = NoiseModel.gaussian_mixture(1, [(1.0, (1e308,), 0.1)])
         with pytest.raises(InvalidArgumentError, match="phase <p, lambda> is not finite"):
             char_fn(far, [5.0])
+        # two products that overflow with opposite signs: inf - inf
+        far = NoiseModel.gaussian_mixture(2, [(1.0, (1e308, 1e308), 0.1)])
+        with pytest.raises(InvalidArgumentError, match="phase <p, lambda> is not finite"):
+            char_fn(far, [5.0, -5.0])
 
     def test_zero_samples_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -236,6 +245,38 @@ class TestCharFn:
         freqs = np.linspace(-4, 4, 81).reshape(-1, 1)
         for model in (GAUSS01, NoiseModel.uniform(1, 0.4), MIXTURE):
             assert (np.abs(char_fn_grid(model, freqs)) <= 1.0 + 1e-12).all()
+
+    def test_planar_psi_does_not_depend_on_the_openblas_kernel(self):
+        # Prescott's kernel has no FMA: a BLAS product <xi, lambda> gave the
+        # mixture's psi at (2.5, -1.1) another last bit under it
+        src = os.path.dirname(os.path.dirname(quasidiff.__file__))
+        digests = []
+        for coretype in (None, "Prescott"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env.update({"OPENBLAS_CORETYPE": coretype} if coretype else {})
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", _PSI_DIGEST],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
+
+
+_PSI_DIGEST = """
+import hashlib
+import numpy as np
+from quasidiff.perturb import NoiseModel, char_fn_grid, char_fn_mc
+mixture = NoiseModel.gaussian_mixture(2, [(0.7, (0.03, 0.01), 0.05), (0.3, (0.1, -0.05), 0.02)])
+axis = np.linspace(-3.0, 3.0, 41)
+freqs = np.stack([g.ravel() for g in np.meshgrid(axis, axis + 0.37, indexing="ij")], axis=1)
+digest = hashlib.sha256(char_fn_grid(mixture, np.vstack([[(2.5, -1.1)], freqs])).tobytes())
+for model in (mixture, NoiseModel.gaussian(2, 0.05)):
+    mean, err = char_fn_mc(model, (2.5, -1.1), 10**5, seed=1)
+    digest.update(np.array([mean.real, mean.imag, err]).tobytes())
+print(digest.hexdigest())
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +377,7 @@ def copying_fold(model, lam, mc_samples, seed):
     for start in range(0, mc_samples, BLOCK):
         xi = NOISE_MODULE._displacements(model, seed, label,
                                          range(start, min(start + BLOCK, mc_samples)))
-        vals = NOISE_MODULE._phases(xi @ np.asarray(lam, dtype=np.float64))
+        vals = NOISE_MODULE._phases(_dot(xi, np.asarray(lam, dtype=np.float64)))
         k, block_mean = len(vals), complex(vals.mean())
         dev = (vals - block_mean).view(np.float64)
         delta = block_mean - mean

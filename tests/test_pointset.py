@@ -59,6 +59,38 @@ def test_lattice_2d_count_matches_enumeration():
     assert {tuple(map(int, p)) for p in x.points} == expected
 
 
+def test_lattice_matches_meshgrid_order():
+    axis = np.arange(-2.0, 3.0)
+    for dim in (1, 2, 3):
+        grid = np.stack([g.ravel() for g in np.meshgrid(*([axis] * dim), indexing="ij")], axis=1)
+        expected = grid[(grid * grid).sum(axis=1) <= 4.0]
+        assert gen_lattice(dim, 1.0, 2.0).points.tobytes() == expected.tobytes()
+
+
+def test_lattice_past_meshgrids_64_axes_is_the_origin():
+    # numpy's meshgrid refused 65 axes with a bare ValueError
+    x = gen_lattice(65, 1.0, 0.5)
+    assert x.points.shape == (1, 65) and not x.points.any()
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        # (2k + 1)^dim took 104,140 digits, past what Python prints
+        (lambda: gen_lattice(100000, 1.0, 5.0),
+         r"^inf points in a 100000-d box of reach 5\.0 \(11\^100000\), over the budget"),
+        # the power of 10^20 in Python ints did not return
+        (lambda: gen_lattice(10**20, 1.0, 5.0), r"^100000000000000000000 axes of one generated point, "),
+        (lambda: gen_poisson(1.0, 10**400, 10.0, 0), r"^about 10\^400\.0 axes of one generated "),
+        (lambda: gen_lattice(10**5000, 1.0, 0.5), r"^about 10\^5000\.0 axes of one generated "),
+    ],
+    ids=["lattice-d1e5", "lattice-d1e20", "poisson-d1e400", "lattice-d1e5000"],
+)
+def test_huge_dimensions_are_refused_by_their_size(call, refusal):
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        call()
+
+
 @pytest.mark.parametrize(
     "points",
     [[[math.nan]], [[0.0], [math.nan]], [[math.inf]], [[-1.0, 0.0], [0.0, -math.inf]]],
